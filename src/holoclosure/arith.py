@@ -132,23 +132,6 @@ def gq(x) -> GaussianRational:
     return GaussianRational(_as_fraction(x))
 
 
-def gq_arith(a: GaussianRational, b: GaussianRational, kind: str) -> GaussianRational:
-    """Field operation dispatch; kind is one of add, sub, mul, div."""
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        return a / b
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
-
-
-def gq_conjugate(a: GaussianRational) -> GaussianRational:
-    return a.conjugate()
-
-
 # -- textual form ----------------------------------------------------------
 #
 # Canonical scalar syntax, the exact inverse of parsing:

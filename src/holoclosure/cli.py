@@ -2,7 +2,8 @@
 and emits deterministic human-readable or JSON reports.
 
 Exit codes: 0 success, 2 parse error, 3 resource-limit abort, 4 semantic
-precondition failure (empty set, point off the set, non-smooth point, ...).
+precondition failure (empty set, point off the set, non-smooth point, ...),
+5 internal invariant violated (a defect in the toolkit, not in the input).
 Errors are also echoed in the report diagnostics.
 """
 
@@ -24,6 +25,7 @@ from holoclosure.complexify import System, real_dimension
 from holoclosure.crgeom import cr_dimension_at, cr_strata_ideal, verify_d_minus_m
 from holoclosure.errors import (
     EmptySetError,
+    InvariantError,
     NonSmoothPointError,
     PointNotOnSetError,
     ResourceLimitError,
@@ -52,6 +54,7 @@ EXIT_OK = 0
 EXIT_PARSE_ERROR = 2
 EXIT_RESOURCE_LIMIT = 3
 EXIT_SEMANTIC = 4
+EXIT_INVARIANT = 5
 
 GERM_NOTE = (
     "ideal-level (Zariski-global) semantics: at points of the exceptional set, "
@@ -209,14 +212,13 @@ def _cmd_ranks(args, config, report):
     if doc.equations:
         source = Ideal.from_polys(doc.context, doc.equations)
     ranks = gabrielov_r1(doc.map_components, source, seed=args.seed, config=config)
-    kernel = pullback_kernel(doc.map_components, source, config)
     report.results = {
         "r1": ranks.r1,
         "r3": ranks.r3,
         "lambda": ranks.lam,
         "regular": ranks.regular,
         "fibre_witness": _point_strings(ranks.fibre_witness),
-        "kernel": _ideal_strings(kernel),
+        "kernel": _ideal_strings(ranks.kernel),
     }
 
 
@@ -417,6 +419,9 @@ def run(argv, stdout=None) -> int:
             SamplingError, ValueError) as exc:
         report.diagnostics.append(f"error: {exc}")
         code = EXIT_SEMANTIC
+    except InvariantError as exc:
+        report.diagnostics.append(f"internal invariant violated: {exc}")
+        code = EXIT_INVARIANT
     stdout.write(report.to_json() if args.json else report.to_text())
     return code
 

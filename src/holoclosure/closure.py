@@ -2,13 +2,15 @@
 
 The holomorphic closure ideal of a system is the w-block elimination of its
 complexification: the smallest complex algebraic set through the projection
-of the complexified variety.  For maps, the kernel of the pullback is the
-source-block elimination of the graph ideal (giving the rank r3), while r1
-is recovered from generic fibre dimension: r1 = dim A - lambda, with lambda
-sampled at seeded random rational points of the source variety.  Fibre
-dimension is upper-semicontinuous, so the minimum over samples is the
-generic value with overwhelming probability, and r1 <= r3 holds for every
-sample outcome.
+of the complexified variety.  One w > z elimination basis gives both
+dimensions: d off its staircase, the closure ideal and h off its w-free
+part (parametrized images: one basis under parameters > w > z).  For maps,
+the kernel of the pullback is the source-block elimination of the graph
+ideal (giving the rank r3), while r1 is recovered from generic fibre
+dimension: r1 = dim A - lambda, with lambda sampled at seeded random
+rational points of the source variety.  Fibre dimension is
+upper-semicontinuous, so the minimum over samples is the generic value with
+overwhelming probability, and r1 <= r3 holds for every sample outcome.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from typing import Sequence
 
 from holoclosure.arith import gq
 from holoclosure.complexify import System, complexify_ideal
-from holoclosure.errors import EmptySetError, SamplingError
+from holoclosure.errors import EmptySetError, InvariantError, SamplingError
 from holoclosure.groebner import (
     DEFAULT_CONFIG,
+    GroebnerBasis,
     GroebnerConfig,
     Ideal,
     buchberger,
@@ -33,6 +36,8 @@ from holoclosure.groebner import (
 )
 from holoclosure.poly import (
     Block,
+    BlockElimination,
+    GREVLEX,
     LEX,
     Polynomial,
     VariableContext,
@@ -56,6 +61,7 @@ class RankReport:
 
     ``lam`` is the generic fibre dimension; regular means r1 == r3.  The
     fibre witness is the sampled source point realizing the minimal fibre.
+    ``kernel`` is the pullback kernel, whose staircase gives r3.
     """
 
     r1: int
@@ -63,22 +69,28 @@ class RankReport:
     lam: int
     regular: bool
     fibre_witness: tuple
+    kernel: Ideal
+
+
+def _closure_report(gb: GroebnerBasis, n: int) -> HCReport:
+    """Read d off a (w > z) elimination basis, and the closure ideal and h off its w-free part."""
+    real_dim, _ = gb.dimension(range(gb.context.size))
+    if real_dim is None:
+        raise EmptySetError("the system defines the empty set")
+    closure = gb.elimination(1)
+    hc_dim, _ = closure.dimension(range(n))
+    if not (real_dim + 1) // 2 <= hc_dim <= n:
+        raise InvariantError(
+            f"holomorphic closure dimension {hc_dim} violates bounds for d={real_dim}, n={n}"
+        )
+    return HCReport(Ideal(closure.context, closure.basis), hc_dim, real_dim)
 
 
 def holomorphic_closure(system: System, config: GroebnerConfig = DEFAULT_CONFIG) -> HCReport:
     """Eliminate the w block of the complexification; report both dimensions."""
-    ci = complexify_ideal(system, config)
-    real_dim = ideal_dimension(ci.ideal, config=config)
-    if real_dim is None:
-        raise EmptySetError("the system defines the empty set")
-    hc_ideal = eliminate(ci.ideal, Block.W, config)
-    hc_dim = ideal_dimension(hc_ideal, config=config)
-    n = system.n
-    if not (real_dim + 1) // 2 <= hc_dim <= n:
-        raise AssertionError(
-            f"holomorphic closure dimension {hc_dim} violates bounds for d={real_dim}, n={n}"
-        )
-    return HCReport(hc_ideal, hc_dim, real_dim)
+    ideal = complexify_ideal(system, config).ideal
+    gb = buchberger(ideal, BlockElimination.of_blocks(ideal.context, Block.W), config)
+    return _closure_report(gb, system.n)
 
 
 def _validate_map(components: Sequence[Polynomial]) -> VariableContext:
@@ -103,30 +115,23 @@ def hc_dimension_parametrized(
     """Holomorphic closure data of the image of a polynomial parametrization.
 
     The parameters are complexified: the graph of (phi, conj-coefficient phi)
-    is eliminated down to C[z,w] (giving the complexification of the real
-    image, hence its real dimension) and then down to C[z] (giving the
-    closure of the image of phi itself).
+    gets one basis under parameters > w > z.  Its parameter-free part is a
+    basis of the complexification of the real image in C[z,w] (giving the
+    real dimension), and its part free of parameters and w is the closure of
+    the image of phi itself in C[z].
     """
     src = _validate_map(components)
     n = len(components)
-    zw = zw_context(n)
-    big = src.concat(zw)
+    big = src.concat(zw_context(n))
     gens = []
     for j, f in enumerate(components):
         zj = Polynomial.variable(big, f"z{j + 1}")
         wj = Polynomial.variable(big, f"w{j + 1}")
         gens.append(zj - f.embed(big))
         gens.append(wj - f.conjugate().embed(big))
-    graph = Ideal.from_polys(big, gens)
-    cimage = eliminate(graph, Block.PARAM, config)
-    real_dim = ideal_dimension(cimage, config=config)
-    hc_ideal = eliminate(cimage, Block.W, config)
-    hc_dim = ideal_dimension(hc_ideal, config=config)
-    if not (real_dim + 1) // 2 <= hc_dim <= n:
-        raise AssertionError(
-            f"holomorphic closure dimension {hc_dim} violates bounds for d={real_dim}, n={n}"
-        )
-    return HCReport(hc_ideal, hc_dim, real_dim)
+    order = BlockElimination.of_blocks(big, Block.PARAM, Block.W)
+    gb = buchberger(Ideal.from_polys(big, gens), order, config)
+    return _closure_report(gb.elimination(1), n)
 
 
 def pullback_kernel(
@@ -153,17 +158,22 @@ def pullback_kernel(
     return eliminate(Ideal.from_polys(big, gens), Block.PARAM, config)
 
 
+def _kernel_dimension(kernel: Ideal) -> int:
+    # the generators ``eliminate`` returns are the kernel's reduced grevlex basis
+    basis = GroebnerBasis(kernel.context, GREVLEX, kernel.generators)
+    dim, _ = basis.dimension(range(kernel.context.size))
+    if dim is None:
+        raise EmptySetError("pullback kernel is the unit ideal")
+    return dim
+
+
 def gabrielov_r3(
     components: Sequence[Polynomial],
     source: Ideal | None = None,
     config: GroebnerConfig = DEFAULT_CONFIG,
 ) -> int:
     """Krull dimension of the target coordinate ring modulo the pullback kernel."""
-    kernel = pullback_kernel(components, source, config)
-    dim = ideal_dimension(kernel, config=config)
-    if dim is None:
-        raise EmptySetError("pullback kernel is the unit ideal")
-    return dim
+    return _kernel_dimension(pullback_kernel(components, source, config))
 
 
 # -- rational point sampling -------------------------------------------------
@@ -234,16 +244,9 @@ def _rational_roots(coeffs: list) -> list:
     return sorted(set(roots), key=lambda r: (r.re, r.im))
 
 
-def _drop_variable(ctx: VariableContext, index: int) -> VariableContext:
-    return VariableContext(
-        ctx.names[:index] + ctx.names[index + 1:],
-        ctx.blocks[:index] + ctx.blocks[index + 1:],
-    )
-
-
 def _substitute_value(gens, ctx, index, value):
     """Plug a constant into one variable; generators move to the smaller context."""
-    sub = _drop_variable(ctx, index)
+    sub = ctx.subcontext([k for k in range(ctx.size) if k != index])
     images = {}
     for k, name in enumerate(ctx.names):
         if k == index:
@@ -371,10 +374,11 @@ def gabrielov_r1(
             fibre_gens.append(f - Polynomial.constant(src, f.evaluate(values)))
         lam = ideal_dimension(Ideal.from_polys(src, fibre_gens), config=config)
         if lam is None:
-            raise AssertionError("sampled fibre is empty despite containing the sample")
+            raise InvariantError("sampled fibre is empty despite containing the sample")
         if best_lam is None or lam < best_lam:
             best_lam = lam
             best_point = point
     r1 = dim_a - best_lam
-    r3 = gabrielov_r3(components, source, config)
-    return RankReport(r1, r3, best_lam, r1 == r3, best_point)
+    kernel = pullback_kernel(components, source, config)
+    r3 = _kernel_dimension(kernel)
+    return RankReport(r1, r3, best_lam, r1 == r3, best_point, kernel)

@@ -150,14 +150,17 @@ def zeta_to_real(system: System) -> System:
     return System(rctx, REAL_FORM, tuple(gens), conjugation_closed=True)
 
 
-def conjugation_closure(system: System, config: GroebnerConfig = DEFAULT_CONFIG) -> System:
-    """Append missing generator conjugates (membership-tested, not list-tested)."""
+def conjugation_closure(system: System) -> System:
+    """Append each generator's conjugate unless a scalar multiple is present.
+
+    The ideal is I + conj(I) either way, so no membership test is needed.
+    """
     if system.form == REAL_FORM or system.conjugation_closed:
         return replace(system, conjugation_closed=True)
     gens = list(system.generators)
     for g in system.generators:
         gbar = g.conjugate(ZETA_SWAP)
-        if not ideal_membership(gbar, Ideal.from_polys(system.context, gens), config):
+        if all(h.monic(GREVLEX) != gbar.monic(GREVLEX) for h in gens):
             gens.append(gbar)
     return System(system.context, ZETA_FORM, tuple(gens), conjugation_closed=True)
 
@@ -167,7 +170,7 @@ def complexify_ideal(system: System, config: GroebnerConfig = DEFAULT_CONFIG) ->
     if system.form == REAL_FORM:
         system = real_to_zeta(system)
     if not system.conjugation_closed:
-        system = conjugation_closure(system, config)
+        system = conjugation_closure(system)
     n = system.n
     zw = zw_context(n)
     identity = list(range(2 * n))

@@ -27,7 +27,12 @@ from holoclosure.complexify import (
     real_dimension,
     zeta_to_real,
 )
-from holoclosure.errors import EmptySetError, NonSmoothPointError, PointNotOnSetError
+from holoclosure.errors import (
+    EmptySetError,
+    InvariantError,
+    NonSmoothPointError,
+    PointNotOnSetError,
+)
 from holoclosure.groebner import DEFAULT_CONFIG, GroebnerConfig, Ideal
 from holoclosure.poly import Polynomial
 
@@ -117,11 +122,11 @@ def _compose_with_j(row: list) -> list:
     return out
 
 
-def _expected_codimension(system: System, config: GroebnerConfig) -> tuple:
+def _real_dimension(system: System, config: GroebnerConfig) -> int:
     d = real_dimension(system, config)
     if d is None:
         raise EmptySetError("the system defines the empty set")
-    return d, system.context.size - d
+    return d
 
 
 def tangent_space(
@@ -132,13 +137,13 @@ def tangent_space(
     """Kernel of the real Jacobian at an exact point of a real-form system."""
     if system.form != REAL_FORM:
         raise ValueError("tangent_space expects a real-form system")
-    d, codim = _expected_codimension(system, config)
+    d = _real_dimension(system, config)
     values = _real_coordinates(system, point)
     _check_on_set(system, values, point)
     rows = _jacobian_rows_at(system, values)
     rk = linalg.rank(rows)
     kernel = linalg.nullspace(rows, system.context.size)
-    return TangentReport(tuple(tuple(v) for v in kernel), rk, rk == codim, d)
+    return TangentReport(tuple(tuple(v) for v in kernel), rk, rk == system.context.size - d, d)
 
 
 def cr_dimension_at(
@@ -148,24 +153,28 @@ def cr_dimension_at(
 ) -> CRReport:
     """CR dimension of the tangent space at a smooth point."""
     real_system = _as_real(system)
-    d, codim = _expected_codimension(real_system, config)
+    return _cr_report(real_system, point, _real_dimension(real_system, config))
+
+
+def _cr_report(real_system: System, point: Point, d: int) -> CRReport:
+    """Pointwise ranks at ``point`` of a real-form system of real dimension d."""
     values = _real_coordinates(real_system, point)
     _check_on_set(real_system, values, point)
     rows = _jacobian_rows_at(real_system, values)
     rank_df = linalg.rank(rows)
-    if rank_df != codim:
+    two_n = real_system.context.size
+    if rank_df != two_n - d:
         raise NonSmoothPointError(
-            f"Jacobian rank {rank_df} != expected codimension {codim}; "
+            f"Jacobian rank {rank_df} != expected codimension {two_n - d}; "
             "supply germ generators for this point"
         )
     stacked = rows + [_compose_with_j(r) for r in rows]
     rank_stacked = linalg.rank(stacked)
-    two_n = real_system.context.size
     if (two_n - rank_stacked) % 2 != 0:
-        raise AssertionError("T intersect JT must be even-dimensional")
+        raise InvariantError("T intersect JT must be even-dimensional")
     m = (two_n - rank_stacked) // 2
     if not 0 <= m <= d // 2:
-        raise AssertionError(f"CR dimension {m} out of range for d={d}")
+        raise InvariantError(f"CR dimension {m} out of range for d={d}")
     return CRReport(d, m, True, rank_df, rank_stacked)
 
 
@@ -200,7 +209,7 @@ def cr_strata_ideal(
     is vacuous and the stratum is the whole smooth locus.
     """
     real_system = _as_real(system)
-    d, _ = _expected_codimension(real_system, config)
+    d = _real_dimension(real_system, config)
     if not 0 <= k <= d // 2:
         raise ValueError(f"stratum index k={k} out of range 0..{d // 2}")
     ctx = real_system.context
@@ -238,14 +247,16 @@ def verify_d_minus_m(
 
     A flagged point indicates it lies in an exceptional locus or that the
     ideal-level (global) closure dimension differs from the germ-level one
-    there.
+    there.  Both h and d come from the one closure basis; each point costs
+    only exact rank computations.
     """
     hc = holomorphic_closure(system, config)
     h, d = hc.hc_dimension, hc.real_dimension
+    real_system = _as_real(system)
     entries = []
     for point in points:
         try:
-            report = cr_dimension_at(system, point, config)
+            report = _cr_report(real_system, point, d)
         except (PointNotOnSetError, NonSmoothPointError) as exc:
             entries.append(DMEntry(tuple(point), None, None, str(exc)))
             continue

@@ -1,4 +1,4 @@
-"""Shared exception types: resource budgets and semantic preconditions."""
+"""Shared exception types: resource budgets, semantic preconditions, internal invariants."""
 
 
 class ResourceLimitError(Exception):
@@ -19,3 +19,7 @@ class NonSmoothPointError(Exception):
 
 class SamplingError(Exception):
     """No rational point on the variety was found within the retry budget."""
+
+
+class InvariantError(Exception):
+    """An internal consistency check failed: a defect in the toolkit, not in the input."""

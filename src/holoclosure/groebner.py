@@ -4,8 +4,12 @@ The engine is deliberately plain: normal pair-selection strategy plus the
 coprime and chain criteria, full inter-reduction at the end, and a hard
 pair/degree budget so adversarial input fails deterministically instead of
 looping.  Dimension is the combinatorial one, read off the leading-term
-staircase of a grevlex basis; it agrees with the dimension of the radical,
-so no radical computation is needed.
+staircase of a basis in any term order: R/I and R/in(I) have the same Krull
+dimension (Kredel and Weispfenning, JSC 6, 1988), and it agrees with the
+dimension of the radical, so no radical computation is needed.  The part of
+a block-elimination basis free of its leading groups is the reduced basis of
+the elimination ideal, so one basis answers every dimension and elimination
+question about an ideal and its projections.
 """
 
 from __future__ import annotations
@@ -67,9 +71,11 @@ class Ideal:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
+    """The reduced Groebner basis of an ideal over ``context`` under ``order``."""
+
+    context: VariableContext
     order: MonomialOrder
     basis: tuple
-    reduced: bool = True
 
     @property
     def is_unit(self) -> bool:
@@ -78,8 +84,37 @@ class GroebnerBasis:
     def leading_monomials(self) -> list:
         return [f.leading(self.order)[0] for f in self.basis]
 
-    def contains(self, f: Polynomial) -> bool:
-        return normal_form(f, self.basis, self.order).is_zero
+    def dimension(self, variables: Sequence[int]):
+        """(Krull dimension, maximal independent set) within the indices ``variables``.
+
+        An empty basis is the zero ideal (every variable independent);
+        (None, None) means the unit ideal, the empty set.
+        """
+        supports = [frozenset(k for k, e in enumerate(m) if e) for m in self.leading_monomials()]
+        if any(not s for s in supports):
+            return None, None  # a constant leads the staircase: unit ideal
+        # the largest S inside ``variables`` containing no support
+        for size in range(len(variables), -1, -1):
+            for S in combinations(variables, size):
+                if not any(sup <= set(S) for sup in supports):
+                    return size, frozenset(S)
+
+    def elimination(self, count: int) -> "GroebnerBasis":
+        """The elements free of the first ``count`` groups of a block order.
+
+        They move to the context without those variables.  For a reduced
+        basis this is the reduced basis of the elimination ideal, under the
+        order of the remaining groups.
+        """
+        dropped = {k for g in self.order.groups[:count] for k in g}
+        kept = [k for k in range(self.context.size) if k not in dropped]
+        target = self.context.subcontext(kept)
+        new_index = {old: new for new, old in enumerate(kept)}
+        index_map = [new_index.get(k, 0) for k in range(self.context.size)]
+        part = tuple(
+            g.rename(target, index_map) for g in self.basis if not g.used_indices() & dropped
+        )
+        return GroebnerBasis(target, self.order.after(count), part)
 
 
 def normal_form(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:
@@ -137,7 +172,7 @@ def buchberger(I: Ideal, order: MonomialOrder, config: GroebnerConfig = DEFAULT_
     """Reduced Groebner basis of I; deterministic for a fixed generator order."""
     gens = [g for g in I.generators if not g.is_zero]
     if not gens:
-        return GroebnerBasis(order, ())
+        return GroebnerBasis(I.context, order, ())
     G = [g.monic(order) for g in gens]
     lead = [g.leading(order)[0] for g in G]
 
@@ -190,7 +225,7 @@ def buchberger(I: Ideal, order: MonomialOrder, config: GroebnerConfig = DEFAULT_
         lead.append(h.leading(order)[0])
         push_pairs(len(G) - 1)
 
-    return GroebnerBasis(order, _reduce_basis(G, order))
+    return GroebnerBasis(I.context, order, _reduce_basis(G, order))
 
 
 def ideal_membership(f: Polynomial, I: Ideal, config: GroebnerConfig = DEFAULT_CONFIG) -> bool:
@@ -201,36 +236,11 @@ def ideal_membership(f: Polynomial, I: Ideal, config: GroebnerConfig = DEFAULT_C
 def eliminate(I: Ideal, block: Block, config: GroebnerConfig = DEFAULT_CONFIG) -> Ideal:
     """Generators of I intersected with the subring omitting ``block``.
 
-    Computed from a block-elimination basis by discarding every element that
-    touches an eliminated variable; the result context drops the block.
+    They are the reduced grevlex basis of that ideal, read off a
+    block-elimination basis; the result context drops the block.
     """
-    order = BlockElimination.for_block(I.context, block)
-    target, kept = I.context.drop(block)
-    if I.is_zero:
-        return Ideal(target, ())
-    gb = buchberger(I, order, config)
-    elim = set(order.eliminated)
-    new_index = {old: new for new, old in enumerate(kept)}
-    out = []
-    for g in gb.basis:
-        used = g.used_indices()
-        if used & elim:
-            continue
-        index_map = [new_index.get(k, 0) for k in range(I.context.size)]
-        out.append(g.rename(target, index_map))
-    return Ideal(target, tuple(out))
-
-
-def _staircase_independent_set(supports: list, variables: tuple):
-    """Largest S inside ``variables`` such that no support is contained in S."""
-    if any(not s for s in supports):
-        return None  # a constant leads the staircase: unit ideal
-    for size in range(len(variables), -1, -1):
-        for S in combinations(variables, size):
-            s_set = set(S)
-            if not any(sup <= s_set for sup in supports):
-                return frozenset(S)
-    return None
+    part = buchberger(I, BlockElimination.of_blocks(I.context, block), config).elimination(1)
+    return Ideal(part.context, part.basis)
 
 
 def dimension_and_witness(
@@ -239,23 +249,15 @@ def dimension_and_witness(
     config: GroebnerConfig = DEFAULT_CONFIG,
 ):
     """(Krull dimension, maximal independent set) or (None, None) if 1 in I."""
-    if block is None:
-        variables = tuple(range(I.context.size))
-    else:
+    variables = range(I.context.size)
+    if block is not None:
         variables = I.context.indices(block)
         for g in I.generators:
             if not g.used_indices() <= set(variables):
                 raise ValueError("generators leave the requested block")
     if I.is_zero:
-        return len(variables), frozenset(variables)
-    gb = buchberger(I, GREVLEX, config)
-    if gb.is_unit:
-        return None, None
-    supports = [frozenset(k for k, e in enumerate(m) if e) for m in gb.leading_monomials()]
-    witness = _staircase_independent_set(supports, variables)
-    if witness is None:
-        return None, None
-    return len(witness), witness
+        return GroebnerBasis(I.context, GREVLEX, ()).dimension(variables)
+    return buchberger(I, GREVLEX, config).dimension(variables)
 
 
 def ideal_dimension(

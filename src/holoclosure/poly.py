@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from holoclosure.arith import GaussianRational, gq, gq_to_text
 
@@ -66,14 +66,12 @@ class VariableContext:
     def block_of(self, name: str) -> Block:
         return self.blocks[self.index(name)]
 
-    def drop(self, block: Block) -> tuple["VariableContext", tuple]:
-        """Context without ``block``, plus the kept old indices in order."""
-        kept = tuple(k for k, b in enumerate(self.blocks) if b is not block)
-        ctx = VariableContext(
-            tuple(self.names[k] for k in kept),
-            tuple(self.blocks[k] for k in kept),
+    def subcontext(self, indices: Sequence[int]) -> "VariableContext":
+        """Context of the variables at ``indices``, in that order."""
+        return VariableContext(
+            tuple(self.names[k] for k in indices),
+            tuple(self.blocks[k] for k in indices),
         )
-        return ctx, kept
 
     def concat(self, other: "VariableContext") -> "VariableContext":
         return VariableContext(self.names + other.names, self.blocks + other.blocks)
@@ -169,46 +167,38 @@ class Grevlex(MonomialOrder):
 
 @dataclass(frozen=True)
 class BlockElimination(MonomialOrder):
-    """Eliminated indices dominate; grevlex inside each of the two groups."""
+    """Index groups ranked in order, each dominating all later ones; grevlex inside each.
 
-    eliminated: tuple
-    kept: tuple
+    ``groups`` is a tuple of ascending index tuples partitioning the variables.
+    """
 
-    @classmethod
-    def for_block(cls, context: VariableContext, block: Block) -> "BlockElimination":
-        if not context.has_block(block):
-            raise ValueError(f"context has no {block} block")
-        elim = context.indices(block)
-        kept = tuple(k for k in range(context.size) if k not in elim)
-        return cls(elim, kept)
+    groups: tuple
 
     @classmethod
-    def for_indices(cls, size: int, eliminated: Iterable[int]) -> "BlockElimination":
-        elim = tuple(sorted(eliminated))
-        kept = tuple(k for k in range(size) if k not in elim)
-        return cls(elim, kept)
+    def of_blocks(cls, context: VariableContext, *blocks: Block) -> "BlockElimination":
+        """One group per block in the order given, then one group of every other variable."""
+        groups = []
+        for block in blocks:
+            if not context.has_block(block):
+                raise ValueError(f"context has no {block} block")
+            groups.append(context.indices(block))
+        ranked = {k for g in groups for k in g}
+        groups.append(tuple(k for k in range(context.size) if k not in ranked))
+        return cls(tuple(groups))
+
+    def after(self, count: int) -> MonomialOrder:
+        """The groups after the first ``count``, renumbered from 0; grevlex if one is left."""
+        kept = sorted(k for g in self.groups[count:] for k in g)
+        new_index = {old: new for new, old in enumerate(kept)}
+        groups = tuple(tuple(new_index[k] for k in g) for g in self.groups[count:])
+        return GREVLEX if len(groups) == 1 else BlockElimination(groups)
 
     def key(self, m: Monomial):
-        return (
-            _grevlex_key(tuple(m[k] for k in self.eliminated)),
-            _grevlex_key(tuple(m[k] for k in self.kept)),
-        )
+        return tuple([_grevlex_key(tuple([m[k] for k in g])) for g in self.groups])
 
 
 GREVLEX = Grevlex()
 LEX = Lex()
-
-
-def monomial_compare(order: MonomialOrder, a: Monomial, b: Monomial) -> int:
-    """-1, 0, or 1 as a <, =, > b in the given order."""
-    if len(a) != len(b):
-        raise ValueError("monomials from different contexts")
-    ka, kb = order.key(a), order.key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
 
 
 # -- polynomials ------------------------------------------------------------
@@ -513,14 +503,3 @@ def polynomial_to_text(f: Polynomial, order: MonomialOrder = GREVLEX) -> str:
         else:
             chunks.append(f" - {body}" if neg else f" + {body}")
     return "".join(chunks)
-
-
-def poly_arith(f: Polynomial, g: Polynomial, kind: str) -> Polynomial:
-    """Ring operation dispatch; kind is one of add, sub, mul."""
-    if kind == "add":
-        return f + g
-    if kind == "sub":
-        return f - g
-    if kind == "mul":
-        return f * g
-    raise ValueError(f"unknown arithmetic kind {kind!r}")

@@ -2,11 +2,14 @@
 
 import io
 import json
+import sys
 
 import pytest
 
 from conftest import FIXTURES
+from holoclosure import groebner
 from holoclosure.cli import (
+    EXIT_INVARIANT,
     EXIT_OK,
     EXIT_PARSE_ERROR,
     EXIT_RESOURCE_LIMIT,
@@ -195,3 +198,57 @@ def test_wrong_document_kind_is_semantic_error():
     assert code == EXIT_SEMANTIC
     code2, _ = invoke(["param-hcdim", str(FIXTURES / "whitney.map"), "--json"])
     assert code2 == EXIT_SEMANTIC
+
+
+def test_invariant_violation_exit_code(monkeypatch):
+    # a dimension reader claiming h > n trips the closure bound check
+    monkeypatch.setattr(groebner.GroebnerBasis, "dimension", lambda self, variables: (99, None))
+    code, out = invoke(["hcdim", str(FIXTURES / "sphere.sys"), "--json"])
+    assert code == EXIT_INVARIANT == 5
+    diagnostics = json.loads(out)["diagnostics"]
+    assert any(d.startswith("internal invariant violated: ") for d in diagnostics)
+    assert "Traceback" not in out
+
+
+def _count_buchberger(monkeypatch):
+    """Replace buchberger at every binding site; returns the list of order names used."""
+    calls = []
+    original = groebner.buchberger
+
+    def counting(I, order, config=groebner.DEFAULT_CONFIG):
+        calls.append(type(order).__name__)
+        return original(I, order, config)
+
+    for name, module in list(sys.modules.items()):
+        if name == "holoclosure" or name.startswith("holoclosure."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+@pytest.mark.parametrize("fixture", [f for f, c, _ in golden_cases() if c == "hcdim"])
+def test_hcdim_computes_one_basis(monkeypatch, fixture):
+    calls = _count_buchberger(monkeypatch)
+    code, _ = invoke(["hcdim", str(FIXTURES / fixture), "--json"])
+    assert code == EXIT_OK
+    assert calls == ["BlockElimination"]
+
+
+def test_param_hcdim_and_verify_dm_compute_one_basis(monkeypatch):
+    calls = _count_buchberger(monkeypatch)
+    assert invoke(["param-hcdim", str(FIXTURES / "surface_param.par"), "--json"])[0] == EXIT_OK
+    assert calls == ["BlockElimination"]
+    calls.clear()
+    code, _ = invoke([
+        "verify-dm", str(FIXTURES / "sphere.sys"),
+        "--point", "1, 0", "--point", "3/5, 4/5", "--point", "0, i", "--json",
+    ])
+    assert code == EXIT_OK
+    assert calls == ["BlockElimination"]
+
+
+def test_ranks_computes_the_kernel_once(monkeypatch):
+    calls = _count_buchberger(monkeypatch)
+    assert invoke(["ranks", str(FIXTURES / "whitney.map"), "--json", "--seed", "0"])[0] == EXIT_OK
+    assert calls.count("BlockElimination") == 1

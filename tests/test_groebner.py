@@ -24,6 +24,7 @@ from holoclosure.groebner import (
 )
 from holoclosure.poly import (
     Block,
+    BlockElimination,
     GREVLEX,
     LEX,
     Polynomial,
@@ -205,6 +206,40 @@ def test_dimension_invariant_under_generator_permutation():
         shuffled = gens[:]
         rng.shuffle(shuffled)
         assert ideal_dimension(Ideal.from_polys(ctx, shuffled)) == reference
+
+
+BLOCK_ORDERS = [
+    BlockElimination(((0,), (1, 2, 3))),
+    BlockElimination(((2, 3), (0, 1))),
+    BlockElimination(((1,), (3,), (0, 2))),
+    BlockElimination(((0, 1), (2,), (3,))),
+]
+
+
+def test_block_bases_give_grevlex_dimension_and_elimination_ideals():
+    # the dimension is the same off any term order, and the part of a block
+    # basis free of its leading groups is the reduced basis of that
+    # elimination ideal under the order of the remaining groups
+    rng = random.Random(4242)
+    ctx = param_ctx(("a", "b", "c", "d"))
+    for k in range(24):
+        gens = [rand_nonzero_poly(rng, ctx, max_deg=2) for _ in range(rng.randint(1, 3))]
+        I = Ideal.from_polys(ctx, gens)
+        order = BLOCK_ORDERS[k % len(BLOCK_ORDERS)]
+        gb = buchberger(I, order)
+        assert gb.dimension(range(4))[0] == ideal_dimension(I)
+        for count in range(1, len(order.groups)):
+            part = gb.elimination(count)
+            J = Ideal(part.context, part.basis)
+            assert part.dimension(range(part.context.size))[0] == ideal_dimension(J)
+            assert part.basis == buchberger(J, part.order).basis
+            if count == len(order.groups) - 1:
+                assert part.order == GREVLEX
+                assert part.basis == buchberger(J, GREVLEX).basis
+                # the same ideal off a two-group order ranking all leading groups as one
+                merged = tuple(sorted(k for g in order.groups[:count] for k in g))
+                two = buchberger(I, BlockElimination((merged, order.groups[-1])))
+                assert two.elimination(1).basis == part.basis
 
 
 def test_pair_budget_exhaustion():

@@ -16,7 +16,6 @@ from holoclosure.poly import (
     LEX,
     Polynomial,
     VariableContext,
-    monomial_compare,
     param_context,
     polynomial_to_text,
     zeta_context,
@@ -40,42 +39,57 @@ def var(ctx, name):
 
 def test_grevlex_tie_break():
     # x^2*y > x*y^2 at equal degree
-    assert monomial_compare(GREVLEX, (2, 1), (1, 2)) == 1
+    assert GREVLEX.key((2, 1)) > GREVLEX.key((1, 2))
 
 
 def test_lex_degree_blind():
     # x > y^5 under lex with x > y
-    assert monomial_compare(LEX, (1, 0), (0, 5)) == 1
+    assert LEX.key((1, 0)) > LEX.key((0, 5))
 
 
 def test_elimination_block_dominates():
     # order on (z, w) eliminating w: w > z^100
-    order = BlockElimination.for_indices(2, [1])
-    assert monomial_compare(order, (0, 1), (100, 0)) == 1
+    order = BlockElimination(((1,), (0,)))
+    assert order.key((0, 1)) > order.key((100, 0))
+    # three groups: x > y^100 > z^100, each group dominating the later ones
+    three = BlockElimination(((0,), (1,), (2,)))
+    assert three.key((1, 0, 0)) > three.key((0, 100, 0)) > three.key((0, 0, 100))
 
 
 def test_compare_context_mismatch():
+    ctx3 = param_context(("a", "b", "c"))
     with pytest.raises(ValueError):
-        monomial_compare(GREVLEX, (1, 0), (1, 0, 0))
+        var(ZW2, "z1") - var(ctx3, "a")
 
 
 exponents3 = st.tuples(*(st.integers(0, 6),) * 3)
-orders = st.sampled_from([GREVLEX, LEX, BlockElimination.for_indices(3, [0, 1])])
+orders = st.sampled_from([
+    GREVLEX,
+    LEX,
+    BlockElimination(((0, 1), (2,))),
+    BlockElimination(((2,), (0,), (1,))),
+])
+
+
+def _cmp(order, a, b):
+    ka, kb = order.key(a), order.key(b)
+    return (ka > kb) - (ka < kb)
 
 
 @given(orders, exponents3, exponents3, exponents3)
 def test_order_is_total_and_multiplicative(order, a, b, c):
-    assert monomial_compare(order, a, b) == -monomial_compare(order, b, a)
-    if monomial_compare(order, a, b) == -1:
+    assert _cmp(order, a, b) == -_cmp(order, b, a)
+    assert (_cmp(order, a, b) == 0) == (a == b)
+    if _cmp(order, a, b) == -1:
         ac = tuple(x + y for x, y in zip(a, c))
         bc = tuple(x + y for x, y in zip(b, c))
-        assert monomial_compare(order, ac, bc) == -1
+        assert _cmp(order, ac, bc) == -1
 
 
 @given(orders, exponents3)
 def test_order_well_ordering(order, m):
     one = (0, 0, 0)
-    assert monomial_compare(order, one, m) in (-1, 0)
+    assert _cmp(order, one, m) in (-1, 0)
 
 
 # -- ring arithmetic ----------------------------------------------------------
@@ -229,12 +243,10 @@ def test_context_validation():
         VariableContext(("a",), (Block.PARAM, Block.PARAM))
 
 
-def test_poly_arith_dispatch():
-    from holoclosure.poly import poly_arith
-
+def test_ring_operators():
     f, g = var(ZW2, "z1"), var(ZW2, "w1")
-    assert poly_arith(f, g, "add") == f + g
-    assert poly_arith(f, g, "sub") == f - g
-    assert poly_arith(f, g, "mul") == f * g
-    with pytest.raises(ValueError):
-        poly_arith(f, g, "div")
+    assert f + g == P(ZW2, {(1, 0, 0, 0): 1, (0, 0, 1, 0): 1})
+    assert f - g == P(ZW2, {(1, 0, 0, 0): 1, (0, 0, 1, 0): -1})
+    assert f * g == P(ZW2, {(1, 0, 1, 0): 1})
+    with pytest.raises(TypeError):
+        f / g
