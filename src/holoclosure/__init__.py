@@ -16,11 +16,11 @@ from holoclosure.closure import (
     pullback_kernel,
 )
 from holoclosure.complexify import (
-    ComplexifiedIdeal,
     System,
     complexify_complex_set,
     complexify_ideal,
     conjugation_closure,
+    is_swap_symmetric,
     real_dimension,
     real_to_zeta,
     zeta_to_real,
@@ -57,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Block",
     "CRReport",
-    "ComplexifiedIdeal",
     "GaussianRational",
     "GroebnerBasis",
     "GroebnerConfig",
@@ -86,6 +85,7 @@ __all__ = [
     "holomorphic_closure",
     "ideal_dimension",
     "ideal_membership",
+    "is_swap_symmetric",
     "jet_compose",
     "jet_exp",
     "normal_form",

@@ -77,14 +77,7 @@ class GaussianRational:
     def __pow__(self, e: int) -> "GaussianRational":
         if e < 0:
             return ONE / self ** (-e)
-        result = ONE
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return power(self, e, ONE)
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
@@ -123,6 +116,17 @@ ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 HALF = GaussianRational(Fraction(1, 2))
+
+
+def power(base, e: int, one):
+    """``base`` to the power ``e`` >= 0 by square-and-multiply; ``one`` is the ring's unit."""
+    result = one
+    while e:
+        if e & 1:
+            result = result * base
+        base = base * base if e > 1 else base
+        e >>= 1
+    return result
 
 
 def gq(x) -> GaussianRational:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from holoclosure.arith import gq_to_text
 from holoclosure.closure import (
@@ -38,7 +38,7 @@ from holoclosure.groebner import (
     buchberger,
     eliminate as eliminate_ideal,
 )
-from holoclosure.jets import jet_from_symbolic, osgood_probe, relation_probe
+from holoclosure.jets import osgood_probe, symbolic_probe
 from holoclosure.poly import Block, GREVLEX, LEX, polynomial_to_text
 from holoclosure.syntax import (
     KIND_JETS,
@@ -69,16 +69,8 @@ class Report:
     results: dict = field(default_factory=dict)
     diagnostics: list = field(default_factory=list)
 
-    def to_payload(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "results": self.results,
-            "diagnostics": self.diagnostics,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_payload(), indent=2) + "\n"
+        return json.dumps(asdict(self), indent=2) + "\n"
 
     def to_text(self) -> str:
         lines = [f"command: {self.command}"]
@@ -114,10 +106,6 @@ def _point_strings(point) -> list:
     return [gq_to_text(c) for c in point]
 
 
-def _dimension_value(d):
-    return "empty" if d is None else d
-
-
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -133,19 +121,9 @@ def _echo_inputs(doc: InputDocument) -> dict:
     }
 
 
-def _require_system(doc: InputDocument) -> System:
-    return System.from_document(doc)
-
-
 def _require_kind(doc: InputDocument, kind: str):
     if doc.kind != kind:
         raise ValueError(f"this command needs a {kind} document, got {doc.kind}")
-
-
-def _config_from_args(args) -> GroebnerConfig:
-    max_pairs = args.max_pairs if args.max_pairs is not None else DEFAULT_CONFIG.max_pairs
-    max_degree = args.max_degree if args.max_degree is not None else DEFAULT_CONFIG.max_degree
-    return GroebnerConfig(max_pairs=max_pairs, max_degree=max_degree)
 
 
 def _parse_jet_orders(text: str) -> list:
@@ -169,48 +147,35 @@ def _probe_table(results) -> list:
     return table
 
 
-def _cmd_hcdim(args, config, report):
-    doc = parse(_read_input(args.input))
-    report.inputs = _echo_inputs(doc)
-    system = _require_system(doc)
-    hc = holomorphic_closure(system, config)
-    report.results = {
+def _closure_results(hc) -> dict:
+    return {
         "real_dimension": hc.real_dimension,
         "hc_dimension": hc.hc_dimension,
         "hc_ideal": _ideal_strings(hc.hc_ideal),
     }
+
+
+def _cmd_hcdim(args, doc, config, report):
+    report.results = _closure_results(holomorphic_closure(System.from_document(doc), config))
     report.diagnostics.append(GERM_NOTE)
 
 
-def _cmd_realdim(args, config, report):
-    doc = parse(_read_input(args.input))
-    report.inputs = _echo_inputs(doc)
-    system = _require_system(doc)
+def _cmd_realdim(args, doc, config, report):
+    system = System.from_document(doc)
     d = real_dimension(system, config)
-    report.results = {"real_dimension": _dimension_value(d)}
+    report.results = {"real_dimension": "empty" if d is None else d}
     if d is None:
         report.diagnostics.append("the equations define the empty set")
 
 
-def _cmd_param_hcdim(args, config, report):
-    doc = parse(_read_input(args.input))
-    report.inputs = _echo_inputs(doc)
+def _cmd_param_hcdim(args, doc, config, report):
     _require_kind(doc, KIND_PARAMETRIZATION)
-    hc = hc_dimension_parametrized(doc.map_components, config)
-    report.results = {
-        "real_dimension": hc.real_dimension,
-        "hc_dimension": hc.hc_dimension,
-        "hc_ideal": _ideal_strings(hc.hc_ideal),
-    }
+    report.results = _closure_results(hc_dimension_parametrized(doc.map_components, config))
 
 
-def _cmd_ranks(args, config, report):
-    doc = parse(_read_input(args.input))
-    report.inputs = _echo_inputs(doc)
+def _cmd_ranks(args, doc, config, report):
     _require_kind(doc, KIND_MAP)
-    source = None
-    if doc.equations:
-        source = Ideal.from_polys(doc.context, doc.equations)
+    source = Ideal.from_polys(doc.context, doc.equations)
     ranks = gabrielov_r1(doc.map_components, source, seed=args.seed, config=config)
     report.results = {
         "r1": ranks.r1,
@@ -222,10 +187,8 @@ def _cmd_ranks(args, config, report):
     }
 
 
-def _cmd_crdim(args, config, report):
-    doc = parse(_read_input(args.input))
-    report.inputs = _echo_inputs(doc)
-    system = _require_system(doc)
+def _cmd_crdim(args, doc, config, report):
+    system = System.from_document(doc)
     point = parse_point(args.point, system.n)
     cr = cr_dimension_at(system, point, config)
     report.results = {
@@ -237,10 +200,8 @@ def _cmd_crdim(args, config, report):
     }
 
 
-def _cmd_strata(args, config, report):
-    doc = parse(_read_input(args.input))
-    report.inputs = _echo_inputs(doc)
-    system = _require_system(doc)
+def _cmd_strata(args, doc, config, report):
+    system = System.from_document(doc)
     ideal = cr_strata_ideal(system, args.k, config)
     report.results = {
         "k": args.k,
@@ -249,10 +210,8 @@ def _cmd_strata(args, config, report):
     }
 
 
-def _cmd_verify_dm(args, config, report):
-    doc = parse(_read_input(args.input))
-    report.inputs = _echo_inputs(doc)
-    system = _require_system(doc)
+def _cmd_verify_dm(args, doc, config, report):
+    system = System.from_document(doc)
     points = [parse_point(p, system.n) for p in args.point]
     dm = verify_d_minus_m(system, points, config)
     entries = []
@@ -275,10 +234,8 @@ def _cmd_verify_dm(args, config, report):
         )
 
 
-def _cmd_groebner(args, config, report):
-    doc = parse(_read_input(args.input))
-    report.inputs = _echo_inputs(doc)
-    system = _require_system(doc)
+def _cmd_groebner(args, doc, config, report):
+    system = System.from_document(doc)
     order = LEX if args.order == "lex" else GREVLEX
     gb = buchberger(system.ideal(), order, config)
     report.results = {
@@ -288,15 +245,13 @@ def _cmd_groebner(args, config, report):
     }
 
 
-def _cmd_eliminate(args, config, report):
-    doc = parse(_read_input(args.input))
-    report.inputs = _echo_inputs(doc)
+def _cmd_eliminate(args, doc, config, report):
     if doc.kind == KIND_MAP:
-        source = Ideal.from_polys(doc.context, doc.equations) if doc.equations else None
+        source = Ideal.from_polys(doc.context, doc.equations)
         result = pullback_kernel(doc.map_components, source, config)
         block = "param"
     else:
-        system = _require_system(doc)
+        system = System.from_document(doc)
         if system.form != "zeta":
             raise ValueError("eliminate works on zeta-form systems or maps")
         result = eliminate_ideal(system.ideal(), Block.ZETABAR, config)
@@ -308,7 +263,7 @@ def _cmd_eliminate(args, config, report):
     }
 
 
-def _cmd_probe_osgood(args, config, report):
+def _cmd_probe_osgood(args, doc, config, report):
     orders = _parse_jet_orders(args.jets)
     report.inputs = {"jet_orders": orders, "max_degree": args.maxdeg}
     results = osgood_probe(orders, args.maxdeg)
@@ -316,16 +271,10 @@ def _cmd_probe_osgood(args, config, report):
     report.diagnostics.append("non-regularity evidence only: truncation cannot prove ker = 0")
 
 
-def _cmd_probe(args, config, report):
-    doc = parse(_read_input(args.input))
-    report.inputs = _echo_inputs(doc)
+def _cmd_probe(args, doc, config, report):
     _require_kind(doc, KIND_JETS)
-    orders = _parse_jet_orders(args.jets)
-    table = []
-    for order in orders:
-        components = [jet_from_symbolic(f, order) for f in doc.jet_components]
-        table.extend(_probe_table([relation_probe(components, order, args.maxdeg)]))
-    report.results = {"table": table}
+    results = symbolic_probe(doc.jet_components, _parse_jet_orders(args.jets), args.maxdeg)
+    report.results = {"table": _probe_table(results)}
     report.diagnostics.append("non-regularity evidence only: truncation cannot prove ker = 0")
 
 
@@ -357,9 +306,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
             sp.add_argument("input", help="input file path, or - for stdin")
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
         sp.add_argument("--seed", type=int, default=0, help="seed for random sampling")
-        sp.add_argument("--max-pairs", type=int, default=None,
+        sp.add_argument("--max-pairs", type=int, default=DEFAULT_CONFIG.max_pairs,
                         help="override the Groebner S-pair budget")
-        sp.add_argument("--max-degree", type=int, default=None,
+        sp.add_argument("--max-degree", type=int, default=DEFAULT_CONFIG.max_degree,
                         help="override the Groebner degree budget")
 
     common(sub.add_parser("hcdim", help="holomorphic closure dimension of a system"))
@@ -404,11 +353,15 @@ def run(argv, stdout=None) -> int:
     """Execute one command; writes the report and returns the exit status."""
     stdout = stdout if stdout is not None else sys.stdout
     args = build_arg_parser().parse_args(argv)
-    config = _config_from_args(args)
+    config = GroebnerConfig(max_pairs=args.max_pairs, max_degree=args.max_degree)
     report = Report(command=args.command)
     code = EXIT_OK
     try:
-        _HANDLERS[args.command](args, config, report)
+        doc = None
+        if "input" in args:
+            doc = parse(_read_input(args.input))
+            report.inputs = _echo_inputs(doc)
+        _HANDLERS[args.command](args, doc, config, report)
     except ParseError as exc:
         report.diagnostics.append(f"parse error: {exc}")
         code = EXIT_PARSE_ERROR

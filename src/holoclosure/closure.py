@@ -88,7 +88,7 @@ def _closure_report(gb: GroebnerBasis, n: int) -> HCReport:
 
 def holomorphic_closure(system: System, config: GroebnerConfig = DEFAULT_CONFIG) -> HCReport:
     """Eliminate the w block of the complexification; report both dimensions."""
-    ideal = complexify_ideal(system, config).ideal
+    ideal = complexify_ideal(system)
     gb = buchberger(ideal, BlockElimination.of_blocks(ideal.context, Block.W), config)
     return _closure_report(gb, system.n)
 
@@ -177,6 +177,9 @@ def gabrielov_r3(
 
 
 # -- rational point sampling -------------------------------------------------
+
+FIBRE_SAMPLES = 5  # seeded fibre draws per rank report
+SAMPLE_RETRIES = 25  # random slices tried per sample point
 
 
 def _random_rational(rng: random.Random) -> Fraction:
@@ -297,24 +300,23 @@ def _find_rational_point(I: Ideal, rng: random.Random, config: GroebnerConfig):
 
 def sample_point_on_variety(
     source: Ideal,
+    indep: frozenset,
     rng: random.Random,
     config: GroebnerConfig = DEFAULT_CONFIG,
-    retries: int = 25,
 ) -> tuple:
     """A random exact point of V(source), found by random slicing.
 
-    Random rational values are assigned to a maximal independent set of
-    variables and the rest solved triangularly; only rational (linear) or
-    rational-root solvable slices succeed, so after the retry budget the
-    caller is asked for an explicit witness point.
+    Random rational values are assigned to ``indep``, a maximal independent
+    set of the nonempty variety from ``dimension_and_witness``, and the rest
+    solved triangularly; only rational (linear) or rational-root solvable
+    slices succeed, so after the retry budget the caller is asked for an
+    explicit witness point.
     """
     ctx = source.context
     if source.is_zero:
         return tuple(gq(_random_rational(rng)) for _ in ctx.names)
-    dim, indep = dimension_and_witness(source, config=config)
-    if dim is None:
-        raise EmptySetError("the source variety is empty")
-    for attempt in range(retries):
+    dim = len(indep)
+    for attempt in range(SAMPLE_RETRIES):
         # slice the staircase independent set first; on later attempts try
         # other coordinate subsets (a set can be unlucky, e.g. forcing square
         # roots, while another admits a triangular rational solve)
@@ -348,26 +350,25 @@ def gabrielov_r1(
     source: Ideal | None = None,
     seed: int = 0,
     config: GroebnerConfig = DEFAULT_CONFIG,
-    samples: int = 5,
-    retries: int = 25,
 ) -> RankReport:
     """Rank report from fibre-dimension sampling plus the elimination rank.
 
-    r1 = dim V(source) - min fibre dimension over ``samples`` seeded draws.
+    r1 = dim V(source) - min fibre dimension over ``FIBRE_SAMPLES`` seeded
+    draws; one grevlex basis of the source gives dim V(source) and the slices.
     """
     src = _validate_map(components)
     if source is None:
         source = Ideal(src, ())
     elif source.context != src:
         raise ValueError("source ideal over a different context than the map")
-    dim_a, _ = dimension_and_witness(source, config=config)
+    dim_a, indep = dimension_and_witness(source, config=config)
     if dim_a is None:
         raise EmptySetError("the source variety is empty")
     rng = random.Random(seed)
     best_lam = None
     best_point = None
-    for _ in range(samples):
-        point = sample_point_on_variety(source, rng, config, retries)
+    for _ in range(FIBRE_SAMPLES):
+        point = sample_point_on_variety(source, indep, rng, config)
         values = dict(zip(src.names, point))
         fibre_gens = list(source.generators)
         for f in components:

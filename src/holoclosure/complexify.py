@@ -14,7 +14,7 @@ special points require the caller to supply generators of the local germ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from holoclosure.arith import GaussianRational, gq, HALF, I as IMAG
@@ -49,7 +49,6 @@ class System:
     context: VariableContext
     form: str
     generators: tuple
-    conjugation_closed: bool = False
 
     def __post_init__(self):
         if self.form == ZETA_FORM:
@@ -83,24 +82,8 @@ class System:
         if doc.kind == "system-zeta":
             return cls(doc.context, ZETA_FORM, doc.equations)
         if doc.kind == "system-real":
-            return cls(doc.context, REAL_FORM, doc.equations, conjugation_closed=True)
+            return cls(doc.context, REAL_FORM, doc.equations)
         raise ValueError(f"document kind {doc.kind!r} is not a system")
-
-
-@dataclass(frozen=True)
-class ComplexifiedIdeal:
-    """Image of a conjugation-closed system under zeta->z, conj(zeta)->w."""
-
-    ideal: Ideal
-
-    def swap_conjugate(self, f: Polynomial) -> Polynomial:
-        return f.conjugate(ZW_SWAP)
-
-    def is_swap_symmetric(self, config: GroebnerConfig = DEFAULT_CONFIG) -> bool:
-        return all(
-            ideal_membership(self.swap_conjugate(g), self.ideal, config)
-            for g in self.ideal.generators
-        )
 
 
 def real_to_zeta(system: System) -> System:
@@ -121,7 +104,7 @@ def real_to_zeta(system: System) -> System:
         images[system.context.names[2 * j]] = (zeta + zbar).scale(HALF)
         images[system.context.names[2 * j + 1]] = (zeta - zbar).scale(minus_i_half)
     gens = tuple(g.substitute(zctx, images) for g in system.generators)
-    return System(zctx, ZETA_FORM, gens, conjugation_closed=True)
+    return System(zctx, ZETA_FORM, gens)
 
 
 def zeta_to_real(system: System) -> System:
@@ -147,35 +130,43 @@ def zeta_to_real(system: System) -> System:
         for part in (re_part, im_part):
             if not part.is_zero and part not in gens:
                 gens.append(part)
-    return System(rctx, REAL_FORM, tuple(gens), conjugation_closed=True)
+    return System(rctx, REAL_FORM, tuple(gens))
 
 
 def conjugation_closure(system: System) -> System:
     """Append each generator's conjugate unless a scalar multiple is present.
 
     The ideal is I + conj(I) either way, so no membership test is needed.
+    A self-conjugate generator, such as every output of ``real_to_zeta``,
+    is skipped before any scalar comparison.
     """
-    if system.form == REAL_FORM or system.conjugation_closed:
-        return replace(system, conjugation_closed=True)
+    if system.form == REAL_FORM:
+        return system
     gens = list(system.generators)
     for g in system.generators:
         gbar = g.conjugate(ZETA_SWAP)
-        if all(h.monic(GREVLEX) != gbar.monic(GREVLEX) for h in gens):
+        if gbar != g and all(h.monic(GREVLEX) != gbar.monic(GREVLEX) for h in gens):
             gens.append(gbar)
-    return System(system.context, ZETA_FORM, tuple(gens), conjugation_closed=True)
+    return System(system.context, ZETA_FORM, tuple(gens))
 
 
-def complexify_ideal(system: System, config: GroebnerConfig = DEFAULT_CONFIG) -> ComplexifiedIdeal:
+def complexify_ideal(system: System) -> Ideal:
     """The ideal of the complexification in C[z,w], by literal substitution."""
     if system.form == REAL_FORM:
         system = real_to_zeta(system)
-    if not system.conjugation_closed:
-        system = conjugation_closure(system)
+    system = conjugation_closure(system)
     n = system.n
     zw = zw_context(n)
     identity = list(range(2 * n))
     gens = tuple(g.rename(zw, identity) for g in system.generators)
-    return ComplexifiedIdeal(Ideal.from_polys(zw, gens))
+    return Ideal.from_polys(zw, gens)
+
+
+def is_swap_symmetric(ideal: Ideal, config: GroebnerConfig = DEFAULT_CONFIG) -> bool:
+    """Whether the ideal is closed under conjugation composed with the z/w swap."""
+    return all(
+        ideal_membership(g.conjugate(ZW_SWAP), ideal, config) for g in ideal.generators
+    )
 
 
 def complexify_complex_set(generators: Sequence[Polynomial]) -> Ideal:
@@ -209,7 +200,7 @@ def real_dimension(system: System, config: GroebnerConfig = DEFAULT_CONFIG):
 
     Returns None when the equations are inconsistent (empty set).
     """
-    return ideal_dimension(complexify_ideal(system, config).ideal, config=config)
+    return ideal_dimension(complexify_ideal(system), config=config)
 
 
 def evaluate_system(system: System, point: Sequence[GaussianRational]) -> list:

@@ -216,17 +216,8 @@ def cr_strata_ideal(
     two_n = ctx.size
     size = two_n - 2 * k + 1
     gens = list(real_system.generators)
-    sym_rows = []
-    for g in real_system.generators:
-        sym_rows.append([g.derivative(name) for name in ctx.names])
-    jrows = []
-    for row in sym_rows:
-        jr = list(row)
-        for j in range(0, two_n, 2):
-            jr[j] = row[j + 1]
-            jr[j + 1] = -row[j]
-        jrows.append(jr)
-    stacked = sym_rows + jrows
+    sym_rows = [[g.derivative(name) for name in ctx.names] for g in gens]
+    stacked = sym_rows + [_compose_with_j(row) for row in sym_rows]
     if size <= min(len(stacked), two_n):
         seen = set(gens)
         for row_idx in combinations(range(len(stacked)), size):

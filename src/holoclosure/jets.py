@@ -18,10 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Mapping, Sequence
 
 from holoclosure import linalg
-from holoclosure.errors import ResourceLimitError
+from holoclosure.arith import power
+from holoclosure.errors import InvariantError, ResourceLimitError
 from holoclosure.poly import (
     Block,
     GREVLEX,
@@ -99,9 +101,6 @@ class Jet:
                 res.pop(m, None)
         return Jet(self.context, self.order, res)
 
-    def __sub__(self, other: "Jet") -> "Jet":
-        return self + other.scale(Fraction(-1))
-
     def __mul__(self, other: "Jet") -> "Jet":
         self._require_compatible(other)
         res = {}
@@ -121,18 +120,7 @@ class Jet:
     def __pow__(self, e: int) -> "Jet":
         if e < 0:
             raise ValueError("negative jet power")
-        result = Jet.constant(self.context, self.order, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
-    def scale(self, c) -> "Jet":
-        c = _as_fraction(c)
-        return Jet(self.context, self.order, {m: k * c for m, k in self.coeffs.items()})
+        return power(self, e, Jet.constant(self.context, self.order, 1))
 
     def truncate(self, order: int) -> "Jet":
         return Jet(self.context, order, self.coeffs)
@@ -198,23 +186,14 @@ def jet_from_symbolic(f: Polynomial, order: int) -> Jet:
     parameter; PARAM variables become themselves.
     """
     src = f.context
-    param_names = [src.names[k] for k in src.indices(Block.PARAM)]
-    ctx = param_context(param_names)
-    images = {}
-    for k, name in enumerate(src.names):
-        if src.blocks[k] is Block.PARAM:
-            images[name] = Jet.variable(ctx, order, name)
+    ctx = param_context([src.names[k] for k in src.indices(Block.PARAM)])
+    images = []
+    for name, block in zip(src.names, src.blocks):
+        if block is Block.PARAM:
+            images.append(Jet.variable(ctx, order, name))
         else:
-            inner = name[4:-1]  # exp(<param>)
-            images[name] = jet_exp(ctx, inner, order)
-    result = Jet.zero(ctx, order)
-    for m, c in f.terms.items():
-        term = Jet.constant(ctx, order, _as_fraction(c))
-        for k, e in enumerate(m):
-            if e:
-                term = term * images[src.names[k]] ** e
-        result = result + term
-    return result
+            images.append(jet_exp(ctx, name[4:-1], order))  # exp(<param>)
+    return jet_compose(f, images, order)
 
 
 @dataclass(frozen=True)
@@ -235,39 +214,49 @@ def _monomials_up_to(nvars: int, degree: int) -> list:
     return sorted(out, key=GREVLEX.key)
 
 
-def relation_probe(
-    components: Sequence[Jet],
-    order: int,
-    max_degree: int,
-    max_entries: int = MAX_PROBE_ENTRIES,
-) -> ProbeResult:
+def _require_budget(equations: int, cols: int):
+    if equations * cols > MAX_PROBE_ENTRIES:
+        raise ResourceLimitError(
+            f"relation system {equations}x{cols} exceeds the probe budget"
+        )
+
+
+def _check_probe_request(params: int, components: int, order: int, max_degree: int):
+    """Reject a probe whose degree-1 system is over budget, before any jet is built.
+
+    That system has C(order + params, params) equations and components + 1 columns.
+    """
+    if order < 1 or max_degree < 1:
+        raise ValueError("probe needs order >= 1 and max_degree >= 1")
+    _require_budget(comb(order + params, params), components + 1)
+
+
+def relation_probe(components: Sequence[Jet], order: int, max_degree: int) -> ProbeResult:
     """Minimal degree of a nonzero polynomial relation visible at this order.
 
     Unknowns are coefficients of F with deg F <= D; one linear equation per
     parameter monomial of total degree <= K in the composed jet.  The first
     degree with a nonzero nullspace wins; the witness is the first basis
-    vector, normalized so its leading nonzero coefficient is 1.
+    vector, normalized so its leading nonzero coefficient is 1.  Candidates
+    are composed one degree at a time, only as far as the search goes.
     """
-    if order < 1 or max_degree < 1:
-        raise ValueError("probe needs order >= 1 and max_degree >= 1")
     r = len(components)
     ctx = components[0].context
+    _check_probe_request(ctx.size, r, order, max_degree)
     target = z_context(r)
-    candidate_monomials = _monomials_up_to(r, max_degree)
-    composed = {}
-    for alpha in candidate_monomials:
-        jet = Jet.constant(ctx, order, 1)
-        for k, e in enumerate(alpha):
-            if e:
-                jet = jet * components[k].truncate(order) ** e
-        composed[alpha] = jet
+    comps = [jet.truncate(order) for jet in components]
     equations = _monomials_up_to(ctx.size, order)
+    composed = {}
     for degree in range(1, max_degree + 1):
-        cols = [a for a in candidate_monomials if sum(a) <= degree]
-        if len(cols) * len(equations) > max_entries:
-            raise ResourceLimitError(
-                f"relation system {len(equations)}x{len(cols)} exceeds the probe budget"
-            )
+        _require_budget(len(equations), comb(degree + r, r))
+        cols = _monomials_up_to(r, degree)
+        for alpha in cols:
+            if alpha not in composed:
+                jet = Jet.constant(ctx, order, 1)
+                for k, e in enumerate(alpha):
+                    if e:
+                        jet = jet * comps[k] ** e
+                composed[alpha] = jet
         matrix = []
         for mu in equations:
             matrix.append([composed[a].coeffs.get(mu, Fraction(0)) for a in cols])
@@ -278,7 +267,7 @@ def relation_probe(
                 target, {cols[j]: vec[j] for j in range(len(cols)) if vec[j]}
             )
             if witness.total_degree() != degree:
-                raise AssertionError("witness degree inconsistent with search level")
+                raise InvariantError("witness degree inconsistent with search level")
             return ProbeResult(order, max_degree, degree, witness)
     return ProbeResult(order, max_degree, None, None)
 
@@ -293,4 +282,17 @@ def osgood_components(order: int) -> list:
 
 def osgood_probe(orders: Sequence[int], max_degree: int) -> list:
     """Relation probe on the Osgood map at each truncation order."""
+    for k in orders:
+        _check_probe_request(2, 3, k, max_degree)  # parameters v, w; three components
     return [relation_probe(osgood_components(k), k, max_degree) for k in orders]
+
+
+def symbolic_probe(polys: Sequence[Polynomial], orders: Sequence[int], max_degree: int) -> list:
+    """Relation probe on jet components given over a PARAM+EXP context, at each order."""
+    params = len(polys[0].context.indices(Block.PARAM))
+    for k in orders:
+        _check_probe_request(params, len(polys), k, max_degree)
+    return [
+        relation_probe([jet_from_symbolic(f, k) for f in polys], k, max_degree)
+        for k in orders
+    ]

@@ -45,22 +45,12 @@ def rank(rows: list) -> int:
     return len(pivots)
 
 
-def nullspace(rows: list, ncols: int | None = None) -> list:
-    """Basis of the right kernel, one vector per free column.
+def nullspace(rows: list, ncols: int) -> list:
+    """Basis of the right kernel of a matrix with ``ncols`` columns, one vector per free column.
 
     Each vector is normalized so its first nonzero coordinate is 1, giving
     deterministic witnesses.
     """
-    if not rows:
-        if not ncols:
-            return []
-        basis = []
-        for f in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[f] = Fraction(1)
-            basis.append(v)
-        return basis
-    ncols = len(rows[0]) if ncols is None else ncols
     rref, pivots = row_echelon(rows)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
-from holoclosure.arith import GaussianRational, gq, gq_to_text
+from holoclosure.arith import GaussianRational, gq, gq_to_text, power
 
 Monomial = tuple  # dense exponent tuple, one entry per context variable
 
@@ -59,12 +59,6 @@ class VariableContext:
 
     def indices(self, block: Block) -> tuple:
         return tuple(k for k, b in enumerate(self.blocks) if b is block)
-
-    def has_block(self, block: Block) -> bool:
-        return block in self.blocks
-
-    def block_of(self, name: str) -> Block:
-        return self.blocks[self.index(name)]
 
     def subcontext(self, indices: Sequence[int]) -> "VariableContext":
         """Context of the variables at ``indices``, in that order."""
@@ -179,7 +173,7 @@ class BlockElimination(MonomialOrder):
         """One group per block in the order given, then one group of every other variable."""
         groups = []
         for block in blocks:
-            if not context.has_block(block):
+            if block not in context.blocks:
                 raise ValueError(f"context has no {block} block")
             groups.append(context.indices(block))
         ranked = {k for g in groups for k in g}
@@ -332,14 +326,7 @@ class Polynomial:
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial.constant(self.context, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return power(self, e, Polynomial.constant(self.context, 1))
 
     def scale(self, c) -> "Polynomial":
         c = gq(c)

@@ -32,6 +32,11 @@ from holoclosure.poly import (
 
 _ZETA_SWAP = {Block.ZETA: Block.ZETABAR}
 
+# Parentheses, conj(...) and unary minus nest at most this deep.  A nested
+# level costs up to six parser frames, so the limit keeps the recursive
+# descent well inside Python's default recursion limit of 1000.
+MAX_NESTING = 100
+
 _DECLARATIONS = ("vars", "realvars", "mapvars", "params")
 _STATEMENTS = ("eq", "map", "jet")
 _RESERVED = set(_DECLARATIONS) | set(_STATEMENTS) | {"i", "conj", "exp"}
@@ -89,6 +94,15 @@ def _tokenize(text: str, line: int) -> list:
     return tokens
 
 
+def _int_value(tok: Token) -> int:
+    try:
+        return int(tok.text)
+    except ValueError:  # more digits than the interpreter converts
+        raise ParseError(
+            f"integer literal of {len(tok.text)} digits is too long", tok.line, tok.col
+        ) from None
+
+
 @dataclass
 class _Env:
     context: VariableContext
@@ -104,6 +118,7 @@ class _ExprParser:
         self.tokens = tokens
         self.pos = 0
         self.env = env
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -126,8 +141,16 @@ class _ExprParser:
             raise ParseError(f"unexpected trailing {tok.text!r}", tok.line, tok.col)
         return value
 
-    def parse_until_comma(self) -> Polynomial:
-        return self._sum()
+    def _nested(self, tok: Token, parse):
+        """Run ``parse`` one nesting level below ``tok``."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(
+                f"expression nested deeper than {MAX_NESTING} levels", tok.line, tok.col
+            )
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
 
     def _sum(self) -> Polynomial:
         value = self._product()
@@ -154,7 +177,7 @@ class _ExprParser:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return -self._factor()
+            return -self._nested(tok, self._factor)
         return self._power()
 
     def _power(self) -> Polynomial:
@@ -168,12 +191,11 @@ class _ExprParser:
                     "exponent must be a non-negative integer literal", etok.line, etok.col
                 )
             self.advance()
-            return base ** int(etok.text)
+            return base ** _int_value(etok)
         return base
 
     def _rational(self) -> Fraction:
-        tok = self.advance()
-        value = Fraction(int(tok.text))
+        value = Fraction(_int_value(self.advance()))
         nxt = self.peek()
         if nxt.kind == "op" and nxt.text == "/":
             self.advance()
@@ -181,9 +203,10 @@ class _ExprParser:
             if den.kind != "int":
                 raise ParseError("malformed rational literal", den.line, den.col)
             self.advance()
-            if int(den.text) == 0:
+            divisor = _int_value(den)
+            if divisor == 0:
                 raise ParseError("zero denominator", den.line, den.col)
-            value = Fraction(int(tok.text), int(den.text))
+            value /= divisor
         return value
 
     def _primary(self) -> Polynomial:
@@ -193,7 +216,7 @@ class _ExprParser:
             return Polynomial.constant(env.context, gq(self._rational()))
         if tok.kind == "op" and tok.text == "(":
             self.advance()
-            inner = self._sum()
+            inner = self._nested(tok, self._sum)
             self.expect_op(")")
             return inner
         if tok.kind == "ident":
@@ -210,7 +233,7 @@ class _ExprParser:
                     )
                 self.advance()
                 self.expect_op("(")
-                inner = self._sum()
+                inner = self._nested(tok, self._sum)
                 self.expect_op(")")
                 return inner.conjugate(_ZETA_SWAP)
             if name == "exp":
@@ -402,7 +425,7 @@ def parse_point(text: str, n: int | None = None) -> tuple:
     parser = _ExprParser(_tokenize(text, 1), env)
     coords = []
     while True:
-        value = parser.parse_until_comma()
+        value = parser._sum()
         const = value.terms.get((), gq(0)) if value.terms else gq(0)
         coords.append(const)
         tok = parser.peek()

@@ -29,6 +29,7 @@ from holoclosure.complexify import (
     complexify_complex_set,
     complexify_ideal,
     evaluate_system,
+    is_swap_symmetric,
     real_to_zeta,
 )
 from holoclosure.crgeom import verify_d_minus_m
@@ -212,7 +213,7 @@ REAL_FORM_FIXTURES = [
 
 def test_ac8_complexification_properties():
     symmetric = all(
-        complexify_ideal(system_fixture(name)).is_swap_symmetric()
+        is_swap_symmetric(complexify_ideal(system_fixture(name)))
         for name in SYSTEM_FIXTURES
     )
     rng = random.Random(606)

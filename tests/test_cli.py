@@ -2,12 +2,20 @@
 
 import io
 import json
+import os
+import resource
+import subprocess
 import sys
+from dataclasses import dataclass
+from fractions import Fraction
+from pathlib import Path
+from typing import Callable
 
 import pytest
 
+import holoclosure
 from conftest import FIXTURES
-from holoclosure import groebner
+from holoclosure import groebner, jets
 from holoclosure.cli import (
     EXIT_INVARIANT,
     EXIT_OK,
@@ -16,6 +24,7 @@ from holoclosure.cli import (
     EXIT_SEMANTIC,
     run,
 )
+from holoclosure.syntax import parse
 
 GOLDEN = FIXTURES / "golden"
 
@@ -65,42 +74,140 @@ def test_seed_changes_witness_not_answer():
     assert payload["results"]["r1"] == 2 and payload["results"]["r3"] == 2
 
 
-def test_parse_error_exit_code(tmp_path):
-    bad = tmp_path / "bad.sys"
-    bad.write_text("vars z1\neq z9\n", encoding="utf-8")
-    code, out = invoke(["hcdim", str(bad), "--json"])
-    assert code == EXIT_PARSE_ERROR
-    payload = json.loads(out)
-    assert any("unknown identifier" in d for d in payload["diagnostics"])
+SPHERE = str(FIXTURES / "sphere.sys")
+PROBE_SECONDS = 2.0
 
 
-def test_resource_limit_exit_code(tmp_path):
-    f = tmp_path / "hard.sys"
-    f.write_text(
-        "realvars x1 y1 x2 y2\neq x2*(x1^2+y1^2)-x1^3\neq y2\n", encoding="utf-8"
+def _claim_h_above_n(monkeypatch):
+    # a dimension reader claiming h > n trips the closure bound check
+    monkeypatch.setattr(groebner.GroebnerBasis, "dimension", lambda self, variables: (99, None))
+
+
+def _constant_relation(monkeypatch):
+    # a kernel vector on the constant column is a degree-0 witness at degree 1
+    monkeypatch.setattr(
+        jets.linalg, "nullspace", lambda rows, ncols: [[Fraction(1)] + [Fraction(0)] * (ncols - 1)]
     )
-    code, out = invoke(["hcdim", str(f), "--max-pairs", "0", "--json"])
-    assert code == EXIT_RESOURCE_LIMIT
-    payload = json.loads(out)
-    assert any("resource limit" in d for d in payload["diagnostics"])
 
 
-def test_semantic_error_exit_codes(tmp_path):
-    # point off the set
-    code, _ = invoke([
-        "crdim", str(FIXTURES / "sphere.sys"), "--point", "2, 0", "--json",
-    ])
-    assert code == EXIT_SEMANTIC
-    # empty set
-    empty = tmp_path / "empty.sys"
-    empty.write_text("vars z1\neq 1\n", encoding="utf-8")
-    code2, _ = invoke(["hcdim", str(empty), "--json"])
-    assert code2 == EXIT_SEMANTIC
-    # non-smooth point
-    code3, _ = invoke([
-        "crdim", str(FIXTURES / "umbrella.sys"), "--point", "0, 1", "--json",
-    ])
-    assert code3 == EXIT_SEMANTIC
+@dataclass(frozen=True)
+class ExitCase:
+    argv: tuple
+    code: int
+    diagnostic: str  # a fragment of one report diagnostic
+    stdin: str = ""  # read as the "-" input
+    patch: Callable | None = None  # monkeypatches a defect into the toolkit
+    bounded: bool = False  # run in a child process under PROBE_SECONDS and a memory cap
+
+
+EXIT_CASES = [
+    ExitCase(("hcdim", "-"), EXIT_PARSE_ERROR, "unknown identifier", "vars z1\neq z9\n"),
+    ExitCase(("hcdim", "-"), EXIT_PARSE_ERROR, "nested deeper",
+             "vars z1\neq " + "(" * 3000 + "z1" + ")" * 3000 + "\n"),
+    ExitCase(("hcdim", "-"), EXIT_PARSE_ERROR, "nested deeper", "vars z1\neq " + "-" * 3000 + "z1\n"),
+    ExitCase(("hcdim", "-"), EXIT_PARSE_ERROR, "nested deeper",
+             "vars z1\neq " + "conj(" * 2000 + "z1" + ")" * 2000 + "\n"),
+    ExitCase(("crdim", SPHERE, "--point", "1" * 5000 + ", 0"), EXIT_PARSE_ERROR,
+             "line 1, column 1: integer literal of 5000 digits"),
+    ExitCase(("hcdim", "-"), EXIT_PARSE_ERROR, "line 2, column 7: integer literal of 5000 digits",
+             "vars z1\neq z1^" + "9" * 5000 + "\n"),
+    ExitCase(("hcdim", "-", "--max-pairs", "0"), EXIT_RESOURCE_LIMIT, "resource limit",
+             "realvars x1 y1 x2 y2\neq x2*(x1^2+y1^2)-x1^3\neq y2\n"),
+    ExitCase(("probe-osgood", "--jets", "100000", "--maxdeg", "1"), EXIT_RESOURCE_LIMIT,
+             "exceeds the probe budget", bounded=True),
+    ExitCase(("probe", str(FIXTURES / "osgood.jets"), "--jets", "100000", "--maxdeg", "1"),
+             EXIT_RESOURCE_LIMIT, "exceeds the probe budget", bounded=True),
+    ExitCase(("crdim", SPHERE, "--point", "2, 0"), EXIT_SEMANTIC, "does not satisfy the system"),
+    ExitCase(("hcdim", "-"), EXIT_SEMANTIC, "empty set", "vars z1\neq 1\n"),
+    ExitCase(("crdim", str(FIXTURES / "umbrella.sys"), "--point", "0, 1"), EXIT_SEMANTIC,
+             "Jacobian rank"),
+    ExitCase(("hcdim", SPHERE), EXIT_INVARIANT, "closure dimension 99", patch=_claim_h_above_n),
+    ExitCase(("probe-osgood", "--jets", "3", "--maxdeg", "2"), EXIT_INVARIANT, "witness degree",
+             patch=_constant_relation),
+]
+
+# a command given the wrong kind of document
+WRONG_KIND_CASES = [
+    ExitCase(("ranks", SPHERE), EXIT_SEMANTIC, "needs a map document"),
+    ExitCase(("param-hcdim", str(FIXTURES / "whitney.map")), EXIT_SEMANTIC,
+             "needs a parametrization document"),
+]
+
+DIAGNOSTIC_PREFIX = {
+    EXIT_PARSE_ERROR: "parse error: ",
+    EXIT_RESOURCE_LIMIT: "resource limit: ",
+    EXIT_SEMANTIC: "error: ",
+    EXIT_INVARIANT: "internal invariant violated: ",
+}
+
+
+def _run_bounded(argv):
+    """The CLI in a child process: without its budget checks a probe of this
+    size would exhaust memory, which must not happen in the test process."""
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    src = Path(holoclosure.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "holoclosure.cli", *argv], capture_output=True, text=True,
+        timeout=PROBE_SECONDS, env=dict(os.environ, PYTHONPATH=str(src)), preexec_fn=cap_memory,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _check_exit_codes(monkeypatch, code):
+    """Every case of the table with this exit code."""
+    _check_cases(monkeypatch, [case for case in EXIT_CASES if case.code == code])
+
+
+def _check_cases(monkeypatch, cases):
+    """Each case returns its exit code and diagnostic, without a traceback."""
+    assert cases
+    for case in cases:
+        argv = [*case.argv, "--json"]
+        if case.bounded:
+            got, out, err = _run_bounded(argv)
+        else:
+            with monkeypatch.context() as m:
+                m.setattr(sys, "stdin", io.StringIO(case.stdin))
+                if case.patch:
+                    case.patch(m)
+                got, out = invoke(argv)
+            err = ""
+        assert got == case.code, case.argv
+        assert "Traceback" not in out + err, case.argv
+        diagnostics = json.loads(out)["diagnostics"]
+        assert any(d.startswith(DIAGNOSTIC_PREFIX[case.code]) and case.diagnostic in d
+                   for d in diagnostics), (case.argv, diagnostics)
+
+
+def test_parse_error_exit_code(monkeypatch):
+    _check_exit_codes(monkeypatch, EXIT_PARSE_ERROR)
+
+
+def test_resource_limit_exit_code(monkeypatch):
+    _check_exit_codes(monkeypatch, EXIT_RESOURCE_LIMIT)
+
+
+def test_semantic_error_exit_codes(monkeypatch):
+    _check_exit_codes(monkeypatch, EXIT_SEMANTIC)
+
+
+def test_wrong_document_kind_is_semantic_error(monkeypatch):
+    _check_cases(monkeypatch, WRONG_KIND_CASES)
+
+
+def test_invariant_violation_exit_code(monkeypatch):
+    _check_exit_codes(monkeypatch, EXIT_INVARIANT)
+    assert EXIT_INVARIANT == 5
+
+
+def test_probe_degree_far_above_the_first_relation():
+    # candidates are built only up to the degree searched, so this stops at degree 2
+    code, out, err = _run_bounded(["probe-osgood", "--jets", "3", "--maxdeg", "3000", "--json"])
+    assert code == EXIT_OK and "Traceback" not in err
+    _, small = invoke(["probe-osgood", "--jets", "3", "--maxdeg", "3", "--json"])
+    assert json.loads(out)["results"] == json.loads(small)["results"]
 
 
 def test_realdim_reports_empty(tmp_path):
@@ -193,30 +300,18 @@ def test_param_hcdim_command():
     assert payload["results"]["hc_ideal"] == ["z1*z2 - z3"]
 
 
-def test_wrong_document_kind_is_semantic_error():
-    code, _ = invoke(["ranks", str(FIXTURES / "sphere.sys"), "--json"])
-    assert code == EXIT_SEMANTIC
-    code2, _ = invoke(["param-hcdim", str(FIXTURES / "whitney.map"), "--json"])
-    assert code2 == EXIT_SEMANTIC
+def _count_buchberger(monkeypatch, ideals=None):
+    """Replace buchberger at every binding site; returns the list of order names used.
 
-
-def test_invariant_violation_exit_code(monkeypatch):
-    # a dimension reader claiming h > n trips the closure bound check
-    monkeypatch.setattr(groebner.GroebnerBasis, "dimension", lambda self, variables: (99, None))
-    code, out = invoke(["hcdim", str(FIXTURES / "sphere.sys"), "--json"])
-    assert code == EXIT_INVARIANT == 5
-    diagnostics = json.loads(out)["diagnostics"]
-    assert any(d.startswith("internal invariant violated: ") for d in diagnostics)
-    assert "Traceback" not in out
-
-
-def _count_buchberger(monkeypatch):
-    """Replace buchberger at every binding site; returns the list of order names used."""
+    Each call's ideal is appended to ``ideals`` when a list is given.
+    """
     calls = []
     original = groebner.buchberger
 
     def counting(I, order, config=groebner.DEFAULT_CONFIG):
         calls.append(type(order).__name__)
+        if ideals is not None:
+            ideals.append(I)
         return original(I, order, config)
 
     for name, module in list(sys.modules.items()):
@@ -252,3 +347,13 @@ def test_ranks_computes_the_kernel_once(monkeypatch):
     calls = _count_buchberger(monkeypatch)
     assert invoke(["ranks", str(FIXTURES / "whitney.map"), "--json", "--seed", "0"])[0] == EXIT_OK
     assert calls.count("BlockElimination") == 1
+
+
+def test_ranks_computes_the_source_basis_once(monkeypatch):
+    text = "mapvars u v\nmap u\nmap u*v\neq u^2 - v\n"
+    ideals = []
+    calls = _count_buchberger(monkeypatch, ideals)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert invoke(["ranks", "-", "--json", "--seed", "0"])[0] == EXIT_OK
+    source = parse(text).equations
+    assert [order for order, I in zip(calls, ideals) if I.generators == source] == ["Grevlex"]

@@ -15,7 +15,7 @@ from holoclosure.closure import (
 )
 from holoclosure.complexify import complexify_complex_set
 from holoclosure.errors import EmptySetError
-from holoclosure.groebner import Ideal, eliminate, ideal_dimension
+from holoclosure.groebner import Ideal, dimension_and_witness, eliminate, ideal_dimension
 from holoclosure.poly import Block, Polynomial, z_context
 from holoclosure.syntax import parse, parse_polynomial
 
@@ -223,8 +223,9 @@ def test_r1_le_r3_on_degenerate_inputs():
 def test_sample_point_lands_on_variety():
     doc = parse("mapvars u v\nmap u\neq u^2 - v\n")
     source = Ideal.from_polys(doc.context, doc.equations)
+    _, indep = dimension_and_witness(source)
     rng = random.Random(42)
-    point = sample_point_on_variety(source, rng)
+    point = sample_point_on_variety(source, indep, rng)
     values = dict(zip(doc.context.names, point))
     assert all(not g.evaluate(values) for g in source.generators)
 

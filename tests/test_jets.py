@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+from holoclosure import jets
 from holoclosure.errors import ResourceLimitError
 from holoclosure.jets import (
     Jet,
@@ -106,9 +107,10 @@ def test_relation_probe_repeated_component():
     assert jet_compose(res.witness, comps, K).is_zero
 
 
-def test_probe_budget():
+def test_probe_budget(monkeypatch):
+    monkeypatch.setattr(jets, "MAX_PROBE_ENTRIES", 10)
     with pytest.raises(ResourceLimitError):
-        relation_probe(osgood_components(4), 4, 3, max_entries=10)
+        relation_probe(osgood_components(4), 4, 3)
 
 
 # frozen regression table from the nullspace oracle: minimal relation degree
