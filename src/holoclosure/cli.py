@@ -1,9 +1,10 @@
 """Command-line surface: parses input documents, runs the computations,
 and emits deterministic human-readable or JSON reports.
 
-Exit codes: 0 success, 2 parse error, 3 resource-limit abort, 4 semantic
-precondition failure (empty set, point off the set, non-smooth point, ...),
-5 internal invariant violated (a defect in the toolkit, not in the input).
+Exit codes: 0 success, 2 parse error or unreadable input file, 3
+resource-limit abort, 4 semantic precondition failure (empty set, point off
+the set, non-smooth point, ...), 5 internal invariant violated (a defect in
+the toolkit, not in the input).
 Errors are also echoed in the report diagnostics.
 """
 
@@ -25,6 +26,7 @@ from holoclosure.complexify import System, real_dimension
 from holoclosure.crgeom import cr_dimension_at, cr_strata_ideal, verify_d_minus_m
 from holoclosure.errors import (
     EmptySetError,
+    InputReadError,
     InvariantError,
     NonSmoothPointError,
     PointNotOnSetError,
@@ -109,8 +111,11 @@ def _point_strings(point) -> list:
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputReadError(f"cannot read input {path!r}: {exc.strerror or exc}") from None
 
 
 def _echo_inputs(doc: InputDocument) -> dict:
@@ -362,7 +367,7 @@ def run(argv, stdout=None) -> int:
             doc = parse(_read_input(args.input))
             report.inputs = _echo_inputs(doc)
         _HANDLERS[args.command](args, doc, config, report)
-    except ParseError as exc:
+    except (ParseError, InputReadError) as exc:
         report.diagnostics.append(f"parse error: {exc}")
         code = EXIT_PARSE_ERROR
     except ResourceLimitError as exc:

@@ -1,6 +1,10 @@
 """Shared exception types: resource budgets, semantic preconditions, internal invariants."""
 
 
+class InputReadError(Exception):
+    """The input file could not be opened or read."""
+
+
 class ResourceLimitError(Exception):
     """A configured pair / degree / size budget was exceeded."""
 

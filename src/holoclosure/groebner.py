@@ -3,13 +3,17 @@
 The engine is deliberately plain: normal pair-selection strategy plus the
 coprime and chain criteria, full inter-reduction at the end, and a hard
 pair/degree budget so adversarial input fails deterministically instead of
-looping.  Dimension is the combinatorial one, read off the leading-term
-staircase of a basis in any term order: R/I and R/in(I) have the same Krull
-dimension (Kredel and Weispfenning, JSC 6, 1988), and it agrees with the
-dimension of the radical, so no radical computation is needed.  The part of
-a block-elimination basis free of its leading groups is the reduced basis of
-the elimination ideal, so one basis answers every dimension and elimination
-question about an ideal and its projections.
+looping.  Division reduces in one mutable term map whose monomials sit once
+each in a min-heap of flat order keys, so no step re-sorts a polynomial (a
+heap where Yan's geobuckets, JSC 26, 1998, keep buckets); the popped largest
+monomial goes to the first reducer in list order that divides it, so
+remainders are deterministic.  Dimension is the combinatorial one, read off
+the leading-term staircase of a basis in any term order: R/I and R/in(I)
+have the same Krull dimension (Kredel and Weispfenning, JSC 6, 1988), and it
+agrees with the dimension of the radical, so no radical computation is
+needed.  The part of a block-elimination basis free of its leading groups is
+the reduced basis of the elimination ideal, so one basis answers every
+dimension and elimination question about an ideal and its projections.
 """
 
 from __future__ import annotations
@@ -121,23 +125,47 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder) ->
     """Remainder of multivariate division of f by G.
 
     No term of the result is divisible by any leading monomial of G, and
-    f - result lies in the ideal generated by G.  Reducers are tried in
-    list order, so the result is deterministic.
+    f - result lies in the ideal generated by G.  The dividend lives in one
+    mutable term map; a min-heap holds each of its monomials once, under
+    ``order.heap_key``, so every step pops the largest live monomial without
+    re-sorting.  A monomial whose coefficient cancelled stays in the map at
+    zero until it is popped and skipped.  The largest monomial is reduced by
+    the first reducer in list order whose leading monomial divides it, so
+    the result is deterministic; the reducer's leading term is skipped, since
+    it cancels exactly.  Only the remainder becomes a ``Polynomial``.
     """
-    reducers = [(g.leading(order), g) for g in G if not g.is_zero]
+    heap_key = order.heap_key
+    reducers = []
+    for g in G:
+        if not g.is_zero:
+            lm, lc = g.leading(order)
+            reducers.append((lm, lc, g.terms))
+    terms = dict(f.terms)
+    heap = [(heap_key(m), m) for m in terms]
+    heapq.heapify(heap)
     remainder = {}
-    p = f
-    while not p.is_zero:
-        m, c = p.leading(order)
-        for (lm, lc), g in reducers:
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = terms.pop(m)
+        if not c:
+            continue
+        for lm, lc, g_terms in reducers:
             if monomial_divides(lm, m):
-                p = p.sub_scaled(g, monomial_div(m, lm), c / lc)
+                q = monomial_div(m, lm)
+                s = -(c / lc)
+                for m2, c2 in g_terms.items():
+                    if m2 == lm:
+                        continue
+                    t = monomial_mul(q, m2)
+                    old = terms.get(t)
+                    if old is None:
+                        terms[t] = s * c2
+                        heapq.heappush(heap, (heap_key(t), t))
+                    else:
+                        terms[t] = old + s * c2
                 break
         else:
             remainder[m] = c
-            rest = dict(p.terms)
-            del rest[m]
-            p = Polynomial(p.context, rest)
     return Polynomial(f.context, remainder)
 
 

@@ -141,9 +141,17 @@ def _grevlex_key(m: Monomial):
 
 
 class MonomialOrder:
-    """Total, multiplicative well-order on monomials, exposed as a sort key."""
+    """Total, multiplicative well-order on monomials, exposed as a sort key.
+
+    ``key`` grows with the monomial.  ``heap_key`` is a flat tuple of ints
+    that shrinks as the monomial grows, so a min-heap pops the largest
+    monomial first; both are injective.
+    """
 
     def key(self, m: Monomial):
+        raise NotImplementedError
+
+    def heap_key(self, m: Monomial) -> tuple:
         raise NotImplementedError
 
 
@@ -152,11 +160,17 @@ class Lex(MonomialOrder):
     def key(self, m: Monomial):
         return m
 
+    def heap_key(self, m: Monomial) -> tuple:
+        return tuple([-e for e in m])
+
 
 @dataclass(frozen=True)
 class Grevlex(MonomialOrder):
     def key(self, m: Monomial):
         return _grevlex_key(m)
+
+    def heap_key(self, m: Monomial) -> tuple:
+        return (-sum(m),) + m[::-1]
 
 
 @dataclass(frozen=True)
@@ -190,6 +204,14 @@ class BlockElimination(MonomialOrder):
     def key(self, m: Monomial):
         return tuple([_grevlex_key(tuple([m[k] for k in g])) for g in self.groups])
 
+    def heap_key(self, m: Monomial) -> tuple:
+        key = []
+        for g in self.groups:
+            part = [m[k] for k in reversed(g)]
+            key.append(-sum(part))
+            key += part
+        return tuple(key)
+
 
 GREVLEX = Grevlex()
 LEX = Lex()
@@ -201,10 +223,10 @@ LEX = Lex()
 class Polynomial:
     """Immutable multivariate polynomial over Q(i).
 
-    ``terms`` maps exponent tuples to nonzero coefficients.  Sorted term
-    views are cached per monomial order (orders change between the grevlex
-    dimension phase and the elimination phase, so caching is keyed by the
-    order object).
+    ``terms`` maps exponent tuples to nonzero coefficients.  A sorted term
+    view is needed only for rendering and for leading terms (division keeps
+    its own heap of order keys); it is cached per monomial order object,
+    since one polynomial is read under several orders.
     """
 
     __slots__ = ("context", "terms", "_sorted")

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from holoclosure.arith import I as IMAG, gq
+from holoclosure.errors import ResourceLimitError
 from holoclosure.poly import (
     Block,
     Polynomial,
@@ -36,6 +38,12 @@ _ZETA_SWAP = {Block.ZETA: Block.ZETABAR}
 # level costs up to six parser frames, so the limit keeps the recursive
 # descent well inside Python's default recursion limit of 1000.
 MAX_NESTING = 100
+
+# Every sum, product and power in an input expression has at most this many
+# terms and at most this total degree; a power is checked against both before
+# it is expanded, so an oversized one fails at once.
+MAX_INPUT_TERMS = 1000
+MAX_INPUT_DEGREE = 1000
 
 _DECLARATIONS = ("vars", "realvars", "mapvars", "params")
 _STATEMENTS = ("eq", "map", "jet")
@@ -92,6 +100,36 @@ def _tokenize(text: str, line: int) -> list:
             raise ParseError(f"unexpected character {ch!r}", line, col)
     tokens.append(Token("end", "", line, len(text) + 1))
     return tokens
+
+
+def _over_budget(message: str, tok: Token) -> ResourceLimitError:
+    return ResourceLimitError(f"line {tok.line}, column {tok.col}: {message}")
+
+
+def _within_budget(value: Polynomial, tok: Token) -> Polynomial:
+    """``value``, the result of the operator at ``tok``, if it fits the input budget."""
+    if len(value.terms) > MAX_INPUT_TERMS:
+        raise _over_budget(
+            f"{len(value.terms)} terms exceed the input budget of {MAX_INPUT_TERMS}", tok
+        )
+    if value.total_degree() > MAX_INPUT_DEGREE:
+        raise _over_budget(
+            f"degree {value.total_degree()} exceeds the input budget of {MAX_INPUT_DEGREE}", tok
+        )
+    return value
+
+
+def _power(base: Polynomial, e: int, tok: Token) -> Polynomial:
+    """``base ** e``, refused before expansion if it could exceed the input budget."""
+    if e > MAX_INPUT_DEGREE or max(base.total_degree(), 0) * e > MAX_INPUT_DEGREE:
+        raise _over_budget(f"power ^{e} exceeds the input degree budget of {MAX_INPUT_DEGREE}", tok)
+    t = len(base.terms)
+    if t > 1 and comb(e + t - 1, t - 1) > MAX_INPUT_TERMS:
+        # the expansion has at most one term per multiset of e of the t terms
+        raise _over_budget(
+            f"power ^{e} of {t} terms may exceed the input budget of {MAX_INPUT_TERMS} terms", tok
+        )
+    return base ** e
 
 
 def _int_value(tok: Token) -> int:
@@ -159,7 +197,7 @@ class _ExprParser:
             if tok.kind == "op" and tok.text in "+-":
                 self.advance()
                 rhs = self._product()
-                value = value + rhs if tok.text == "+" else value - rhs
+                value = _within_budget(value + rhs if tok.text == "+" else value - rhs, tok)
             else:
                 return value
 
@@ -169,7 +207,7 @@ class _ExprParser:
             tok = self.peek()
             if tok.kind == "op" and tok.text == "*":
                 self.advance()
-                value = value * self._factor()
+                value = _within_budget(value * self._factor(), tok)
             else:
                 return value
 
@@ -191,7 +229,7 @@ class _ExprParser:
                     "exponent must be a non-negative integer literal", etok.line, etok.col
                 )
             self.advance()
-            return base ** _int_value(etok)
+            return _power(base, _int_value(etok), tok)
         return base
 
     def _rational(self) -> Fraction:

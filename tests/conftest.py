@@ -5,6 +5,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from holoclosure.arith import GaussianRational
 from holoclosure.complexify import System
@@ -81,6 +82,13 @@ def rand_nonzero_poly(rng, ctx, max_terms=3, max_deg=3, real=False):
         f = rand_poly(rng, ctx, max_terms, max_deg, real)
         if not f.is_zero:
             return f
+
+
+# small nonzero Gaussian rationals for hypothesis-built polynomials
+GAUSSIAN_COEFFS = st.builds(
+    lambda a, b, c, d: GaussianRational(Fraction(a, c), Fraction(b, d)),
+    st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3), st.integers(1, 3),
+).filter(bool)
 
 
 def param_ctx(names):

@@ -111,8 +111,23 @@ EXIT_CASES = [
              "line 1, column 1: integer literal of 5000 digits"),
     ExitCase(("hcdim", "-"), EXIT_PARSE_ERROR, "line 2, column 7: integer literal of 5000 digits",
              "vars z1\neq z1^" + "9" * 5000 + "\n"),
+    ExitCase(("hcdim", str(FIXTURES / "missing.sys")), EXIT_PARSE_ERROR,
+             "cannot read input '" + str(FIXTURES / "missing.sys") + "': No such file"),
+    ExitCase(("hcdim", str(FIXTURES)), EXIT_PARSE_ERROR, "cannot read input"),
     ExitCase(("hcdim", "-", "--max-pairs", "0"), EXIT_RESOURCE_LIMIT, "resource limit",
              "realvars x1 y1 x2 y2\neq x2*(x1^2+y1^2)-x1^3\neq y2\n"),
+    ExitCase(("hcdim", "-"), EXIT_RESOURCE_LIMIT,
+             "line 2, column 19: power ^60 of 3 terms may exceed the input budget of 1000 terms",
+             "vars z1 z2\neq (z1+conj(z2)+1)^60\n", bounded=True),
+    ExitCase(("hcdim", "-"), EXIT_RESOURCE_LIMIT,
+             "line 2, column 6: power ^99999999999999999999 exceeds the input degree budget",
+             "vars z1\neq z1^99999999999999999999\n", bounded=True),
+    ExitCase(("hcdim", "-"), EXIT_RESOURCE_LIMIT,
+             "line 2, column 13: 1681 terms exceed the input budget of 1000",
+             "vars z1 z2\neq (z1+1)^40*(z2+1)^40\n"),
+    ExitCase(("hcdim", "-"), EXIT_RESOURCE_LIMIT,
+             "line 2, column 23: 1921 terms exceed the input budget of 1000",
+             "vars z1 z2\neq (z1+1)^30*(z2+1)^30+(conj(z1)+1)^30*(conj(z2)+1)^30\n"),
     ExitCase(("probe-osgood", "--jets", "100000", "--maxdeg", "1"), EXIT_RESOURCE_LIMIT,
              "exceeds the probe budget", bounded=True),
     ExitCase(("probe", str(FIXTURES / "osgood.jets"), "--jets", "100000", "--maxdeg", "1"),
@@ -141,7 +156,7 @@ DIAGNOSTIC_PREFIX = {
 }
 
 
-def _run_bounded(argv):
+def _run_bounded(argv, stdin=""):
     """The CLI in a child process: without its budget checks a probe of this
     size would exhaust memory, which must not happen in the test process."""
     def cap_memory():
@@ -149,8 +164,8 @@ def _run_bounded(argv):
 
     src = Path(holoclosure.__file__).resolve().parent.parent
     proc = subprocess.run(
-        [sys.executable, "-m", "holoclosure.cli", *argv], capture_output=True, text=True,
-        timeout=PROBE_SECONDS, env=dict(os.environ, PYTHONPATH=str(src)), preexec_fn=cap_memory,
+        [sys.executable, "-m", "holoclosure.cli", *argv], input=stdin, capture_output=True,
+        text=True, timeout=PROBE_SECONDS, env=dict(os.environ, PYTHONPATH=str(src)), preexec_fn=cap_memory,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -166,7 +181,7 @@ def _check_cases(monkeypatch, cases):
     for case in cases:
         argv = [*case.argv, "--json"]
         if case.bounded:
-            got, out, err = _run_bounded(argv)
+            got, out, err = _run_bounded(argv, case.stdin)
         else:
             with monkeypatch.context() as m:
                 m.setattr(sys, "stdin", io.StringIO(case.stdin))

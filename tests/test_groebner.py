@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
+    GAUSSIAN_COEFFS,
     param_ctx,
     rand_exponents,
     rand_nonzero_poly,
@@ -29,6 +32,8 @@ from holoclosure.poly import (
     LEX,
     Polynomial,
     VariableContext,
+    monomial_div,
+    monomial_divides,
     zw_context,
 )
 from holoclosure.syntax import parse_polynomial
@@ -323,3 +328,57 @@ def test_cyclic3_lex_basis():
         pp(ctx, "y^2 + y*z + z^2"),
         pp(ctx, "x + y + z"),
     ]
+
+
+# -- the heap-ordered division loop against the textbook one ---------------
+
+X4 = param_ctx(("a", "b", "c", "d"))
+DIVISION_ORDERS = [LEX, GREVLEX, BlockElimination(((2, 3), (0,), (1,)))]
+
+
+def reference_normal_form(f, G, order):
+    """Division as written in the textbook: re-read the leading term of the
+    whole dividend after every step, subtracting one whole reducer multiple."""
+    reducers = [(g.leading(order), g) for g in G if not g.is_zero]
+    remainder = {}
+    p = f
+    while not p.is_zero:
+        m, c = p.leading(order)
+        for (lm, lc), g in reducers:
+            if monomial_divides(lm, m):
+                p = p.sub_scaled(g, monomial_div(m, lm), c / lc)
+                break
+        else:
+            remainder[m] = c
+            p = Polynomial(p.context, {k: v for k, v in p.terms.items() if k != m})
+    return Polynomial(f.context, remainder)
+
+
+monomials4 = st.tuples(*(st.integers(0, 3),) * 4)
+
+
+def polys4(max_terms):
+    return st.dictionaries(monomials4, GAUSSIAN_COEFFS, max_size=max_terms).map(
+        lambda terms: Polynomial(X4, terms)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(DIVISION_ORDERS), polys4(8), st.lists(polys4(4), max_size=3))
+def test_normal_form_matches_textbook_division(order, f, G):
+    assert normal_form(f, G, order) == reference_normal_form(f, G, order)
+
+
+def test_normal_form_sorts_each_reducer_once_at_most(monkeypatch):
+    G = [pp(XYZ, "x^2 - y*z + 1"), pp(XYZ, "y^2 - x*z"), pp(XYZ, "z^3 - x - y")]
+    f = pp(XYZ, "x^5*y^3 + x^4*z^4 - y^6*z + 3*x*y*z")
+    expected = reference_normal_form(f, G, GREVLEX)
+    sorts = []
+    original = Polynomial.sorted_terms
+    monkeypatch.setattr(
+        Polynomial, "sorted_terms", lambda self, order: sorts.append(self) or original(self, order)
+    )
+    # fresh copies, so no sort is cached from the reference run
+    r = normal_form(Polynomial(XYZ, f.terms), [Polynomial(XYZ, g.terms) for g in G], GREVLEX)
+    assert r == expected
+    assert len(sorts) <= len(G)

@@ -1,0 +1,72 @@
+"""Reduced Groebner bases and staircase dimensions checked against sympy.
+
+sympy is an independent implementation over the same field Q(i)
+(``domain=QQ_I``).  It is a test-only dependency, so the module is skipped
+where sympy is not installed.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import GAUSSIAN_COEFFS, param_ctx, staircase_dimension_brute_force
+from holoclosure.arith import GaussianRational
+from holoclosure.groebner import Ideal, buchberger
+from holoclosure.poly import GREVLEX, LEX, Polynomial
+
+sympy = pytest.importorskip("sympy")
+from sympy.polys.domains import QQ, QQ_I  # noqa: E402
+
+ORDERS = [(GREVLEX, "grevlex"), (LEX, "lex")]
+
+
+def _fraction(q) -> Fraction:
+    return Fraction(int(q.numerator), int(q.denominator))
+
+
+def _to_sympy(f: Polynomial, gens):
+    terms = {
+        m: QQ_I(QQ(c.re.numerator, c.re.denominator), QQ(c.im.numerator, c.im.denominator))
+        for m, c in f.terms.items()
+    }
+    return sympy.Poly.from_dict(terms, *gens, domain=QQ_I)
+
+
+def _from_sympy(p, ctx) -> Polynomial:
+    terms = p.as_dict(native=True)
+    return Polynomial(ctx, {
+        m: GaussianRational(_fraction(c.x), _fraction(c.y)) for m, c in terms.items()
+    })
+
+
+@st.composite
+def small_ideals(draw):
+    """2-3 variables, 1-3 nonzero generators of degree <= 3 and <= 3 terms."""
+    n = draw(st.integers(2, 3))
+    ctx = param_ctx([f"x{k}" for k in range(1, n + 1)])
+    monomial = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(
+        lambda e: sum(e) <= 3
+    ).map(tuple)
+    generator = st.dictionaries(monomial, GAUSSIAN_COEFFS, min_size=1, max_size=3)
+    gens = draw(st.lists(generator, min_size=1, max_size=3))
+    return ctx, [Polynomial(ctx, terms) for terms in gens]
+
+
+@settings(max_examples=15, deadline=None)
+@given(small_ideals())
+def test_reduced_bases_and_dimension_match_sympy(ideal):
+    ctx, gens = ideal
+    xs = sympy.symbols(" ".join(ctx.names))
+    sympy_gens = [_to_sympy(g, xs) for g in gens]
+    for order, name in ORDERS:
+        ours = buchberger(Ideal.from_polys(ctx, gens), order)
+        theirs = sympy.groebner(sympy_gens, *xs, order=name, domain=QQ_I)
+        assert {g.monic(order) for g in ours.basis} == {
+            _from_sympy(p, ctx).monic(order) for p in theirs.polys
+        }
+        sympy_leads = [p.monoms(order=name)[0] for p in theirs.polys]
+        assert ours.dimension(range(ctx.size))[0] == staircase_dimension_brute_force(
+            sympy_leads, ctx.size
+        )

@@ -86,6 +86,12 @@ def test_order_is_total_and_multiplicative(order, a, b, c):
         assert _cmp(order, ac, bc) == -1
 
 
+@given(orders, exponents3, exponents3)
+def test_heap_key_reverses_the_order(order, a, b):
+    # a min-heap under heap_key pops the largest monomial first
+    assert (order.heap_key(a) < order.heap_key(b)) == (_cmp(order, a, b) == 1)
+
+
 @given(orders, exponents3)
 def test_order_well_ordering(order, m):
     one = (0, 0, 0)
