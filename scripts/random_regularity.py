@@ -47,17 +47,18 @@ def main(argv):
     seed = int(argv[1]) if len(argv) > 1 else 20260808
     rng = random.Random(seed)
     ctx = VariableContext(("v", "t"), (Block.PARAM, Block.PARAM))
-    done = 0
+    done = mismatches = 0
     while done < count:
         comps = random_map(rng, ctx)
         if any(f.is_zero for f in comps):
             continue
         done += 1
         rr = gabrielov_r1(comps, seed=done)
+        mismatches += not rr.regular
         status = "ok" if rr.regular else "MISMATCH"
         print(f"[{done:>2}] r1={rr.r1} r3={rr.r3} lambda={rr.lam} {status}  "
               + "; ".join(polynomial_to_text(f) for f in comps))
-    print("all regular" if done == count else "incomplete")
+    print("all regular" if not mismatches else f"{mismatches} of {count} not regular")
 
 
 if __name__ == "__main__":

@@ -1,16 +1,21 @@
 """Exact arithmetic over Q and the Gaussian rationals Q(i).
 
-Rational numbers are ``fractions.Fraction`` (arbitrary-precision, always
-stored with positive denominator and gcd-reduced, so structural equality is
-mathematical equality).  ``GaussianRational`` is the field Q(i) built as
-pairs of rationals; it is the coefficient field of every polynomial in this
-package and is closed under the coefficient conjugation that the
-complexification step needs.
+Rational numbers are ``fractions.Fraction``.  ``GaussianRational`` is the
+field Q(i), the coefficient field of every polynomial in this package, and
+is closed under the coefficient conjugation that the complexification step
+needs.  An element is one triple of Python ints ``(a, b, d)`` meaning
+``(a + b*i)/d``, kept canonical: ``d > 0`` and ``gcd(a, b, d) == 1``, so zero
+is ``(0, 0, 1)`` and structural equality is mathematical equality.  A field
+operation forms the integer numerator pair and the denominator and divides
+out one three-argument gcd (none when the denominator is 1); a sum over equal
+denominators skips the cross products, and negation and conjugation need no
+gcd at all.  ``re`` and ``im`` are read-only ``Fraction`` views.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 Rational = Fraction
 
@@ -24,43 +29,60 @@ def _as_fraction(x) -> Fraction:
 
 
 class GaussianRational:
-    """An element re + im*i of Q(i), immutable and canonical."""
+    """An element (a + b*i)/d of Q(i), immutable and canonical."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+    def __new__(cls, re=0, im=0):
+        re = _as_fraction(re)
+        im = _as_fraction(im)
+        q, s = re.denominator, im.denominator
+        return _reduced(re.numerator * s, im.numerator * q, q * s)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
     # -- field operations -------------------------------------------------
 
     def __add__(self, other) -> "GaussianRational":
-        other = gq(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if not isinstance(other, GaussianRational):
+            other = gq(other)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _reduced(self._a + other._a, self._b + other._b, d1)
+        return _reduced(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
 
     def __sub__(self, other) -> "GaussianRational":
-        other = gq(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if not isinstance(other, GaussianRational):
+            other = gq(other)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _reduced(self._a - other._a, self._b - other._b, d1)
+        return _reduced(self._a * d2 - other._a * d1, self._b * d2 - other._b * d1, d1 * d2)
 
     def __mul__(self, other) -> "GaussianRational":
-        other = gq(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if not isinstance(other, GaussianRational):
+            other = gq(other)
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
 
     def __truediv__(self, other) -> "GaussianRational":
-        other = gq(other)
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
+        if not isinstance(other, GaussianRational):
+            other = gq(other)
+        a1, b1, a2, b2, d2 = self._a, self._b, other._a, other._b, other._d
+        n = a2 * a2 + b2 * b2
+        if not n:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        # multiply through by the conjugate a2 - b2*i; the norm is positive
+        return _reduced(d2 * (a1 * a2 + b1 * b2), d2 * (b1 * a2 - a1 * b2), self._d * n)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -72,7 +94,7 @@ class GaussianRational:
         return gq(other) / self
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _canonical(-self._a, -self._b, self._d)
 
     def __pow__(self, e: int) -> "GaussianRational":
         if e < 0:
@@ -80,7 +102,7 @@ class GaussianRational:
         return power(self, e, ONE)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _canonical(self._a, -self._b, self._d)
 
     def inverse(self) -> "GaussianRational":
         return ONE / self
@@ -88,28 +110,59 @@ class GaussianRational:
     # -- predicates and protocol ------------------------------------------
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._b
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if isinstance(other, GaussianRational):
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        # a canonical real value (a, 0, d) has gcd(a, d) == 1, as a Fraction does
+        if isinstance(other, int):
+            return not self._b and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return not self._b and self._a == other.numerator and self._d == other.denominator
+        return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        if self._b:
+            return hash((self._a, self._b, self._d))
+        if self._d == 1:
+            return hash(self._a)
+        return hash(Fraction(self._a, self._d))
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
         return gq_to_text(self)
+
+
+_new = object.__new__
+_set_a = GaussianRational._a.__set__
+_set_b = GaussianRational._b.__set__
+_set_d = GaussianRational._d.__set__
+
+
+def _canonical(a: int, b: int, d: int) -> GaussianRational:
+    """The element (a + b*i)/d of a triple already in canonical form."""
+    x = _new(GaussianRational)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """The element (a + b*i)/d for any d > 0, its common factor divided out."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _canonical(a, b, d)
 
 
 ZERO = GaussianRational(0)
@@ -133,7 +186,11 @@ def gq(x) -> GaussianRational:
     """Coerce an int, Fraction, or GaussianRational into Q(i)."""
     if isinstance(x, GaussianRational):
         return x
-    return GaussianRational(_as_fraction(x))
+    if isinstance(x, int):
+        return _canonical(int(x), 0, 1)
+    if isinstance(x, Fraction):
+        return _canonical(x.numerator, 0, x.denominator)
+    raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
 # -- textual form ----------------------------------------------------------

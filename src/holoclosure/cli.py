@@ -1,7 +1,8 @@
 """Command-line surface: parses input documents, runs the computations,
 and emits deterministic human-readable or JSON reports.
 
-Exit codes: 0 success, 2 parse error or unreadable input file, 3
+Exit codes: 0 success, 2 parse error, unreadable or non-UTF-8 input, or a
+command line argparse rejects (such as a budget below 1), 3
 resource-limit abort, 4 semantic precondition failure (empty set, point off
 the set, non-smooth point, ...), 5 internal invariant violated (a defect in
 the toolkit, not in the input).
@@ -109,13 +110,18 @@ def _point_strings(point) -> list:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    """The input document, decoded as strict UTF-8 from a file or from stdin."""
     try:
+        if path == "-":
+            # the raw bytes, not the locale's decoding, which may escape bad bytes
+            raw = getattr(sys.stdin, "buffer", None)
+            return sys.stdin.read() if raw is None else raw.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise InputReadError(f"cannot read input {path!r}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputReadError(f"cannot read input {path!r}: {exc}") from None
 
 
 def _echo_inputs(doc: InputDocument) -> dict:
@@ -298,6 +304,17 @@ _HANDLERS = {
 }
 
 
+def _budget(text: str) -> int:
+    """A Groebner budget from the command line: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="holoclosure",
@@ -311,10 +328,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
             sp.add_argument("input", help="input file path, or - for stdin")
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
         sp.add_argument("--seed", type=int, default=0, help="seed for random sampling")
-        sp.add_argument("--max-pairs", type=int, default=DEFAULT_CONFIG.max_pairs,
-                        help="override the Groebner S-pair budget")
-        sp.add_argument("--max-degree", type=int, default=DEFAULT_CONFIG.max_degree,
-                        help="override the Groebner degree budget")
+        sp.add_argument("--max-pairs", type=_budget, default=DEFAULT_CONFIG.max_pairs,
+                        help="override the Groebner S-pair budget (at least 1)")
+        sp.add_argument("--max-degree", type=_budget, default=DEFAULT_CONFIG.max_degree,
+                        help="override the Groebner degree budget (at least 1)")
 
     common(sub.add_parser("hcdim", help="holomorphic closure dimension of a system"))
     common(sub.add_parser("realdim", help="real dimension of a system"))

@@ -1,6 +1,7 @@
 """Field axioms and canonical form of the Gaussian rationals."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -117,3 +118,105 @@ def test_coercion_and_is_real():
     assert gq(3) == G(3)
     assert gq(Fraction(1, 2)).is_real()
     assert not G(0, 1).is_real()
+
+
+# -- differential test against a reference model over pairs of Fractions ------
+#
+# Parts reach about 2**200, so gcd reduction does real work; parts that share
+# a denominator exercise the equal-denominator sum, and small parts make
+# cancellation and zero results likely.
+
+BIG = 2**200
+big_fractions = st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG))
+any_fractions = st.one_of(fractions, big_fractions)
+pairs = st.one_of(
+    st.tuples(any_fractions, any_fractions),
+    st.builds(lambda a, b, d: (Fraction(a, d), Fraction(b, d)),
+              st.integers(-BIG, BIG), st.integers(-BIG, BIG), st.sampled_from([1, 2, 6, BIG - 1])),
+)
+
+
+def ref_add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def ref_sub(x, y):
+    return x[0] - y[0], x[1] - y[1]
+
+
+def ref_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def ref_div(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return (x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n
+
+
+def assert_matches(z, ref):
+    """z is in canonical form and has the reference value."""
+    a, b, d = z._a, z._b, z._d
+    assert all(type(part) is int for part in (a, b, d))
+    assert d > 0 and gcd(a, b, d) == 1
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert (z.re, z.im) == ref
+    assert (a, b, d) == _triple(ref)
+
+
+def _triple(ref):
+    """The canonical triple of a reference pair, computed independently."""
+    re, im = ref
+    d = lcm(re.denominator, im.denominator)
+    return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
+
+
+@given(pairs, pairs)
+def test_operations_match_the_fraction_pair_model(x, y):
+    gx, gy = GaussianRational(*x), GaussianRational(*y)
+    assert_matches(gx, x)
+    assert_matches(gx + gy, ref_add(x, y))
+    assert_matches(gx - gy, ref_sub(x, y))
+    assert_matches(gx * gy, ref_mul(x, y))
+    assert_matches(-gx, (-x[0], -x[1]))
+    assert_matches(gx.conjugate(), (x[0], -x[1]))
+    if any(y):
+        assert_matches(gx / gy, ref_div(x, y))
+    assert (gx == gy) == (x == y)
+    assert (gx == GaussianRational(*x)) and hash(gx) == hash(GaussianRational(*x))
+
+
+@given(pairs, st.integers(0, 3), any_fractions)
+def test_mixed_operands_and_powers_match_the_model(x, e, q):
+    gx = GaussianRational(*x)
+    for scalar in (q, q.numerator):
+        s = (Fraction(scalar), Fraction(0))
+        assert_matches(gx + scalar, ref_add(x, s))
+        assert_matches(scalar - gx, ref_sub(s, x))
+        assert_matches(scalar * gx, ref_mul(s, x))
+        if scalar:
+            assert_matches(gx / scalar, ref_div(x, s))
+    expected = (Fraction(1), Fraction(0))
+    for _ in range(e):
+        expected = ref_mul(expected, x)
+    assert_matches(gx ** e, expected)
+    if any(x):
+        assert_matches(gx ** -e, ref_div((Fraction(1), Fraction(0)), expected))
+
+
+@given(pairs)
+def test_zero_has_one_representation(x):
+    gx = GaussianRational(*x)
+    zeros = [gx - gx, gx * 0, gx + (-gx), GaussianRational(), GaussianRational(0, Fraction(0, 5)),
+             gq(0), gq(Fraction(0)), -GaussianRational(0), GaussianRational(0).conjugate()]
+    for z in zeros:
+        assert (z._a, z._b, z._d) == (0, 0, 1)
+        assert not z and z == 0 and hash(z) == hash(0)
+
+
+@given(st.one_of(st.integers(-BIG, BIG), big_fractions, fractions))
+def test_real_values_agree_with_int_and_fraction(q):
+    for z in (gq(q), GaussianRational(q), GaussianRational(q, 0)):
+        assert z == q and q == z
+        assert hash(z) == hash(q)
+        assert z.is_real() and z.re == q and z.im == 0
+        assert z != q + 1 and z != GaussianRational(q, 1)

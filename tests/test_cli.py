@@ -75,6 +75,7 @@ def test_seed_changes_witness_not_answer():
 
 
 SPHERE = str(FIXTURES / "sphere.sys")
+NOT_UTF8 = Path(__file__).resolve().parent / "data" / "not_utf8.sys"  # "eq z1" then bytes ff fe
 PROBE_SECONDS = 2.0
 
 
@@ -95,9 +96,10 @@ class ExitCase:
     argv: tuple
     code: int
     diagnostic: str  # a fragment of one report diagnostic
-    stdin: str = ""  # read as the "-" input
+    stdin: str | bytes = ""  # read as the "-" input
     patch: Callable | None = None  # monkeypatches a defect into the toolkit
     bounded: bool = False  # run in a child process under PROBE_SECONDS and a memory cap
+    usage: bool = False  # argparse rejects the command line: usage on stderr, no report
 
 
 EXIT_CASES = [
@@ -114,8 +116,22 @@ EXIT_CASES = [
     ExitCase(("hcdim", str(FIXTURES / "missing.sys")), EXIT_PARSE_ERROR,
              "cannot read input '" + str(FIXTURES / "missing.sys") + "': No such file"),
     ExitCase(("hcdim", str(FIXTURES)), EXIT_PARSE_ERROR, "cannot read input"),
-    ExitCase(("hcdim", "-", "--max-pairs", "0"), EXIT_RESOURCE_LIMIT, "resource limit",
-             "realvars x1 y1 x2 y2\neq x2*(x1^2+y1^2)-x1^3\neq y2\n"),
+    ExitCase(("hcdim", str(NOT_UTF8)), EXIT_PARSE_ERROR,
+             "cannot read input '" + str(NOT_UTF8) + "': 'utf-8' codec can't decode byte 0xff"),
+    ExitCase(("hcdim", "-"), EXIT_PARSE_ERROR,
+             "cannot read input '-': 'utf-8' codec can't decode byte 0xff", NOT_UTF8.read_bytes()),
+    ExitCase(("groebner", SPHERE, "--max-pairs", "-1"), EXIT_PARSE_ERROR,
+             "argument --max-pairs: must be at least 1, got -1", usage=True),
+    ExitCase(("groebner", SPHERE, "--max-pairs", "0"), EXIT_PARSE_ERROR,
+             "argument --max-pairs: must be at least 1, got 0", usage=True),
+    ExitCase(("groebner", SPHERE, "--max-degree", "-5"), EXIT_PARSE_ERROR,
+             "argument --max-degree: must be at least 1, got -5", usage=True),
+    ExitCase(("groebner", SPHERE, "--max-degree", "0"), EXIT_PARSE_ERROR,
+             "argument --max-degree: must be at least 1, got 0", usage=True),
+    ExitCase(("hcdim", str(FIXTURES / "paraboloid.sys"), "--max-pairs", "1"), EXIT_RESOURCE_LIMIT,
+             "S-pair budget of 1 exceeded"),
+    ExitCase(("groebner", "-", "--max-degree", "1"), EXIT_RESOURCE_LIMIT,
+             "intermediate degree 2 exceeds budget 1", "vars z1 z2\neq z1^2+z2-1\neq z1*z2-1\n"),
     ExitCase(("hcdim", "-"), EXIT_RESOURCE_LIMIT,
              "line 2, column 19: power ^60 of 3 terms may exceed the input budget of 1000 terms",
              "vars z1 z2\neq (z1+conj(z2)+1)^60\n", bounded=True),
@@ -175,6 +191,13 @@ def _check_exit_codes(monkeypatch, code):
     _check_cases(monkeypatch, [case for case in EXIT_CASES if case.code == code])
 
 
+def _stdin(data):
+    """A stand-in for the process's stdin: text over a byte buffer, as the interpreter builds it."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+
+
 def _check_cases(monkeypatch, cases):
     """Each case returns its exit code and diagnostic, without a traceback."""
     assert cases
@@ -183,14 +206,22 @@ def _check_cases(monkeypatch, cases):
         if case.bounded:
             got, out, err = _run_bounded(argv, case.stdin)
         else:
+            stderr = io.StringIO()
             with monkeypatch.context() as m:
-                m.setattr(sys, "stdin", io.StringIO(case.stdin))
+                m.setattr(sys, "stdin", _stdin(case.stdin))
+                m.setattr(sys, "stderr", stderr)
                 if case.patch:
                     case.patch(m)
-                got, out = invoke(argv)
-            err = ""
+                try:
+                    got, out = invoke(argv)
+                except SystemExit as exc:  # argparse's exit on a bad command line
+                    got, out = exc.code, ""
+            err = stderr.getvalue()
         assert got == case.code, case.argv
         assert "Traceback" not in out + err, case.argv
+        if case.usage:
+            assert out == "" and err.startswith("usage: ") and case.diagnostic in err, err
+            continue
         diagnostics = json.loads(out)["diagnostics"]
         assert any(d.startswith(DIAGNOSTIC_PREFIX[case.code]) and case.diagnostic in d
                    for d in diagnostics), (case.argv, diagnostics)

@@ -1,4 +1,5 @@
-"""Reduced Groebner bases and staircase dimensions checked against sympy.
+"""Reduced Groebner bases, elimination ideals and staircase dimensions
+checked against sympy.
 
 sympy is an independent implementation over the same field Q(i)
 (``domain=QQ_I``).  It is a test-only dependency, so the module is skipped
@@ -14,10 +15,11 @@ from hypothesis import strategies as st
 from conftest import GAUSSIAN_COEFFS, param_ctx, staircase_dimension_brute_force
 from holoclosure.arith import GaussianRational
 from holoclosure.groebner import Ideal, buchberger
-from holoclosure.poly import GREVLEX, LEX, Polynomial
+from holoclosure.poly import GREVLEX, LEX, BlockElimination, Polynomial
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.domains import QQ, QQ_I  # noqa: E402
+from sympy.polys.orderings import ProductOrder, grevlex  # noqa: E402
 
 ORDERS = [(GREVLEX, "grevlex"), (LEX, "lex")]
 
@@ -34,10 +36,11 @@ def _to_sympy(f: Polynomial, gens):
     return sympy.Poly.from_dict(terms, *gens, domain=QQ_I)
 
 
-def _from_sympy(p, ctx) -> Polynomial:
+def _from_sympy(p, ctx, dropped=0) -> Polynomial:
+    """Our polynomial over ``ctx``; the first ``dropped`` exponents must be 0 and are cut."""
     terms = p.as_dict(native=True)
     return Polynomial(ctx, {
-        m: GaussianRational(_fraction(c.x), _fraction(c.y)) for m, c in terms.items()
+        m[dropped:]: GaussianRational(_fraction(c.x), _fraction(c.y)) for m, c in terms.items()
     })
 
 
@@ -70,3 +73,21 @@ def test_reduced_bases_and_dimension_match_sympy(ideal):
         assert ours.dimension(range(ctx.size))[0] == staircase_dimension_brute_force(
             sympy_leads, ctx.size
         )
+
+
+@settings(max_examples=15, deadline=None)
+@given(small_ideals(), st.data())
+def test_block_elimination_ideal_matches_sympy(ideal, data):
+    # the first k variables form the eliminated group, as w does for hcdim
+    ctx, gens = ideal
+    k = data.draw(st.integers(1, ctx.size - 1))
+    order = BlockElimination((tuple(range(k)), tuple(range(k, ctx.size))))
+    ours = buchberger(Ideal.from_polys(ctx, gens), order).elimination(1)
+    xs = sympy.symbols(" ".join(ctx.names))
+    product = ProductOrder((grevlex, lambda m: m[:k]), (grevlex, lambda m: m[k:]))
+    theirs = sympy.groebner([_to_sympy(g, xs) for g in gens], *xs, order=product, domain=QQ_I)
+    free = [p for p in theirs.polys if not any(any(m[:k]) for m in p.monoms())]
+    assert ours.order == GREVLEX
+    assert {g.monic(GREVLEX) for g in ours.basis} == {
+        _from_sympy(p, ours.context, k).monic(GREVLEX) for p in free
+    }
