@@ -2,10 +2,10 @@
 and emits deterministic human-readable or JSON reports.
 
 Exit codes: 0 success, 2 parse error, unreadable or non-UTF-8 input, or a
-command line argparse rejects (such as a budget below 1), 3
-resource-limit abort, 4 semantic precondition failure (empty set, point off
-the set, non-smooth point, ...), 5 internal invariant violated (a defect in
-the toolkit, not in the input).
+command line argparse rejects (such as a budget, jet order or probe degree
+below 1), 3 resource-limit abort, 4 semantic precondition failure (empty
+set, point off the set, non-smooth point, ...), 5 internal invariant
+violated (a defect in the toolkit, not in the input).
 Errors are also echoed in the report diagnostics.
 """
 
@@ -137,16 +137,6 @@ def _require_kind(doc: InputDocument, kind: str):
         raise ValueError(f"this command needs a {kind} document, got {doc.kind}")
 
 
-def _parse_jet_orders(text: str) -> list:
-    try:
-        orders = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise ValueError(f"--jets expects a comma-separated integer list, got {text!r}")
-    if not orders:
-        raise ValueError("--jets list is empty")
-    return orders
-
-
 def _probe_table(results) -> list:
     table = []
     for res in results:
@@ -275,16 +265,15 @@ def _cmd_eliminate(args, doc, config, report):
 
 
 def _cmd_probe_osgood(args, doc, config, report):
-    orders = _parse_jet_orders(args.jets)
-    report.inputs = {"jet_orders": orders, "max_degree": args.maxdeg}
-    results = osgood_probe(orders, args.maxdeg)
+    report.inputs = {"jet_orders": args.jets, "max_degree": args.maxdeg}
+    results = osgood_probe(args.jets, args.maxdeg)
     report.results = {"table": _probe_table(results)}
     report.diagnostics.append("non-regularity evidence only: truncation cannot prove ker = 0")
 
 
 def _cmd_probe(args, doc, config, report):
     _require_kind(doc, KIND_JETS)
-    results = symbolic_probe(doc.jet_components, _parse_jet_orders(args.jets), args.maxdeg)
+    results = symbolic_probe(doc.jet_components, args.jets, args.maxdeg)
     report.results = {"table": _probe_table(results)}
     report.diagnostics.append("non-regularity evidence only: truncation cannot prove ker = 0")
 
@@ -305,7 +294,7 @@ _HANDLERS = {
 
 
 def _budget(text: str) -> int:
-    """A Groebner budget from the command line: an integer of at least 1."""
+    """A budget or degree bound from the command line: an integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -313,6 +302,14 @@ def _budget(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _jet_orders(text: str) -> list:
+    """Truncation orders from the command line: a nonempty comma-separated list, each at least 1."""
+    orders = [_budget(part) for part in text.split(",") if part.strip()]
+    if not orders:
+        raise argparse.ArgumentTypeError(f"expects a comma-separated list of orders, got {text!r}")
+    return orders
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -360,13 +357,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     osgood = sub.add_parser("probe-osgood", help="relation probe on the Osgood map")
     common(osgood, with_input=False)
-    osgood.add_argument("--jets", required=True, help="comma-separated truncation orders")
-    osgood.add_argument("--maxdeg", required=True, type=int)
+    osgood.add_argument("--jets", required=True, type=_jet_orders,
+                        help="comma-separated truncation orders (each at least 1)")
+    osgood.add_argument("--maxdeg", required=True, type=_budget,
+                        help="largest relation degree searched (at least 1)")
 
     probe = sub.add_parser("probe", help="relation probe on user jet components")
     common(probe)
-    probe.add_argument("--jets", required=True, help="comma-separated truncation orders")
-    probe.add_argument("--maxdeg", required=True, type=int)
+    probe.add_argument("--jets", required=True, type=_jet_orders,
+                        help="comma-separated truncation orders (each at least 1)")
+    probe.add_argument("--maxdeg", required=True, type=_budget,
+                        help="largest relation degree searched (at least 1)")
 
     return parser
 

@@ -141,8 +141,8 @@ def tangent_space(
     values = _real_coordinates(system, point)
     _check_on_set(system, values, point)
     rows = _jacobian_rows_at(system, values)
-    rk = linalg.rank(rows)
     kernel = linalg.nullspace(rows, system.context.size)
+    rk = system.context.size - len(kernel)
     return TangentReport(tuple(tuple(v) for v in kernel), rk, rk == system.context.size - d, d)
 
 

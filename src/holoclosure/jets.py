@@ -4,14 +4,16 @@ A jet is a polynomial truncation of a power series at a fixed total degree
 K; arithmetic drops every term above K.  The relation probe looks for a
 nonzero polynomial F of bounded degree with F(components) = 0 up to degree
 K: the coefficients of F satisfy an exact rational linear system whose
-nullspace is computed by fraction Gaussian elimination.  Applied to the
-truncations of the map (v,w) -> (v, vw, vw*e^w), the probe exhibits how the
-minimal relation degree grows with K while any fixed degree is eventually
-excluded - one-sided evidence (not proof) that the components satisfy no
-analytic relation at all.  Relations are sought over Q: the components
-handled here have rational coefficients, and then a relation with Gaussian
-rational coefficients exists iff one with rational coefficients does (take
-real or imaginary parts).
+nullspace ``linalg`` computes by exact Gauss-Jordan on sparse rows.  Each
+candidate monomial of F is composed with one jet product, from a candidate
+of one degree less.  Applied to the truncations of the map
+(v,w) -> (v, vw, vw*e^w), the probe exhibits how the minimal relation degree
+grows with K while any fixed degree is eventually excluded - one-sided
+evidence (not proof) that the components satisfy no analytic relation at
+all.  Relations are sought over Q: the components handled here have
+rational coefficients, and then a relation with Gaussian rational
+coefficients exists iff one with rational coefficients does (take real or
+imaginary parts).
 """
 
 from __future__ import annotations
@@ -238,7 +240,8 @@ def relation_probe(components: Sequence[Jet], order: int, max_degree: int) -> Pr
     parameter monomial of total degree <= K in the composed jet.  The first
     degree with a nonzero nullspace wins; the witness is the first basis
     vector, normalized so its leading nonzero coefficient is 1.  Candidates
-    are composed one degree at a time, only as far as the search goes.
+    are composed one degree at a time, only as far as the search goes, each
+    as one jet product of an earlier candidate with a component.
     """
     r = len(components)
     ctx = components[0].context
@@ -246,20 +249,22 @@ def relation_probe(components: Sequence[Jet], order: int, max_degree: int) -> Pr
     target = z_context(r)
     comps = [jet.truncate(order) for jet in components]
     equations = _monomials_up_to(ctx.size, order)
-    composed = {}
+    row_of = {mu: i for i, mu in enumerate(equations)}
+    composed = {(0,) * r: Jet.constant(ctx, order, 1)}
+    zero = Fraction(0)
     for degree in range(1, max_degree + 1):
         _require_budget(len(equations), comb(degree + r, r))
         cols = _monomials_up_to(r, degree)
-        for alpha in cols:
-            if alpha not in composed:
-                jet = Jet.constant(ctx, order, 1)
-                for k, e in enumerate(alpha):
-                    if e:
-                        jet = jet * comps[k] ** e
-                composed[alpha] = jet
-        matrix = []
-        for mu in equations:
-            matrix.append([composed[a].coeffs.get(mu, Fraction(0)) for a in cols])
+        matrix = [[zero] * len(cols) for _ in equations]
+        for j, alpha in enumerate(cols):
+            jet = composed.get(alpha)
+            if jet is None:
+                # cols ascend in grevlex, so alpha lowered at its first nonzero exponent came before
+                k = next(i for i, e in enumerate(alpha) if e)
+                parent = alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:]
+                jet = composed[alpha] = composed[parent] * comps[k]
+            for mu, c in jet.coeffs.items():
+                matrix[row_of[mu]][j] = c
         kernel = linalg.nullspace(matrix, len(cols))
         if kernel:
             vec = kernel[0]

@@ -24,7 +24,8 @@ from holoclosure.cli import (
     EXIT_SEMANTIC,
     run,
 )
-from holoclosure.syntax import parse
+from holoclosure.poly import z_context
+from holoclosure.syntax import parse, parse_polynomial
 
 GOLDEN = FIXTURES / "golden"
 
@@ -128,6 +129,22 @@ EXIT_CASES = [
              "argument --max-degree: must be at least 1, got -5", usage=True),
     ExitCase(("groebner", SPHERE, "--max-degree", "0"), EXIT_PARSE_ERROR,
              "argument --max-degree: must be at least 1, got 0", usage=True),
+    ExitCase(("probe-osgood", "--jets", "3", "--maxdeg", "0"), EXIT_PARSE_ERROR,
+             "argument --maxdeg: must be at least 1, got 0", usage=True),
+    ExitCase(("probe-osgood", "--jets", "3", "--maxdeg", "-2"), EXIT_PARSE_ERROR,
+             "argument --maxdeg: must be at least 1, got -2", usage=True),
+    ExitCase(("probe-osgood", "--jets", "0", "--maxdeg", "2"), EXIT_PARSE_ERROR,
+             "argument --jets: must be at least 1, got 0", usage=True),
+    ExitCase(("probe-osgood", "--jets", "", "--maxdeg", "2"), EXIT_PARSE_ERROR,
+             "argument --jets: expects a comma-separated list of orders, got ''", usage=True),
+    ExitCase(("probe-osgood", "--jets", "-1", "--maxdeg", "2"), EXIT_PARSE_ERROR,
+             "argument --jets: must be at least 1, got -1", usage=True),
+    ExitCase(("probe-osgood", "--jets", "3,x", "--maxdeg", "2"), EXIT_PARSE_ERROR,
+             "argument --jets: invalid int value: 'x'", usage=True),
+    ExitCase(("probe", str(FIXTURES / "osgood.jets"), "--jets", "3,0", "--maxdeg", "2"),
+             EXIT_PARSE_ERROR, "argument --jets: must be at least 1, got 0", usage=True),
+    ExitCase(("probe", str(FIXTURES / "osgood.jets"), "--jets", "3", "--maxdeg", "0"),
+             EXIT_PARSE_ERROR, "argument --maxdeg: must be at least 1, got 0", usage=True),
     ExitCase(("hcdim", str(FIXTURES / "paraboloid.sys"), "--max-pairs", "1"), EXIT_RESOURCE_LIMIT,
              "S-pair budget of 1 exceeded"),
     ExitCase(("groebner", "-", "--max-degree", "1"), EXIT_RESOURCE_LIMIT,
@@ -286,6 +303,20 @@ def test_eliminate_command_zeta_and_map():
     payload2 = json.loads(out2)
     assert payload2["results"]["block"] == "param"
     assert payload2["results"]["generators"] == ["z2^2 - z1*z3"]
+
+
+def test_probe_osgood_matches_the_benchmark_reference():
+    # bench/refs/osgood_probe.json is computed by sympy; witnesses compare as polynomials
+    ref_path = FIXTURES.parent / "bench" / "refs" / "osgood_probe.json"
+    ref = json.loads(ref_path.read_text(encoding="utf-8"))
+    code, out = invoke(["probe-osgood", "--jets", "20,24", "--maxdeg", "10", "--json"])
+    assert code == ref["exit"] == EXIT_OK
+    ours, theirs = json.loads(out)["results"]["table"], ref["results"]["table"]
+    assert [row["jet_order"] for row in ours] == [row["jet_order"] for row in theirs] == [20, 24]
+    z = z_context(3)
+    for row, expected in zip(ours, theirs):
+        assert row["min_relation_degree"] == expected["min_relation_degree"] == 5
+        assert parse_polynomial(row["witness"], z) == parse_polynomial(expected["witness"], z)
 
 
 def test_probe_osgood_matches_user_probe():

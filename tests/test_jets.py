@@ -1,7 +1,7 @@
 """Jet arithmetic, composition, and the relation-degree probe."""
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -105,6 +105,21 @@ def test_relation_probe_repeated_component():
     assert res.min_relation_degree == 1
     assert res.witness.total_degree() == 1
     assert jet_compose(res.witness, comps, K).is_zero
+
+
+def test_relation_probe_makes_one_jet_product_per_new_column(monkeypatch):
+    comps = osgood_components(24)
+    calls = []
+    original = Jet.__mul__
+
+    def counting(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(Jet, "__mul__", counting)
+    assert relation_probe(comps, 24, 5).min_relation_degree == 5
+    # the candidates are the monomials of degree <= 5 in z1, z2, z3; the constant needs none
+    assert len(calls) <= comb(5 + 3, 3) - 1
 
 
 def test_probe_budget(monkeypatch):

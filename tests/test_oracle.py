@@ -1,5 +1,5 @@
-"""Reduced Groebner bases, elimination ideals and staircase dimensions
-checked against sympy.
+"""Reduced Groebner bases, elimination ideals, staircase dimensions and
+rational kernels checked against sympy.
 
 sympy is an independent implementation over the same field Q(i)
 (``domain=QQ_I``).  It is a test-only dependency, so the module is skipped
@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GAUSSIAN_COEFFS, param_ctx, staircase_dimension_brute_force
+from holoclosure import linalg
 from holoclosure.arith import GaussianRational
 from holoclosure.groebner import Ideal, buchberger
 from holoclosure.poly import GREVLEX, LEX, BlockElimination, Polynomial
@@ -91,3 +92,17 @@ def test_block_elimination_ideal_matches_sympy(ideal, data):
     assert {g.monic(GREVLEX) for g in ours.basis} == {
         _from_sympy(p, ours.context, k).monic(GREVLEX) for p in free
     }
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 6), st.integers(1, 7), st.data())
+def test_nullspace_matches_sympy_rref_kernel(nrows, ncols, data):
+    cell = st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))
+    rows = [data.draw(st.lists(cell, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    matrix = sympy.Matrix(nrows, ncols, [sympy.Rational(x.numerator, x.denominator)
+                                         for row in rows for x in row])
+    theirs = []
+    for v in matrix.nullspace():  # built from matrix.rref(): one vector per free column
+        first = next(x for x in v if x != 0)
+        theirs.append([_fraction(x / first) for x in v])
+    assert linalg.nullspace(rows, ncols) == theirs
