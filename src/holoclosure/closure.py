@@ -74,11 +74,11 @@ class RankReport:
 
 def _closure_report(gb: GroebnerBasis, n: int) -> HCReport:
     """Read d off a (w > z) elimination basis, and the closure ideal and h off its w-free part."""
-    real_dim, _ = gb.dimension(range(gb.context.size))
+    real_dim, _ = gb.dimension()
     if real_dim is None:
         raise EmptySetError("the system defines the empty set")
     closure = gb.elimination(1)
-    hc_dim, _ = closure.dimension(range(n))
+    hc_dim, _ = closure.dimension()
     if not (real_dim + 1) // 2 <= hc_dim <= n:
         raise InvariantError(
             f"holomorphic closure dimension {hc_dim} violates bounds for d={real_dim}, n={n}"
@@ -161,7 +161,7 @@ def pullback_kernel(
 def _kernel_dimension(kernel: Ideal) -> int:
     # the generators ``eliminate`` returns are the kernel's reduced grevlex basis
     basis = GroebnerBasis(kernel.context, GREVLEX, kernel.generators)
-    dim, _ = basis.dimension(range(kernel.context.size))
+    dim, _ = basis.dimension()
     if dim is None:
         raise EmptySetError("pullback kernel is the unit ideal")
     return dim

@@ -1,6 +1,7 @@
 """Tangent spaces, pointwise CR dimension, CR strata ideals, and d-m checks.
 
-All computations run on the real-form description of a system (zeta input is
+The real dimension d is read off the complexification of the system as
+given; the Jacobians use its real-form description (zeta input is
 converted).  At a smooth point p the tangent space is the kernel of the real
 Jacobian Df(p); the maximal complex subspace of the tangent space is read
 off the stacked matrix [Df; Df o J] built from the defining equations, where
@@ -152,8 +153,7 @@ def cr_dimension_at(
     config: GroebnerConfig = DEFAULT_CONFIG,
 ) -> CRReport:
     """CR dimension of the tangent space at a smooth point."""
-    real_system = _as_real(system)
-    return _cr_report(real_system, point, _real_dimension(real_system, config))
+    return _cr_report(_as_real(system), point, _real_dimension(system, config))
 
 
 def _cr_report(real_system: System, point: Point, d: int) -> CRReport:
@@ -209,7 +209,7 @@ def cr_strata_ideal(
     is vacuous and the stratum is the whole smooth locus.
     """
     real_system = _as_real(system)
-    d = _real_dimension(real_system, config)
+    d = _real_dimension(system, config)
     if not 0 <= k <= d // 2:
         raise ValueError(f"stratum index k={k} out of range 0..{d // 2}")
     ctx = real_system.context

@@ -88,16 +88,21 @@ class GroebnerBasis:
     def leading_monomials(self) -> list:
         return [f.leading(self.order)[0] for f in self.basis]
 
-    def dimension(self, variables: Sequence[int]):
-        """(Krull dimension, maximal independent set) within the indices ``variables``.
+    def dimension(self):
+        """(Krull dimension, maximal independent set) of the quotient ring.
 
         An empty basis is the zero ideal (every variable independent);
-        (None, None) means the unit ideal, the empty set.
+        (None, None) means the unit ideal, the empty set.  A variable that
+        is the whole support of a leading monomial lies in no independent
+        set, so the search over subsets, largest first, skips it.
         """
         supports = [frozenset(k for k, e in enumerate(m) if e) for m in self.leading_monomials()]
         if any(not s for s in supports):
             return None, None  # a constant leads the staircase: unit ideal
-        # the largest S inside ``variables`` containing no support
+        powers = {k for s in supports if len(s) == 1 for k in s}
+        variables = [k for k in range(self.context.size) if k not in powers]
+        supports = [s for s in supports if not s & powers]
+        # the largest S containing no support
         for size in range(len(variables), -1, -1):
             for S in combinations(variables, size):
                 if not any(sup <= set(S) for sup in supports):
@@ -269,28 +274,14 @@ def eliminate(I: Ideal, block: Block, config: GroebnerConfig = DEFAULT_CONFIG) -
     return Ideal(part.context, part.basis)
 
 
-def dimension_and_witness(
-    I: Ideal,
-    block: Block | None = None,
-    config: GroebnerConfig = DEFAULT_CONFIG,
-):
+def dimension_and_witness(I: Ideal, config: GroebnerConfig = DEFAULT_CONFIG):
     """(Krull dimension, maximal independent set) or (None, None) if 1 in I."""
-    variables = range(I.context.size)
-    if block is not None:
-        variables = I.context.indices(block)
-        for g in I.generators:
-            if not g.used_indices() <= set(variables):
-                raise ValueError("generators leave the requested block")
     if I.is_zero:
-        return GroebnerBasis(I.context, GREVLEX, ()).dimension(variables)
-    return buchberger(I, GREVLEX, config).dimension(variables)
+        return GroebnerBasis(I.context, GREVLEX, ()).dimension()
+    return buchberger(I, GREVLEX, config).dimension()
 
 
-def ideal_dimension(
-    I: Ideal,
-    block: Block | None = None,
-    config: GroebnerConfig = DEFAULT_CONFIG,
-):
+def ideal_dimension(I: Ideal, config: GroebnerConfig = DEFAULT_CONFIG):
     """Krull dimension of the quotient ring; None means the unit ideal (empty)."""
-    dim, _ = dimension_and_witness(I, block, config)
+    dim, _ = dimension_and_witness(I, config)
     return dim

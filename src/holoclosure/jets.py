@@ -3,10 +3,12 @@
 A jet is a polynomial truncation of a power series at a fixed total degree
 K; arithmetic drops every term above K.  The relation probe looks for a
 nonzero polynomial F of bounded degree with F(components) = 0 up to degree
-K: the coefficients of F satisfy an exact rational linear system whose
-nullspace ``linalg`` computes by exact Gauss-Jordan on sparse rows.  Each
-candidate monomial of F is composed with one jet product, from a candidate
-of one degree less.  Applied to the truncations of the map
+K: the coefficients of F satisfy an exact rational linear system, one
+column per candidate monomial of F.  The columns go to ``linalg.relations``
+in ascending grevlex, lowest degree first, and the search stops at the first
+column that depends on earlier ones, so each column is eliminated once.
+Each candidate is composed with one jet product, from a candidate of one
+degree less.  Applied to the truncations of the map
 (v,w) -> (v, vw, vw*e^w), the probe exhibits how the minimal relation degree
 grows with K while any fixed degree is eventually excluded - one-sided
 evidence (not proof) that the components satisfy no analytic relation at
@@ -208,12 +210,12 @@ class ProbeResult:
     witness: Polynomial | None
 
 
-def _monomials_up_to(nvars: int, degree: int) -> list:
-    """All exponent tuples of total degree <= degree, ascending grevlex."""
+def _monomials_of_degree(nvars: int, degree: int) -> list:
+    """All exponent tuples of total degree ``degree``, ascending grevlex."""
     out = [()]
-    for _ in range(nvars):
+    for _ in range(nvars - 1):
         out = [m + (e,) for m in out for e in range(degree + 1 - sum(m))]
-    return sorted(out, key=GREVLEX.key)
+    return sorted((m + (degree - sum(m),) for m in out), key=GREVLEX.key)
 
 
 def _require_budget(equations: int, cols: int):
@@ -237,43 +239,40 @@ def relation_probe(components: Sequence[Jet], order: int, max_degree: int) -> Pr
     """Minimal degree of a nonzero polynomial relation visible at this order.
 
     Unknowns are coefficients of F with deg F <= D; one linear equation per
-    parameter monomial of total degree <= K in the composed jet.  The first
-    degree with a nonzero nullspace wins; the witness is the first basis
-    vector, normalized so its leading nonzero coefficient is 1.  Candidates
-    are composed one degree at a time, only as far as the search goes, each
-    as one jet product of an earlier candidate with a component.
+    parameter monomial of total degree <= K in the composed jet.  Each
+    candidate monomial of F is one column, its composed jet's coefficient
+    map, built by one jet product from a candidate of one degree less and
+    fed to ``linalg.relations`` in ascending grevlex only as far as the
+    search goes.  The first dependent column fixes the degree; its relation,
+    with first nonzero coefficient 1 in that order, is the witness.
     """
     r = len(components)
     ctx = components[0].context
     _check_probe_request(ctx.size, r, order, max_degree)
-    target = z_context(r)
     comps = [jet.truncate(order) for jet in components]
-    equations = _monomials_up_to(ctx.size, order)
-    row_of = {mu: i for i, mu in enumerate(equations)}
-    composed = {(0,) * r: Jet.constant(ctx, order, 1)}
-    zero = Fraction(0)
-    for degree in range(1, max_degree + 1):
-        _require_budget(len(equations), comb(degree + r, r))
-        cols = _monomials_up_to(r, degree)
-        matrix = [[zero] * len(cols) for _ in equations]
-        for j, alpha in enumerate(cols):
-            jet = composed.get(alpha)
-            if jet is None:
-                # cols ascend in grevlex, so alpha lowered at its first nonzero exponent came before
+    equations = comb(order + ctx.size, ctx.size)
+    one = (0,) * r
+    candidates = [one]  # the monomial of each column, in the order fed
+    composed = {one: Jet.constant(ctx, order, 1)}
+
+    def columns():
+        yield composed[one].coeffs
+        for degree in range(1, max_degree + 1):
+            _require_budget(equations, comb(degree + r, r))
+            for alpha in _monomials_of_degree(r, degree):
+                # alpha lowered at its first nonzero exponent came a degree earlier
                 k = next(i for i, e in enumerate(alpha) if e)
                 parent = alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:]
-                jet = composed[alpha] = composed[parent] * comps[k]
-            for mu, c in jet.coeffs.items():
-                matrix[row_of[mu]][j] = c
-        kernel = linalg.nullspace(matrix, len(cols))
-        if kernel:
-            vec = kernel[0]
-            witness = Polynomial(
-                target, {cols[j]: vec[j] for j in range(len(cols)) if vec[j]}
-            )
-            if witness.total_degree() != degree:
-                raise InvariantError("witness degree inconsistent with search level")
-            return ProbeResult(order, max_degree, degree, witness)
+                composed[alpha] = composed[parent] * comps[k]
+                candidates.append(alpha)
+                yield composed[alpha].coeffs
+
+    for j, relation in linalg.relations(columns()):
+        degree = sum(candidates[j])
+        witness = Polynomial(z_context(r), {candidates[i]: c for i, c in relation.items()})
+        if witness.total_degree() != degree:
+            raise InvariantError("witness degree inconsistent with search level")
+        return ProbeResult(order, max_degree, degree, witness)
     return ProbeResult(order, max_degree, None, None)
 
 

@@ -1,63 +1,74 @@
-"""Exact rational linear algebra: row echelon form, rank, nullspace.
+"""Exact rational linear algebra: linear relations among columns, rank, nullspace.
 
-Matrices come in as dense lists of rows of ``fractions.Fraction``.
-Elimination runs on sparse rows, one ``{column: Fraction}`` map of the
-nonzero entries per row, so a row update costs the pivot row's nonzeros
-rather than the full width.  The jet relation systems are mostly zeros (the
-largest the Osgood probe builds is 325 x 56 with 96% of its cells zero), and
-exact ``Fraction`` arithmetic on a zero costs as much as on any other entry.
+One elimination serves every caller.  ``relations`` reduces sparse columns,
+``{row: Fraction}`` maps of the nonzero entries under any comparable row
+labels, one at a time against the independent columns kept so far, so a
+caller can feed columns lazily and stop at the first relation, as the jet
+relation probe does.  A relation is the reduced row echelon kernel vector of
+its column, so the answers are those of Gauss-Jordan without building the
+echelon form.  ``nullspace`` and ``rank`` adapt it to dense row lists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable, Iterator, Mapping
 
 
-def row_echelon(rows: list) -> tuple:
-    """Reduced row echelon form and the list of pivot columns (exact).
+def _sub_scaled(target: dict, f: Fraction, other: dict):
+    """target -= f * other in place, deleting the entries that cancel."""
+    for k, x in other.items():
+        y = target.get(k)
+        if y is None:
+            target[k] = -f * x
+        else:
+            y -= f * x
+            if y:
+                target[k] = y
+            else:
+                del target[k]
 
-    Gauss-Jordan in column order; the pivot row for a column is the first
-    row at or below the current one with a nonzero there.  The form is
-    returned as sparse rows: each a ``{column: Fraction}`` map holding only
-    the nonzero entries.
+
+def relations(columns: Iterable[Mapping]) -> Iterator[tuple]:
+    """Yield (j, relation) for each column j that depends on the earlier columns.
+
+    The relation is a ``{column index: Fraction}`` map of its nonzero
+    coordinates, supported on column j and earlier independent columns, with
+    sum(relation[i] * column i) = 0 and its first (lowest index) coordinate
+    equal to 1: the reduced row echelon kernel vector of the free column j.
+    Each kept column is stored reduced against the kept columns before it,
+    scaled to 1 at its pivot row (its lowest row label), together with its
+    combination of input columns.  The input maps are left unchanged.
     """
-    m = [{c: x for c, x in enumerate(row) if x} for row in rows]
-    if not m:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((k for k in range(r, len(m)) if c in m[k]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        prow = m[r] = {j: x / pv for j, x in m[r].items()}
-        for k, row in enumerate(m):
-            f = row.get(c)
-            if f is None or k == r:
-                continue
-            for j, x in prow.items():
-                y = row.get(j)
-                if y is None:
-                    row[j] = -f * x
-                else:
-                    y -= f * x
-                    if y:
-                        row[j] = y
-                    else:
-                        del row[j]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+    kept = []  # (pivot row, reduced column, its combination of input columns)
+    for j, column in enumerate(columns):
+        v = {r: x for r, x in column.items() if x}
+        combination = {j: Fraction(1)}
+        for p, reduced, combo in kept:
+            f = v.get(p)
+            if f is not None:
+                _sub_scaled(v, f, reduced)
+                _sub_scaled(combination, f, combo)
+        if v:
+            p = min(v)
+            pv = v[p]
+            kept.append((
+                p,
+                {r: x / pv for r, x in v.items()},
+                {i: x / pv for i, x in combination.items()},
+            ))
+        else:
+            first = combination[min(combination)]
+            yield j, {i: x / first for i, x in combination.items()}
+
+
+def _columns(rows: list, ncols: int) -> list:
+    return [{i: row[c] for i, row in enumerate(rows) if row[c]} for c in range(ncols)]
 
 
 def rank(rows: list) -> int:
-    _, pivots = row_echelon(rows)
-    return len(pivots)
+    ncols = len(rows[0]) if rows else 0
+    return ncols - sum(1 for _ in relations(_columns(rows, ncols)))
 
 
 def nullspace(rows: list, ncols: int) -> list:
@@ -66,19 +77,10 @@ def nullspace(rows: list, ncols: int) -> list:
     Each vector is dense and normalized so its first nonzero coordinate is
     1, giving deterministic witnesses.
     """
-    rref, pivots = row_echelon(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for f in free:
+    for _, relation in relations(_columns(rows, ncols)):
         v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for row, p in zip(rref, pivots):
-            x = row.get(f)
-            if x is not None:
-                v[p] = -x
-        first = next(x for x in v if x != 0)
-        if first != 1:
-            v = [x / first for x in v]
+        for i, x in relation.items():
+            v[i] = x
         basis.append(v)
     return basis

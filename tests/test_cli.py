@@ -82,13 +82,15 @@ PROBE_SECONDS = 2.0
 
 def _claim_h_above_n(monkeypatch):
     # a dimension reader claiming h > n trips the closure bound check
-    monkeypatch.setattr(groebner.GroebnerBasis, "dimension", lambda self, variables: (99, None))
+    monkeypatch.setattr(groebner.GroebnerBasis, "dimension", lambda self: (99, None))
 
 
 def _constant_relation(monkeypatch):
-    # a kernel vector on the constant column is a degree-0 witness at degree 1
+    # a relation on the constant column alone, reported for the first degree-1 column,
+    # is a degree-0 witness at degree 1
     monkeypatch.setattr(
-        jets.linalg, "nullspace", lambda rows, ncols: [[Fraction(1)] + [Fraction(0)] * (ncols - 1)]
+        jets.linalg, "relations",
+        lambda columns: ((j, {0: Fraction(1)}) for j, _ in enumerate(columns) if j == 1),
     )
 
 
@@ -271,6 +273,16 @@ def test_probe_degree_far_above_the_first_relation():
     assert code == EXIT_OK and "Traceback" not in err
     _, small = invoke(["probe-osgood", "--jets", "3", "--maxdeg", "3", "--json"])
     assert json.loads(out)["results"] == json.loads(small)["results"]
+
+
+def test_realdim_of_a_point_in_c12_answers_in_a_child():
+    # 24 pure-power leading monomials: the staircase search skips every variable
+    # instead of trying all 2^24 subsets
+    names = " ".join(f"z{j}" for j in range(1, 13))
+    equations = "".join(f"eq z{j}\n" for j in range(1, 13))
+    code, out, err = _run_bounded(["realdim", "-", "--json"], f"vars {names}\n{equations}")
+    assert code == EXIT_OK and "Traceback" not in err
+    assert json.loads(out)["results"]["real_dimension"] == 0
 
 
 def test_realdim_reports_empty(tmp_path):

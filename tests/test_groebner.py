@@ -1,6 +1,7 @@
 """Normal forms, Buchberger, elimination, and staircase dimension."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from conftest import (
 from holoclosure.arith import gq
 from holoclosure.errors import ResourceLimitError
 from holoclosure.groebner import (
+    GroebnerBasis,
     GroebnerConfig,
     Ideal,
     buchberger,
@@ -232,11 +234,11 @@ def test_block_bases_give_grevlex_dimension_and_elimination_ideals():
         I = Ideal.from_polys(ctx, gens)
         order = BLOCK_ORDERS[k % len(BLOCK_ORDERS)]
         gb = buchberger(I, order)
-        assert gb.dimension(range(4))[0] == ideal_dimension(I)
+        assert gb.dimension()[0] == ideal_dimension(I)
         for count in range(1, len(order.groups)):
             part = gb.elimination(count)
             J = Ideal(part.context, part.basis)
-            assert part.dimension(range(part.context.size))[0] == ideal_dimension(J)
+            assert part.dimension()[0] == ideal_dimension(J)
             assert part.basis == buchberger(J, part.order).basis
             if count == len(order.groups) - 1:
                 assert part.order == GREVLEX
@@ -268,16 +270,33 @@ def test_determinism():
     assert a.basis == b.basis
 
 
-def test_dimension_restricted_to_block():
-    from holoclosure.groebner import dimension_and_witness
+def first_independent_set(monomials, nvars):
+    """Model: every subset, largest first and in combinations order, with no pruning."""
+    supports = [frozenset(k for k, e in enumerate(m) if e) for m in monomials]
+    if any(not s for s in supports):
+        return None, None
+    for size in range(nvars, -1, -1):
+        for S in combinations(range(nvars), size):
+            if not any(sup <= set(S) for sup in supports):
+                return size, frozenset(S)
 
-    ctx = zw_context(2)
-    I = Ideal.from_polys(ctx, [pp(ctx, "z1*z2 - 1")])
-    dim, witness = dimension_and_witness(I, Block.Z)
-    assert dim == 1
-    assert witness <= set(ctx.indices(Block.Z))
-    with pytest.raises(ValueError):
-        dimension_and_witness(Ideal.from_polys(ctx, [pp(ctx, "w1")]), Block.Z)
+
+def test_dimension_witness_matches_the_unpruned_subset_search():
+    # leading monomials that are pure powers are the variables the search skips
+    rng = random.Random(31)
+    for _ in range(300):
+        nv = rng.randint(1, 6)
+        ctx = param_ctx([f"x{j}" for j in range(1, nv + 1)])
+        monos = set()
+        for _ in range(rng.randint(0, 5)):
+            if rng.random() < 0.4:
+                m = [0] * nv
+                m[rng.randrange(nv)] = rng.randint(1, 3)
+                monos.add(tuple(m))
+            else:
+                monos.add(rand_exponents(rng, nv, 3))
+        basis = tuple(Polynomial.from_monomial(ctx, m) for m in sorted(monos))
+        assert GroebnerBasis(ctx, GREVLEX, basis).dimension() == first_independent_set(monos, nv)
 
 
 def test_basis_is_fully_reduced():

@@ -5,7 +5,7 @@ from math import comb, factorial
 
 import pytest
 
-from holoclosure import jets
+from holoclosure import jets, linalg
 from holoclosure.errors import ResourceLimitError
 from holoclosure.jets import (
     Jet,
@@ -16,7 +16,7 @@ from holoclosure.jets import (
     osgood_probe,
     relation_probe,
 )
-from holoclosure.poly import param_context, z_context
+from holoclosure.poly import GREVLEX, param_context, z_context
 from holoclosure.syntax import parse, parse_polynomial
 
 VW = param_context(("v", "w"))
@@ -120,6 +120,26 @@ def test_relation_probe_makes_one_jet_product_per_new_column(monkeypatch):
     assert relation_probe(comps, 24, 5).min_relation_degree == 5
     # the candidates are the monomials of degree <= 5 in z1, z2, z3; the constant needs none
     assert len(calls) <= comb(5 + 3, 3) - 1
+
+
+def test_relation_probe_eliminates_each_candidate_column_once(monkeypatch):
+    original = linalg.relations
+    fed = []
+
+    def counting(columns):
+        def tally():
+            for col in columns:
+                fed.append(col)
+                yield col
+        return original(tally())
+
+    monkeypatch.setattr(jets.linalg, "relations", counting)
+    res = relation_probe(osgood_components(24), 24, 5)
+    assert res.min_relation_degree == 5
+    # one column per monomial of degree <= 5 in z1, z2, z3 (C(8, 3) = 56), fed once each in
+    # ascending grevlex up to the first dependent one, z1^4*z2: z1^5, the last, is never built
+    assert len(fed) == comb(5 + 3, 3) - 1
+    assert res.witness.leading(GREVLEX)[0] == (4, 1, 0)
 
 
 def test_probe_budget(monkeypatch):

@@ -1,4 +1,4 @@
-"""Sparse exact elimination against a dense Gauss-Jordan model."""
+"""Column-by-column exact elimination against a dense Gauss-Jordan model."""
 
 from fractions import Fraction
 
@@ -48,10 +48,6 @@ def dense_nullspace(rows, ncols):
     return basis
 
 
-def densify(sparse_rows, ncols):
-    return [[row.get(c, Fraction(0)) for c in range(ncols)] for row in sparse_rows]
-
-
 RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 MOSTLY_ZERO = st.one_of(st.just(Fraction(0)), RATIONALS)
 
@@ -83,23 +79,59 @@ def matrices(draw):
     return rows, ncols
 
 
+def columns_of(rows, ncols):
+    """Sparse columns of a dense matrix, with an explicit zero left in now and then."""
+    cols = []
+    for c in range(ncols):
+        col = {i: row[c] for i, row in enumerate(rows) if row[c] or (i + c) % 3 == 0}
+        cols.append(col)
+    return cols
+
+
 @settings(max_examples=100, deadline=None)
 @given(matrices())
-def test_row_echelon_rank_and_nullspace_match_the_dense_model(matrix):
+def test_rank_and_nullspace_match_the_dense_model(matrix):
     rows, ncols = matrix
     copy = [list(r) for r in rows]
-    expected_rref, expected_pivots = dense_row_echelon(rows)
-    rref, pivots = linalg.row_echelon(rows)
-    assert rows == copy
-    assert pivots == expected_pivots
-    assert densify(rref, ncols) == expected_rref
-    assert all(0 not in row.values() for row in rref)  # only nonzero entries are kept
+    _, expected_pivots = dense_row_echelon(rows)
     assert linalg.rank(rows) == len(expected_pivots)
     kernel = linalg.nullspace(rows, ncols)
+    assert rows == copy
     assert kernel == dense_nullspace(rows, ncols)
-    assert len(kernel) == ncols - len(pivots)
+    assert len(kernel) == ncols - len(expected_pivots)
     for v in kernel:
         assert all(type(x) is Fraction for x in v)
         assert next(x for x in v if x != 0) == 1
         assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
 
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_relations_are_the_kernel_vectors_of_the_free_columns(matrix):
+    rows, ncols = matrix
+    _, pivots = dense_row_echelon(rows)
+    cols = columns_of(rows, ncols)
+    copy = [dict(c) for c in cols]
+    found = list(linalg.relations(cols))
+    assert cols == copy  # the input maps are left unchanged
+    assert [j for j, _ in found] == [c for c in range(ncols) if c not in pivots]
+    for (j, relation), v in zip(found, dense_nullspace(rows, ncols)):
+        assert all(type(x) is Fraction and x != 0 for x in relation.values())
+        assert max(relation) == j and relation[min(relation)] == 1
+        assert relation == {i: x for i, x in enumerate(v) if x}
+
+
+def test_relations_take_any_comparable_row_labels_and_stop_early():
+    # rows labelled by monomials; the third column is the sum of the first two
+    a = {(0, 1): Fraction(2), (1, 0): Fraction(1)}
+    b = {(1, 0): Fraction(3)}
+    fed = []
+
+    def columns():
+        for col in (a, b, {(0, 1): Fraction(2), (1, 0): Fraction(4)}, {(2, 0): Fraction(1)}):
+            fed.append(col)
+            yield col
+
+    j, relation = next(linalg.relations(columns()))
+    assert (j, relation) == (2, {0: Fraction(1), 1: Fraction(1), 2: Fraction(-1)})
+    assert len(fed) == 3
