@@ -4,9 +4,11 @@
 One golden file per fixture, produced by that fixture's primary command with
 a fixed seed.  Run from the repository root:
 
-    python scripts/regen_golden.py
+    python scripts/regen_golden.py          # rewrite fixtures/golden
+    python scripts/regen_golden.py --check  # write nothing; exit 1 naming each file that differs
 """
 
+import argparse
 import io
 import sys
 from pathlib import Path
@@ -36,8 +38,14 @@ COMMANDS = {
 }
 
 
-def main():
-    GOLDEN.mkdir(parents=True, exist_ok=True)
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Regenerate the golden reports of the fixtures.")
+    parser.add_argument("--check", action="store_true",
+                        help="compare with fixtures/golden without writing; exit 1 if any differs")
+    args = parser.parse_args(argv)
+    if not args.check:
+        GOLDEN.mkdir(parents=True, exist_ok=True)
+    differ = []
     for fixture, argv in COMMANDS.items():
         command = argv[0]
         full = [command, str(ROOT / "fixtures" / fixture)] + argv[1:] + ["--json", "--seed", "0"]
@@ -46,8 +54,18 @@ def main():
         if code != 0:
             raise SystemExit(f"{fixture}: exit {code}\n{out.getvalue()}")
         name = f"{fixture.replace('.', '_')}__{command}.json"
-        (GOLDEN / name).write_text(out.getvalue(), encoding="utf-8")
-        print(f"wrote {name}")
+        path = GOLDEN / name
+        if args.check:
+            if not path.is_file() or path.read_text(encoding="utf-8") != out.getvalue():
+                differ.append(name)
+        else:
+            path.write_text(out.getvalue(), encoding="utf-8")
+            print(f"wrote {name}")
+    if differ:
+        print("\n".join(f"differs: {name}" for name in differ))
+        raise SystemExit(1)
+    if args.check:
+        print(f"all {len(COMMANDS)} golden reports match")
 
 
 if __name__ == "__main__":

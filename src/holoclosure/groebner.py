@@ -3,29 +3,32 @@
 The engine is deliberately plain: normal pair-selection strategy plus the
 coprime and chain criteria, full inter-reduction at the end, and a hard
 pair/degree budget so adversarial input fails deterministically instead of
-looping.  Division reduces in one mutable term map whose monomials sit once
-each in a min-heap of flat order keys, so no step re-sorts a polynomial (a
-heap where Yan's geobuckets, JSC 26, 1998, keep buckets); the popped largest
-monomial goes to the first reducer in list order that divides it, so
-remainders are deterministic.  Dimension is the combinatorial one, read off
-the leading-term staircase of a basis in any term order: R/I and R/in(I)
-have the same Krull dimension (Kredel and Weispfenning, JSC 6, 1988), and it
-agrees with the dimension of the radical, so no radical computation is
-needed.  The part of a block-elimination basis free of its leading groups is
-the reduced basis of the elimination ideal, so one basis answers every
-dimension and elimination question about an ideal and its projections.
+looping.  Division reduces in one mutable term map keyed by the order's
+additive int key, each key sitting once in a min-heap (negated), so no step
+re-sorts a polynomial (a heap where Yan's geobuckets, JSC 26, 1998, keep
+buckets); exponents travel packed beside the keys, so a divisibility test
+is one subtraction and one mask and a product is two additions (Monagan
+and Pearce, JSC 46, 2011).  The popped largest monomial goes to the first
+reducer in list order that divides it, so remainders are deterministic.
+Dimension is the combinatorial one, read off the leading-term staircase of
+a basis in any term order: R/I and R/in(I) have the same Krull dimension
+(Kredel and Weispfenning, JSC 6, 1988), and it agrees with the dimension of
+the radical, so no radical computation is needed.  The part of a
+block-elimination basis free of its leading groups is the reduced basis of
+the elimination ideal, so one basis answers every dimension and elimination
+question about an ideal and its projections.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from holoclosure.arith import gq
 from holoclosure.errors import ResourceLimitError
 from holoclosure.poly import (
+    MAX_EXPONENT,
     Block,
     BlockElimination,
     GREVLEX,
@@ -36,7 +39,6 @@ from holoclosure.poly import (
     monomial_div,
     monomial_divides,
     monomial_lcm,
-    monomial_mul,
 )
 
 
@@ -94,19 +96,50 @@ class GroebnerBasis:
         An empty basis is the zero ideal (every variable independent);
         (None, None) means the unit ideal, the empty set.  A variable that
         is the whole support of a leading monomial lies in no independent
-        set, so the search over subsets, largest first, skips it.
+        set, so the search skips it.  The search is a branch and bound over
+        the other variables in index order, each tried in before out; a
+        branch is cut once it cannot beat the largest set found so far, so
+        the first largest set it meets is the lexicographically first one,
+        the set ``combinations`` gives first, largest size first.
         """
         supports = [frozenset(k for k, e in enumerate(m) if e) for m in self.leading_monomials()]
         if any(not s for s in supports):
             return None, None  # a constant leads the staircase: unit ideal
         powers = {k for s in supports if len(s) == 1 for k in s}
         variables = [k for k in range(self.context.size) if k not in powers]
-        supports = [s for s in supports if not s & powers]
-        # the largest S containing no support
-        for size in range(len(variables), -1, -1):
-            for S in combinations(variables, size):
-                if not any(sup <= set(S) for sup in supports):
-                    return size, frozenset(S)
+        supports = sorted((s for s in supports if not s & powers), key=len)
+        containing = {k: [s for s in supports if k in s] for k in variables}
+        chosen = set()
+        best = [-1, None]
+
+        def upper_bound(pos: int) -> int:
+            # every support whose decided variables are all chosen loses one of
+            # its undecided ones; disjoint undecided parts lose one each
+            first = variables[pos] if pos < len(variables) else self.context.size
+            lost, taken = 0, set()
+            for s in supports:
+                if all(k in chosen for k in s if k < first):
+                    undecided = {k for k in s if k >= first}
+                    if not undecided & taken:
+                        taken |= undecided
+                        lost += 1
+            return len(chosen) + len(variables) - pos - lost
+
+        def search(pos: int):
+            if upper_bound(pos) <= best[0]:
+                return
+            if pos == len(variables):
+                best[:] = [len(chosen), frozenset(chosen)]
+                return
+            v = variables[pos]
+            chosen.add(v)
+            if not any(s <= chosen for s in containing[v]):
+                search(pos + 1)
+            chosen.discard(v)
+            search(pos + 1)
+
+        search(0)
+        return tuple(best)
 
     def elimination(self, count: int) -> "GroebnerBasis":
         """The elements free of the first ``count`` groups of a block order.
@@ -130,47 +163,64 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder) ->
     """Remainder of multivariate division of f by G.
 
     No term of the result is divisible by any leading monomial of G, and
-    f - result lies in the ideal generated by G.  The dividend lives in one
-    mutable term map; a min-heap holds each of its monomials once, under
-    ``order.heap_key``, so every step pops the largest live monomial without
-    re-sorting.  A monomial whose coefficient cancelled stays in the map at
-    zero until it is popped and skipped.  The largest monomial is reduced by
-    the first reducer in list order whose leading monomial divides it, so
-    the result is deterministic; the reducer's leading term is skipped, since
-    it cancels exactly.  Only the remainder becomes a ``Polynomial``.
+    f - result lies in the ideal generated by G.  Division runs on the
+    polynomials' packed views: the dividend is one mutable map from order
+    key to coefficient, with the packed exponents of each key beside it, and
+    a min-heap holds each key once, negated, so every step pops the largest
+    live monomial without re-sorting.  A monomial whose coefficient
+    cancelled stays in the map at zero until it is popped and skipped.  A
+    reducer divides when ``(e - lm) & guard`` is 0, and the quotient times
+    a reducer term is one int addition for the key and one for the
+    exponents; a product that sets a guard bit raises ResourceLimitError.
+    The largest monomial is reduced by the first reducer in list order whose
+    leading monomial divides it, so the result is deterministic; the
+    reducer's leading term is skipped, since it cancels exactly.  Only the
+    remainder is unpacked into exponent tuples.
     """
-    heap_key = order.heap_key
+    packing = order.packing(f.context.size)
+    guard = packing.guard
     reducers = []
     for g in G:
         if not g.is_zero:
-            lm, lc = g.leading(order)
-            reducers.append((lm, lc, g.terms))
-    terms = dict(f.terms)
-    heap = [(heap_key(m), m) for m in terms]
+            (lp, lk, lc), *rest = g.packed_terms(order)
+            reducers.append((lp, lk, lc, rest))
+    dividend = f.packed_terms(order)
+    coeffs = {k: c for _, k, c in dividend}
+    exps = {k: p for p, k, _ in dividend}
+    heap = [-k for k in coeffs]
     heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
     remainder = {}
     while heap:
-        m = heapq.heappop(heap)[1]
-        c = terms.pop(m)
+        k = -pop(heap)
+        c = coeffs.pop(k)
+        p = exps.pop(k)
         if not c:
             continue
-        for lm, lc, g_terms in reducers:
-            if monomial_divides(lm, m):
-                q = monomial_div(m, lm)
+        for lp, lk, lc, rest in reducers:
+            q = p - lp
+            if not q & guard:
+                qk = k - lk
                 s = -(c / lc)
-                for m2, c2 in g_terms.items():
-                    if m2 == lm:
-                        continue
-                    t = monomial_mul(q, m2)
-                    old = terms.get(t)
+                for p2, k2, c2 in rest:
+                    t = qk + k2
+                    old = coeffs.get(t)
                     if old is None:
-                        terms[t] = s * c2
-                        heapq.heappush(heap, (heap_key(t), t))
+                        # a live key's exponents already fit, so only a new one is checked
+                        e = q + p2
+                        if e & guard:
+                            raise ResourceLimitError(
+                                f"normal form: a product exponent exceeds the packed "
+                                f"exponent limit of {MAX_EXPONENT}"
+                            )
+                        coeffs[t] = s * c2
+                        exps[t] = e
+                        push(heap, -t)
                     else:
-                        terms[t] = old + s * c2
+                        coeffs[t] = old + s * c2
                 break
         else:
-            remainder[m] = c
+            remainder[packing.unpack(p)] = c
     return Polynomial(f.context, remainder)
 
 
@@ -208,6 +258,10 @@ def buchberger(I: Ideal, order: MonomialOrder, config: GroebnerConfig = DEFAULT_
         return GroebnerBasis(I.context, order, ())
     G = [g.monic(order) for g in gens]
     lead = [g.leading(order)[0] for g in G]
+    # the leads packed, for the coprime and chain tests
+    packing = order.packing(I.context.size)
+    guard = packing.guard
+    packed = [g.packed_terms(order)[0][0] for g in G]
 
     heap = []
     pending = set()
@@ -215,7 +269,7 @@ def buchberger(I: Ideal, order: MonomialOrder, config: GroebnerConfig = DEFAULT_
     def push_pairs(j):
         for i in range(j):
             lcm = monomial_lcm(lead[i], lead[j])
-            heapq.heappush(heap, (monomial_degree(lcm), i, j, lcm))
+            heapq.heappush(heap, (monomial_degree(lcm), i, j, packing.pack(lcm)))
             pending.add((i, j))
 
     for j in range(len(G)):
@@ -229,7 +283,7 @@ def buchberger(I: Ideal, order: MonomialOrder, config: GroebnerConfig = DEFAULT_
         if processed > config.max_pairs:
             raise ResourceLimitError(f"S-pair budget of {config.max_pairs} exceeded")
         # coprime leading terms reduce to zero
-        if lcm == monomial_mul(lead[i], lead[j]):
+        if lcm == packed[i] + packed[j]:
             continue
         # chain criterion: a third element dividing the lcm whose pairs with
         # i and j are both settled makes this pair redundant
@@ -237,7 +291,7 @@ def buchberger(I: Ideal, order: MonomialOrder, config: GroebnerConfig = DEFAULT_
         for k in range(len(G)):
             if k == i or k == j:
                 continue
-            if monomial_divides(lead[k], lcm):
+            if not (lcm - packed[k]) & guard:
                 pik = (min(i, k), max(i, k))
                 pjk = (min(j, k), max(j, k))
                 if pik not in pending and pjk not in pending:
@@ -254,6 +308,7 @@ def buchberger(I: Ideal, order: MonomialOrder, config: GroebnerConfig = DEFAULT_
             )
         G.append(h.monic(order))
         lead.append(h.leading(order)[0])
+        packed.append(G[-1].packed_terms(order)[0][0])
         push_pairs(len(G) - 1)
 
     return GroebnerBasis(I.context, order, _reduce_basis(G, order))

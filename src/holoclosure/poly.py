@@ -11,15 +11,24 @@ Block structure is what makes the geometric constructions mechanical: the
 conjugation swap pairs the zeta/zetabar (or z/w) blocks positionally, and
 elimination orders rank every monomial touching an eliminated block above
 all monomials free of it.
+
+Every monomial order here (lex, grevlex, block elimination) is a list of 0/1
+weight rows, so it is one additive int key: the row sums packed side by
+side, first row most significant.  Division works on that key and on the
+exponents packed into guarded int fields (``Packing``); the term maps keep
+their tuples, which the parser, the renderer and the jets share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from operator import itemgetter, lshift, mul
 from typing import Mapping, Sequence
 
 from holoclosure.arith import GaussianRational, gq, gq_to_text, power
+from holoclosure.errors import ResourceLimitError
 
 Monomial = tuple  # dense exponent tuple, one entry per context variable
 
@@ -135,49 +144,101 @@ def monomial_degree(m: Monomial) -> int:
 
 # -- monomial orders --------------------------------------------------------
 
+# A packed exponent vector holds one FIELD_BITS-wide field per variable,
+# variable k in the bits from FIELD_BITS * k up; each field's top bit is a
+# guard that stays clear while the exponent is at most MAX_EXPONENT.
+FIELD_BITS = 16
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
 
-def _grevlex_key(m: Monomial):
-    return (sum(m), tuple(-e for e in reversed(m)))
+
+class Packing:
+    """Monomials in ``size`` variables as ints, under one monomial order.
+
+    ``pack`` gives the exponent vector with one guarded field per variable,
+    so a product is the sum of the packs and a divides b exactly when
+    ``(pack(b) - pack(a)) & guard == 0`` (Monagan and Pearce, JSC 46, 2011).
+    ``key`` gives the order's weight-row sums in one int, first row most
+    significant, so comparing keys is the order and key(a*b) = key(a) +
+    key(b).  A key field is FIELD_BITS + size.bit_length() bits wide, so even
+    the product of two packable monomials cannot overflow one.  A monomial
+    with an exponent above MAX_EXPONENT is refused with a ResourceLimitError.
+    """
+
+    __slots__ = ("shifts", "guard", "key_weights")
+
+    def __init__(self, rows: tuple, size: int):
+        self.shifts = tuple(range(0, FIELD_BITS * size, FIELD_BITS))
+        self.guard = sum(1 << (s + FIELD_BITS - 1) for s in self.shifts)
+        width = FIELD_BITS + size.bit_length()
+        weights = [0] * size
+        for r, row in enumerate(rows):
+            for k in row:
+                weights[k] += 1 << (width * (len(rows) - 1 - r))
+        self.key_weights = tuple(weights)
+
+    def _check(self, m: Monomial):
+        if max(m, default=0) > MAX_EXPONENT:
+            raise ResourceLimitError(
+                f"exponent {max(m)} exceeds the packed exponent limit of {MAX_EXPONENT}"
+            )
+
+    def key(self, m: Monomial) -> int:
+        self._check(m)
+        return sum(map(mul, m, self.key_weights))
+
+    def pack(self, m: Monomial) -> int:
+        self._check(m)
+        return sum(map(lshift, m, self.shifts))
+
+    def unpack(self, p: int) -> Monomial:
+        mask = (1 << FIELD_BITS) - 1
+        return tuple([(p >> s) & mask for s in self.shifts])
+
+
+@lru_cache(maxsize=256)
+def _packing(order: "MonomialOrder", size: int) -> Packing:
+    return Packing(order.weight_rows(size), size)
 
 
 class MonomialOrder:
-    """Total, multiplicative well-order on monomials, exposed as a sort key.
+    """Total, multiplicative well-order on monomials, given by 0/1 weight rows.
 
-    ``key`` grows with the monomial.  ``heap_key`` is a flat tuple of ints
-    that shrinks as the monomial grows, so a min-heap pops the largest
-    monomial first; both are injective.
+    ``weight_rows(n)`` lists, most significant first, the index tuples whose
+    exponent sums are compared in turn; the rows are independent, so the
+    order is total.  ``key`` packs those sums into one int that grows with
+    the monomial and adds under multiplication.
     """
 
-    def key(self, m: Monomial):
+    def weight_rows(self, n: int) -> tuple:
         raise NotImplementedError
 
-    def heap_key(self, m: Monomial) -> tuple:
-        raise NotImplementedError
+    def packing(self, n: int) -> Packing:
+        return _packing(self, n)
+
+    def key(self, m: Monomial) -> int:
+        return self.packing(len(m)).key(m)
 
 
 @dataclass(frozen=True)
 class Lex(MonomialOrder):
-    def key(self, m: Monomial):
-        return m
-
-    def heap_key(self, m: Monomial) -> tuple:
-        return tuple([-e for e in m])
+    def weight_rows(self, n: int) -> tuple:
+        return tuple((k,) for k in range(n))
 
 
 @dataclass(frozen=True)
 class Grevlex(MonomialOrder):
-    def key(self, m: Monomial):
-        return _grevlex_key(m)
+    """Degree, then the smaller last exponent: the prefix sums e1+...+en, ..., e1."""
 
-    def heap_key(self, m: Monomial) -> tuple:
-        return (-sum(m),) + m[::-1]
+    def weight_rows(self, n: int) -> tuple:
+        return tuple(tuple(range(k)) for k in range(n, 0, -1))
 
 
 @dataclass(frozen=True)
 class BlockElimination(MonomialOrder):
     """Index groups ranked in order, each dominating all later ones; grevlex inside each.
 
-    ``groups`` is a tuple of ascending index tuples partitioning the variables.
+    ``groups`` is a tuple of ascending index tuples partitioning the variables;
+    the weight rows are each group's grevlex rows, in group rank order.
     """
 
     groups: tuple
@@ -201,16 +262,8 @@ class BlockElimination(MonomialOrder):
         groups = tuple(tuple(new_index[k] for k in g) for g in self.groups[count:])
         return GREVLEX if len(groups) == 1 else BlockElimination(groups)
 
-    def key(self, m: Monomial):
-        return tuple([_grevlex_key(tuple([m[k] for k in g])) for g in self.groups])
-
-    def heap_key(self, m: Monomial) -> tuple:
-        key = []
-        for g in self.groups:
-            part = [m[k] for k in reversed(g)]
-            key.append(-sum(part))
-            key += part
-        return tuple(key)
+    def weight_rows(self, n: int) -> tuple:
+        return tuple(g[:k] for g in self.groups for k in range(len(g), 0, -1))
 
 
 GREVLEX = Grevlex()
@@ -224,12 +277,12 @@ class Polynomial:
     """Immutable multivariate polynomial over Q(i).
 
     ``terms`` maps exponent tuples to nonzero coefficients.  A sorted term
-    view is needed only for rendering and for leading terms (division keeps
-    its own heap of order keys); it is cached per monomial order object,
-    since one polynomial is read under several orders.
+    view is needed only for rendering and for leading terms, and a packed
+    view only for division; both are cached per monomial order object, since
+    one polynomial is read under several orders.
     """
 
-    __slots__ = ("context", "terms", "_sorted")
+    __slots__ = ("context", "terms", "_sorted", "_packed")
 
     def __init__(self, context: VariableContext, terms: Mapping[Monomial, GaussianRational]):
         pruned = {}
@@ -240,6 +293,7 @@ class Polynomial:
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "terms", pruned)
         object.__setattr__(self, "_sorted", {})
+        object.__setattr__(self, "_packed", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -288,8 +342,20 @@ class Polynomial:
         """Terms as (monomial, coeff), descending in the active order."""
         cached = self._sorted.get(order)
         if cached is None:
-            cached = sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
+            key = order.packing(self.context.size).key
+            cached = sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
             self._sorted[order] = cached
+        return cached
+
+    def packed_terms(self, order: MonomialOrder) -> list:
+        """Terms as (packed exponents, order key, coeff), descending in ``order``."""
+        cached = self._packed.get(order)
+        if cached is None:
+            packing = order.packing(self.context.size)
+            pack, key = packing.pack, packing.key
+            cached = [(pack(m), key(m), c) for m, c in self.terms.items()]
+            cached.sort(key=itemgetter(1), reverse=True)
+            self._packed[order] = cached
         return cached
 
     def leading(self, order: MonomialOrder) -> tuple:

@@ -1,5 +1,6 @@
 """CLI behavior: golden reports, exit codes, determinism."""
 
+import importlib.util
 import io
 import json
 import os
@@ -163,6 +164,10 @@ EXIT_CASES = [
     ExitCase(("hcdim", "-"), EXIT_RESOURCE_LIMIT,
              "line 2, column 23: 1921 terms exceed the input budget of 1000",
              "vars z1 z2\neq (z1+1)^30*(z2+1)^30+(conj(z1)+1)^30*(conj(z2)+1)^30\n"),
+    # lex reduction by z1 - z2^1000 turns z1^33 into z2^33000, past the packed exponent field
+    ExitCase(("groebner", "-", "--order", "lex", "--max-degree", "100000"), EXIT_RESOURCE_LIMIT,
+             "normal form: a product exponent exceeds the packed exponent limit of 32767",
+             "vars z1 z2\neq z1-z2^1000\neq z1^33-1\n", bounded=True),
     ExitCase(("probe-osgood", "--jets", "100000", "--maxdeg", "1"), EXIT_RESOURCE_LIMIT,
              "exceeds the probe budget", bounded=True),
     ExitCase(("probe", str(FIXTURES / "osgood.jets"), "--jets", "100000", "--maxdeg", "1"),
@@ -285,6 +290,16 @@ def test_realdim_of_a_point_in_c12_answers_in_a_child():
     assert json.loads(out)["results"]["real_dimension"] == 0
 
 
+def test_realdim_of_products_of_pairs_answers_in_a_child():
+    # leading monomials z1*z2, z3*z4, ...: no variable is a pure power, so the
+    # staircase search must cut branches instead of walking the subsets
+    names = " ".join(f"z{j}" for j in range(1, 13))
+    equations = "".join(f"eq z{j}*z{j + 1}\n" for j in range(1, 13, 2))
+    code, out, err = _run_bounded(["realdim", "-", "--json"], f"vars {names}\n{equations}")
+    assert code == EXIT_OK and "Traceback" not in err
+    assert json.loads(out)["results"]["real_dimension"] == 12
+
+
 def test_realdim_reports_empty(tmp_path):
     empty = tmp_path / "empty.sys"
     empty.write_text("vars z1\neq 1\n", encoding="utf-8")
@@ -329,6 +344,35 @@ def test_probe_osgood_matches_the_benchmark_reference():
     for row, expected in zip(ours, theirs):
         assert row["min_relation_degree"] == expected["min_relation_degree"] == 5
         assert parse_polynomial(row["witness"], z) == parse_polynomial(expected["witness"], z)
+
+
+BENCH = FIXTURES.parent / "bench"
+
+# the benchmark's hard-tier commands: reference name -> command line, input under bench/inputs
+HARD_TIER = {
+    "cubic_hcdim": ("hcdim", "cubic.sys"),
+    "ladder30_hcdim": ("hcdim", "ladder30.sys"),
+    "katsura4_groebner": ("groebner", "katsura4.sys"),
+    "cyclic5_groebner": ("groebner", "cyclic5.sys"),
+    "katsura3_groebner_lex": ("groebner", "katsura3.sys", "--order", "lex"),
+}
+
+
+def _bench_check():
+    """bench/check.py, which compares polynomials with a parser of its own."""
+    spec = importlib.util.spec_from_file_location("bench_check", BENCH / "check.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("ref", HARD_TIER)
+def test_hard_tier_matches_the_benchmark_reference(ref):
+    # a wrong basis fails here before it fails a benchmark run
+    command, name, *flags = HARD_TIER[ref]
+    code, out = invoke([command, str(BENCH / "inputs" / name), *flags, "--json"])
+    reference = json.loads((BENCH / "refs" / f"{ref}.json").read_text(encoding="utf-8"))
+    assert _bench_check().check_output(reference, code, out) == []
 
 
 def test_probe_osgood_matches_user_probe():

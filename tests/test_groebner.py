@@ -32,6 +32,7 @@ from holoclosure.poly import (
     BlockElimination,
     GREVLEX,
     LEX,
+    MAX_EXPONENT,
     Polynomial,
     VariableContext,
     monomial_div,
@@ -259,6 +260,22 @@ def test_degree_budget_exhaustion():
     I = Ideal.from_polys(XY, [pp(XY, "x^3 - y"), pp(XY, "x*y^3 - x - 1")])
     with pytest.raises(ResourceLimitError):
         buchberger(I, LEX, GroebnerConfig(max_pairs=50_000, max_degree=2))
+
+
+def test_exponent_past_the_packed_field_width_is_a_resource_limit():
+    # x*y^e reduced by x - y^5000 (lead x under lex) multiplies out to y^(e + 5000)
+    reducer = Polynomial(XY, {(1, 0): gq(1), (0, 5000): gq(-1)})
+    at_limit = Polynomial.from_monomial(XY, (1, MAX_EXPONENT - 5000))
+    assert normal_form(at_limit, [reducer], LEX) == Polynomial.from_monomial(XY, (0, MAX_EXPONENT))
+    past_limit = Polynomial.from_monomial(XY, (1, MAX_EXPONENT - 4999))
+    with pytest.raises(ResourceLimitError, match="packed exponent limit of 32767"):
+        normal_form(past_limit, [reducer], LEX)
+    # an exponent that does not fit its field is refused before any arithmetic
+    too_wide = Polynomial.from_monomial(XY, (MAX_EXPONENT + 1, 0))
+    with pytest.raises(ResourceLimitError, match="exponent 32768 exceeds"):
+        normal_form(too_wide, [reducer], LEX)
+    with pytest.raises(ResourceLimitError, match="exponent 32768 exceeds"):
+        too_wide.leading(GREVLEX)
 
 
 def test_determinism():

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import param_ctx, rand_nonzero_poly, rand_poly
@@ -14,8 +14,11 @@ from holoclosure.poly import (
     BlockElimination,
     GREVLEX,
     LEX,
+    MAX_EXPONENT,
     Polynomial,
     VariableContext,
+    monomial_divides,
+    monomial_mul,
     param_context,
     polynomial_to_text,
     zeta_context,
@@ -86,10 +89,70 @@ def test_order_is_total_and_multiplicative(order, a, b, c):
         assert _cmp(order, ac, bc) == -1
 
 
-@given(orders, exponents3, exponents3)
-def test_heap_key_reverses_the_order(order, a, b):
-    # a min-heap under heap_key pops the largest monomial first
-    assert (order.heap_key(a) < order.heap_key(b)) == (_cmp(order, a, b) == 1)
+def _grevlex_reference(m):
+    return (sum(m), tuple(-e for e in reversed(m)))
+
+
+# each order beside a tuple sort key that defines it independently
+PACKED_ORDERS = [
+    (LEX, lambda m: m),
+    (GREVLEX, _grevlex_reference),
+    (BlockElimination(((1, 3), (0,), (2, 4))),
+     lambda m: (_grevlex_reference((m[1], m[3])), m[0], _grevlex_reference((m[2], m[4])))),
+]
+packed_orders = st.sampled_from(PACKED_ORDERS)
+# exponents mostly small, some near the top of a packed field
+exponent = st.one_of(st.integers(0, 4), st.integers(0, MAX_EXPONENT))
+exponents5 = st.tuples(*(exponent,) * 5)
+half_exponents5 = st.tuples(*(st.integers(0, MAX_EXPONENT // 2),) * 5)
+
+
+@given(packed_orders, exponents5, exponents5)
+def test_int_key_agrees_with_the_tuple_reference_order(order_ref, a, b):
+    order, ref = order_ref
+    assert (order.key(a) < order.key(b)) == (ref(a) < ref(b))
+    assert (order.key(a) == order.key(b)) == (a == b)
+
+
+@given(packed_orders, half_exponents5, half_exponents5)
+def test_int_key_adds_under_multiplication(order_ref, a, b):
+    order, _ = order_ref
+    assert order.key(monomial_mul(a, b)) == order.key(a) + order.key(b)
+
+
+@given(packed_orders, exponents5, exponents5, exponents5, exponents5)
+# x2^32768*x4^32768 against x0 under the block order: the row x2+x4 reaches 2^16
+@example(PACKED_ORDERS[2], (0, 0, MAX_EXPONENT, 0, MAX_EXPONENT), (0, 0, 1, 0, 1),
+         (1, 0, 0, 0, 0), (0, 0, 0, 0, 0))
+def test_key_sums_order_products_past_the_field_width(order_ref, a, b, c, d):
+    # division adds the keys of two packable monomials before it checks the
+    # exponents, so a key field must hold the row sums of such a product
+    order, ref = order_ref
+    ab, cd = monomial_mul(a, b), monomial_mul(c, d)
+    ka, kc = order.key(a) + order.key(b), order.key(c) + order.key(d)
+    assert (ka < kc) == (ref(ab) < ref(cd))
+    assert (ka == kc) == (ab == cd)
+
+
+@given(packed_orders, exponents5)
+def test_pack_round_trips(order_ref, m):
+    packing = order_ref[0].packing(5)
+    assert packing.unpack(packing.pack(m)) == m
+
+
+@given(packed_orders, exponents5, exponents5, st.booleans())
+def test_guard_bit_divisibility_matches_the_tuple_definition(order_ref, a, c, multiple):
+    packing = order_ref[0].packing(5)
+    # half the cases test a against a multiple of it, where the sum still packs
+    b = tuple(min(x + y, MAX_EXPONENT) for x, y in zip(a, c)) if multiple else c
+    divides = not (packing.pack(b) - packing.pack(a)) & packing.guard
+    assert divides == monomial_divides(a, b)
+    # a product packs to the sum of the packs; a guard bit marks an overflow
+    product = packing.pack(a) + packing.pack(c)
+    overflow = max(x + y for x, y in zip(a, c)) > MAX_EXPONENT
+    assert bool(product & packing.guard) == overflow
+    if not overflow:
+        assert product == packing.pack(monomial_mul(a, c))
 
 
 @given(orders, exponents3)
