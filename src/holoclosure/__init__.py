@@ -20,7 +20,6 @@ from holoclosure.complexify import (
     complexify_complex_set,
     complexify_ideal,
     conjugation_closure,
-    is_swap_symmetric,
     real_dimension,
     real_to_zeta,
     zeta_to_real,
@@ -85,7 +84,6 @@ __all__ = [
     "holomorphic_closure",
     "ideal_dimension",
     "ideal_membership",
-    "is_swap_symmetric",
     "jet_compose",
     "jet_exp",
     "normal_form",

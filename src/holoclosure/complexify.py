@@ -23,7 +23,6 @@ from holoclosure.groebner import (
     GroebnerConfig,
     Ideal,
     ideal_dimension,
-    ideal_membership,
 )
 from holoclosure.poly import (
     Block,
@@ -36,7 +35,6 @@ from holoclosure.poly import (
 )
 
 ZETA_SWAP = {Block.ZETA: Block.ZETABAR}
-ZW_SWAP = {Block.Z: Block.W}
 
 ZETA_FORM = "zeta"
 REAL_FORM = "real"
@@ -160,13 +158,6 @@ def complexify_ideal(system: System) -> Ideal:
     identity = list(range(2 * n))
     gens = tuple(g.rename(zw, identity) for g in system.generators)
     return Ideal.from_polys(zw, gens)
-
-
-def is_swap_symmetric(ideal: Ideal, config: GroebnerConfig = DEFAULT_CONFIG) -> bool:
-    """Whether the ideal is closed under conjugation composed with the z/w swap."""
-    return all(
-        ideal_membership(g.conjugate(ZW_SWAP), ideal, config) for g in ideal.generators
-    )
 
 
 def complexify_complex_set(generators: Sequence[Polynomial]) -> Ideal:

@@ -1,7 +1,7 @@
 """Buchberger's algorithm, normal forms, elimination ideals, Krull dimension.
 
-The engine is deliberately plain: normal pair-selection strategy plus the
-coprime and chain criteria, full inter-reduction at the end, and a hard
+The engine is deliberately plain: the sugar pair-selection strategy plus
+the coprime and chain criteria, full inter-reduction at the end, and a hard
 pair/degree budget so adversarial input fails deterministically instead of
 looping.  Division reduces in one mutable term map keyed by the order's
 additive int key, each key sitting once in a min-heap (negated), so no step
@@ -10,6 +10,9 @@ buckets); exponents travel packed beside the keys, so a divisibility test
 is one subtraction and one mask and a product is two additions (Monagan
 and Pearce, JSC 46, 2011).  The popped largest monomial goes to the first
 reducer in list order that divides it, so remainders are deterministic.
+An S-polynomial is merged from its parents' packed terms, each shifted by
+int additions, and hands division that packed view; a remainder comes back
+with its views filled, so a new basis element is keyed once.
 Dimension is the combinatorial one, read off the leading-term staircase of
 a basis in any term order: R/I and R/in(I) have the same Krull dimension
 (Kredel and Weispfenning, JSC 6, 1988), and it agrees with the dimension of
@@ -25,7 +28,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from holoclosure.arith import gq
+from holoclosure.arith import ONE
 from holoclosure.errors import ResourceLimitError
 from holoclosure.poly import (
     MAX_EXPONENT,
@@ -36,8 +39,6 @@ from holoclosure.poly import (
     Polynomial,
     VariableContext,
     monomial_degree,
-    monomial_div,
-    monomial_divides,
     monomial_lcm,
 )
 
@@ -175,10 +176,11 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder) ->
     The largest monomial is reduced by the first reducer in list order whose
     leading monomial divides it, so the result is deterministic; the
     reducer's leading term is skipped, since it cancels exactly.  Only the
-    remainder is unpacked into exponent tuples.
+    remainder is unpacked into exponent tuples; its terms are popped in
+    descending order, so it comes back with both views under ``order``.
     """
     packing = order.packing(f.context.size)
-    guard = packing.guard
+    guard, unpack = packing.guard, packing.unpack
     reducers = []
     for g in G:
         if not g.is_zero:
@@ -190,7 +192,7 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder) ->
     heap = [-k for k in coeffs]
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
-    remainder = {}
+    items, remainder = [], []
     while heap:
         k = -pop(heap)
         c = coeffs.pop(k)
@@ -209,10 +211,7 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder) ->
                         # a live key's exponents already fit, so only a new one is checked
                         e = q + p2
                         if e & guard:
-                            raise ResourceLimitError(
-                                f"normal form: a product exponent exceeds the packed "
-                                f"exponent limit of {MAX_EXPONENT}"
-                            )
+                            _exponent_overflow("normal form")
                         coeffs[t] = s * c2
                         exps[t] = e
                         push(heap, -t)
@@ -220,44 +219,111 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder) ->
                         coeffs[t] = old + s * c2
                 break
         else:
-            remainder[packing.unpack(p)] = c
-    return Polynomial(f.context, remainder)
+            items.append((unpack(p), c))
+            remainder.append((p, k, c))
+    return Polynomial.with_views(f.context, order, items, remainder)
+
+
+def _exponent_overflow(phase: str):
+    raise ResourceLimitError(
+        f"{phase}: a product exponent exceeds the packed exponent limit of {MAX_EXPONENT}"
+    )
+
+
+def _shifted_tail(terms: list, dp: int, dk: int, a) -> list:
+    """``terms`` without the leading one, times ``a`` and the monomial of pack dp and key dk."""
+    if a == ONE:  # a monic parent: no coefficient arithmetic
+        return [(p + dp, k + dk, c) for p, k, c in terms[1:]]
+    return [(p + dp, k + dk, c * a) for p, k, c in terms[1:]]
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    mf, cf = f.leading(order)
-    mg, cg = g.leading(order)
-    lcm = monomial_lcm(mf, mg)
-    one = gq(1)
-    a = Polynomial.from_monomial(f.context, monomial_div(lcm, mf), one / cf) * f
-    b = Polynomial.from_monomial(g.context, monomial_div(lcm, mg), one / cg) * g
-    return a - b
+    """lcm/lt(f) * f - lcm/lt(g) * g, formed on the packed views under ``order``.
+
+    Each tail is shifted by its cofactor, one int addition for the key and
+    one for the exponents, and the two shifted tails, both descending, are
+    merged in one pass; the leading terms cancel and are skipped.  The
+    result carries its views under ``order``, so ``normal_form`` neither
+    keys nor sorts it.  A shifted exponent that sets a guard bit raises
+    ResourceLimitError.
+    """
+    packing = order.packing(f.context.size)
+    F, G = f.packed_terms(order), g.packed_terms(order)
+    (pf, kf, cf), (pg, kg, cg) = F[0], G[0]
+    lcm = monomial_lcm(packing.unpack(pf), packing.unpack(pg))
+    lp, lk = packing.pack(lcm), packing.key(lcm)
+    A = _shifted_tail(F, lp - pf, lk - kf, ONE / cf)
+    B = _shifted_tail(G, lp - pg, lk - kg, ONE / cg)
+    merged = []
+    i, j = 0, 0
+    while i < len(A) and j < len(B):
+        a, b = A[i], B[j]
+        if a[1] > b[1]:
+            merged.append(a)
+            i += 1
+        elif b[1] > a[1]:
+            merged.append((b[0], b[1], -b[2]))
+            j += 1
+        else:
+            c = a[2] - b[2]
+            if c:
+                merged.append((a[0], a[1], c))
+            i += 1
+            j += 1
+    merged += A[i:]
+    merged += [(p, k, -c) for p, k, c in B[j:]]
+    seen = 0
+    for p, _, _ in merged:
+        seen |= p
+    if seen & packing.guard:
+        _exponent_overflow("S-polynomial")
+    unpack = packing.unpack
+    items = [(unpack(p), c) for p, _, c in merged]
+    return Polynomial.with_views(f.context, order, items, merged)
 
 
 def _reduce_basis(G: list, order: MonomialOrder) -> tuple:
     """Minimalize then fully inter-reduce; output monic, sorted by ascending LM."""
-    G = sorted((g for g in G if not g.is_zero), key=lambda g: order.key(g.leading(order)[0]))
+    guard = order.packing(G[0].context.size).guard
+
+    def lead(g):
+        return g.packed_terms(order)[0]
+
+    G = sorted((g for g in G if not g.is_zero), key=lambda g: lead(g)[1])
     minimal = []
     for g in G:
-        lm = g.leading(order)[0]
-        if not any(monomial_divides(h.leading(order)[0], lm) for h in minimal):
+        lp = lead(g)[0]
+        if all((lp - lead(h)[0]) & guard for h in minimal):
             minimal.append(g)
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
         r = normal_form(g, others, order)
         reduced.append(r.monic(order))
-    reduced.sort(key=lambda g: order.key(g.leading(order)[0]))
+    reduced.sort(key=lambda g: lead(g)[1])
     return tuple(reduced)
 
 
 def buchberger(I: Ideal, order: MonomialOrder, config: GroebnerConfig = DEFAULT_CONFIG) -> GroebnerBasis:
-    """Reduced Groebner basis of I; deterministic for a fixed generator order."""
+    """Reduced Groebner basis of I; deterministic for a fixed generator order.
+
+    Pairs are taken by the sugar strategy (Giovini, Mora, Niesi, Robbiano
+    and Traverso, ISSAC 1991): an input generator's sugar is its total
+    degree, the sugar of a pair (i, j) is
+    ``max(sugar_i + deg lcm - deg lm_i, sugar_j + deg lcm - deg lm_j)``,
+    its remainder inherits it, and the heap pops the least
+    ``(sugar, deg lcm, i, j)``.  Sugar is the degree the S-polynomial
+    would have were the input homogenized, so under lex and block orders,
+    where a leading monomial's degree can lie far below its polynomial's,
+    pairs still come in nearly ascending degree.
+    """
     gens = [g for g in I.generators if not g.is_zero]
     if not gens:
         return GroebnerBasis(I.context, order, ())
     G = [g.monic(order) for g in gens]
+    sugar = [g.total_degree() for g in G]
     lead = [g.leading(order)[0] for g in G]
+    degree = [monomial_degree(m) for m in lead]
     # the leads packed, for the coprime and chain tests
     packing = order.packing(I.context.size)
     guard = packing.guard
@@ -269,7 +335,9 @@ def buchberger(I: Ideal, order: MonomialOrder, config: GroebnerConfig = DEFAULT_
     def push_pairs(j):
         for i in range(j):
             lcm = monomial_lcm(lead[i], lead[j])
-            heapq.heappush(heap, (monomial_degree(lcm), i, j, packing.pack(lcm)))
+            d = monomial_degree(lcm)
+            s = max(sugar[i] + d - degree[i], sugar[j] + d - degree[j])
+            heapq.heappush(heap, (s, d, i, j, packing.pack(lcm)))
             pending.add((i, j))
 
     for j in range(len(G)):
@@ -277,7 +345,7 @@ def buchberger(I: Ideal, order: MonomialOrder, config: GroebnerConfig = DEFAULT_
 
     processed = 0
     while heap:
-        _, i, j, lcm = heapq.heappop(heap)
+        s, _, i, j, lcm = heapq.heappop(heap)
         pending.discard((i, j))
         processed += 1
         if processed > config.max_pairs:
@@ -306,9 +374,12 @@ def buchberger(I: Ideal, order: MonomialOrder, config: GroebnerConfig = DEFAULT_
             raise ResourceLimitError(
                 f"intermediate degree {h.total_degree()} exceeds budget {config.max_degree}"
             )
-        G.append(h.monic(order))
+        h = h.monic(order)
+        G.append(h)
+        sugar.append(s)
         lead.append(h.leading(order)[0])
-        packed.append(G[-1].packed_terms(order)[0][0])
+        degree.append(monomial_degree(lead[-1]))
+        packed.append(h.packed_terms(order)[0][0])
         push_pairs(len(G) - 1)
 
     return GroebnerBasis(I.context, order, _reduce_basis(G, order))

@@ -318,6 +318,21 @@ class Polynomial:
     def from_monomial(cls, context: VariableContext, m: Monomial, c=1) -> "Polynomial":
         return cls(context, {tuple(m): gq(c)})
 
+    @classmethod
+    def with_views(cls, context: VariableContext, order: MonomialOrder, items: list, packed: list) -> "Polynomial":
+        """A polynomial from its term views under ``order``, kept as its caches.
+
+        ``items`` is the ``sorted_terms`` view and ``packed`` the aligned
+        ``packed_terms`` view (or None); the coefficients must be nonzero
+        GaussianRationals, so nothing is checked or sorted.
+        """
+        f = object.__new__(cls)
+        object.__setattr__(f, "context", context)
+        object.__setattr__(f, "terms", dict(items))
+        object.__setattr__(f, "_sorted", {order: items})
+        object.__setattr__(f, "_packed", {} if packed is None else {order: packed})
+        return f
+
     # -- structure ---------------------------------------------------------
 
     @property
@@ -423,10 +438,17 @@ class Polynomial:
         return Polynomial(self.context, {m: k * c for m, k in self.terms.items()})
 
     def monic(self, order: MonomialOrder) -> "Polynomial":
+        """Scaled to leading coefficient 1; the views under ``order`` are scaled, not rebuilt."""
         if self.is_zero:
             return self
-        _, lc = self.leading(order)
-        return self.scale(gq(1) / lc)
+        items = self.sorted_terms(order)
+        inv = gq(1) / items[0][1]
+        items = [(m, c * inv) for m, c in items]
+        packed = self._packed.get(order)
+        if packed is not None:
+            # keys are distinct, so both views list the terms in the same order
+            packed = [(p, k, c) for (p, k, _), (_, c) in zip(packed, items)]
+        return Polynomial.with_views(self.context, order, items, packed)
 
     def sub_scaled(self, other: "Polynomial", m: Monomial, c: GaussianRational) -> "Polynomial":
         """self - c * x^m * other, the reduction step of the division algorithm."""

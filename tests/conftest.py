@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from holoclosure.arith import GaussianRational
 from holoclosure.complexify import System
+from holoclosure.groebner import ideal_membership
 from holoclosure.poly import Block, Polynomial, VariableContext
 from holoclosure.syntax import parse
 
@@ -93,6 +94,12 @@ GAUSSIAN_COEFFS = st.builds(
 
 def param_ctx(names):
     return VariableContext(tuple(names), (Block.PARAM,) * len(names))
+
+
+def is_swap_symmetric(ideal):
+    """Whether the ideal is closed under conjugation composed with the z/w swap."""
+    swap = {Block.Z: Block.W}
+    return all(ideal_membership(g.conjugate(swap), ideal) for g in ideal.generators)
 
 
 def staircase_dimension_brute_force(monomials, nvars):

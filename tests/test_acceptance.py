@@ -10,6 +10,7 @@ import random
 
 from conftest import (
     ALL_FIXTURES,
+    is_swap_symmetric,
     load_fixture,
     param_ctx,
     rand_exponents,
@@ -29,7 +30,6 @@ from holoclosure.complexify import (
     complexify_complex_set,
     complexify_ideal,
     evaluate_system,
-    is_swap_symmetric,
     real_to_zeta,
 )
 from holoclosure.crgeom import verify_d_minus_m

@@ -29,6 +29,7 @@ from holoclosure.poly import z_context
 from holoclosure.syntax import parse, parse_polynomial
 
 GOLDEN = FIXTURES / "golden"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def invoke(argv):
@@ -77,7 +78,7 @@ def test_seed_changes_witness_not_answer():
 
 
 SPHERE = str(FIXTURES / "sphere.sys")
-NOT_UTF8 = Path(__file__).resolve().parent / "data" / "not_utf8.sys"  # "eq z1" then bytes ff fe
+NOT_UTF8 = DATA / "not_utf8.sys"  # "eq z1" then bytes ff fe
 PROBE_SECONDS = 2.0
 
 
@@ -196,7 +197,7 @@ DIAGNOSTIC_PREFIX = {
 }
 
 
-def _run_bounded(argv, stdin=""):
+def _run_bounded(argv, stdin="", timeout=PROBE_SECONDS):
     """The CLI in a child process: without its budget checks a probe of this
     size would exhaust memory, which must not happen in the test process."""
     def cap_memory():
@@ -205,7 +206,7 @@ def _run_bounded(argv, stdin=""):
     src = Path(holoclosure.__file__).resolve().parent.parent
     proc = subprocess.run(
         [sys.executable, "-m", "holoclosure.cli", *argv], input=stdin, capture_output=True,
-        text=True, timeout=PROBE_SECONDS, env=dict(os.environ, PYTHONPATH=str(src)), preexec_fn=cap_memory,
+        text=True, timeout=timeout, env=dict(os.environ, PYTHONPATH=str(src)), preexec_fn=cap_memory,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -373,6 +374,34 @@ def test_hard_tier_matches_the_benchmark_reference(ref):
     code, out = invoke([command, str(BENCH / "inputs" / name), *flags, "--json"])
     reference = json.loads((BENCH / "refs" / f"{ref}.json").read_text(encoding="utf-8"))
     assert _bench_check().check_output(reference, code, out) == []
+
+
+# two quartic CR equations in C^2: under the normal pair strategy hcdim found
+# no answer in 600 s
+Q2 = "vars z1 z2\neq z1^2*conj(z1)^2+z2*conj(z2)^3-1\neq z1*conj(z2)+conj(z1)*z2^2-2\n"
+
+
+def test_q2_hcdim_answers_in_a_child_and_matches_sympy():
+    # tests/data/q2_hcdim.json holds sympy's answer: groebner over QQ_I under
+    # ProductOrder (w block first, grevlex inside each block), via bench/make_refs.py
+    code, out, err = _run_bounded(["hcdim", "-", "--json"], Q2, timeout=30)
+    assert code == EXIT_OK and "Traceback" not in err
+    results = json.loads(out)["results"]
+    assert results["real_dimension"] == 0
+    assert results["hc_dimension"] == 0
+    assert len(results["hc_ideal"]) == 8
+    reference = json.loads((DATA / "q2_hcdim.json").read_text(encoding="utf-8"))
+    assert _bench_check().check_output(reference, code, out) == []
+
+
+def test_katsura3_lex_reduces_28_s_pairs(monkeypatch):
+    # the sugar strategy's count, in file order; the normal strategy reduced 34
+    calls = []
+    original = groebner.s_polynomial
+    monkeypatch.setattr(groebner, "s_polynomial", lambda *args: calls.append(1) or original(*args))
+    code, out = invoke(["groebner", str(BENCH / "inputs" / "katsura3.sys"), "--order", "lex", "--json"])
+    assert code == EXIT_OK
+    assert len(calls) == 28
 
 
 def test_probe_osgood_matches_user_probe():

@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_fraction, rand_nonzero_poly, system_fixture, system_from_text
+from conftest import (
+    is_swap_symmetric,
+    rand_fraction,
+    rand_nonzero_poly,
+    system_fixture,
+    system_from_text,
+)
 from holoclosure.arith import GaussianRational, gq
 from holoclosure.complexify import (
     System,
@@ -13,7 +19,6 @@ from holoclosure.complexify import (
     complexify_ideal,
     conjugation_closure,
     evaluate_system,
-    is_swap_symmetric,
     real_dimension,
     real_to_zeta,
     zeta_to_real,

@@ -37,6 +37,7 @@ from holoclosure.poly import (
     VariableContext,
     monomial_div,
     monomial_divides,
+    monomial_lcm,
     zw_context,
 )
 from holoclosure.syntax import parse_polynomial
@@ -418,3 +419,55 @@ def test_normal_form_sorts_each_reducer_once_at_most(monkeypatch):
     r = normal_form(Polynomial(XYZ, f.terms), [Polynomial(XYZ, g.terms) for g in G], GREVLEX)
     assert r == expected
     assert len(sorts) <= len(G)
+
+
+# -- S-polynomials merged on packed views, and the views results carry ------
+
+
+def reference_s_polynomial(f, g, order):
+    """lcm/lt(f) * f - lcm/lt(g) * g by products and a difference over exponent tuples."""
+    (mf, cf), (mg, cg) = f.leading(order), g.leading(order)
+    lcm = monomial_lcm(mf, mg)
+    a = Polynomial.from_monomial(f.context, monomial_div(lcm, mf), gq(1) / cf) * f
+    b = Polynomial.from_monomial(g.context, monomial_div(lcm, mg), gq(1) / cg) * g
+    return a - b
+
+
+def assert_views_are_fresh(f, order):
+    """The views a result carries equal those an equal polynomial builds."""
+    fresh = Polynomial(f.context, f.terms)
+    assert f.sorted_terms(order) == fresh.sorted_terms(order)
+    assert f.packed_terms(order) == fresh.packed_terms(order)
+
+
+nonzero_polys4 = polys4(6).filter(lambda f: not f.is_zero)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(DIVISION_ORDERS), nonzero_polys4, nonzero_polys4, st.booleans())
+def test_s_polynomial_matches_the_tuple_definition(order, f, g, monic):
+    if monic:
+        f, g = f.monic(order), g.monic(order)
+        assert_views_are_fresh(f, order)
+    s = s_polynomial(f, g, order)
+    assert s == reference_s_polynomial(f, g, order)
+    assert_views_are_fresh(s, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(DIVISION_ORDERS), polys4(8), st.lists(polys4(4), max_size=3))
+def test_remainder_and_its_monic_form_carry_fresh_views(order, f, G):
+    r = normal_form(f, G, order)
+    assert_views_are_fresh(r, order)
+    if not r.is_zero:
+        m = r.monic(order)
+        assert m == r.scale(gq(1) / r.leading(order)[1])
+        assert_views_are_fresh(m, order)
+
+
+def test_s_polynomial_exponent_past_the_packed_field_width_is_a_resource_limit():
+    # under lex the cofactor y^20000 of x^2 - y^20000 lifts its tail to y^40000
+    f = Polynomial(XY, {(2, 0): gq(1), (0, 20000): gq(-1)})
+    g = Polynomial(XY, {(1, 20000): gq(1), (0, 0): gq(1)})
+    with pytest.raises(ResourceLimitError, match="S-polynomial: a product exponent exceeds"):
+        s_polynomial(f, g, LEX)
