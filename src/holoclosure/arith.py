@@ -167,6 +167,7 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
+MINUS_ONE = GaussianRational(-1)
 I = GaussianRational(0, 1)
 HALF = GaussianRational(Fraction(1, 2))
 
@@ -203,25 +204,28 @@ def gq(x) -> GaussianRational:
 #   1/2-3*i  -> "1/2-3*i"      (real part first, then signed imaginary part)
 
 
-def _frac_to_text(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+def _ratio_to_text(n: int, d: int) -> str:
+    """The rational n/d, d > 0, in lowest terms."""
+    g = gcd(n, d)
+    if g != d:
+        return f"{n // g}/{d // g}"
+    return str(n // g)
 
 
-def gq_to_text(a: GaussianRational) -> str:
-    if a.im == 0:
-        return _frac_to_text(a.re)
-    if a.im == 1:
+def gq_to_text(x: GaussianRational) -> str:
+    a, b, d = x._a, x._b, x._d
+    if not b:
+        return _ratio_to_text(a, d)
+    if b == d:
         im = "i"
-    elif a.im == -1:
+    elif b == -d:
         im = "-i"
     else:
-        im = f"{_frac_to_text(a.im)}*i"
-    if a.re == 0:
+        im = f"{_ratio_to_text(b, d)}*i"
+    if not a:
         return im
-    sign = "+" if a.im > 0 else ""
-    return f"{_frac_to_text(a.re)}{sign}{im}"
+    sign = "+" if b > 0 else ""
+    return f"{_ratio_to_text(a, d)}{sign}{im}"
 
 
 def _frac_from_text(s: str) -> Fraction:

@@ -12,6 +12,7 @@ Errors are also echoed in the report diagnostics.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from dataclasses import asdict, dataclass, field
@@ -52,6 +53,10 @@ from holoclosure.syntax import (
     parse,
     parse_point,
 )
+
+# The objects built by the imports live for the whole process; moved out of
+# the collector's generations, they cannot set off a collection inside a command.
+gc.freeze()
 
 EXIT_OK = 0
 EXIT_PARSE_ERROR = 2

@@ -28,7 +28,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from holoclosure.arith import ONE
+from holoclosure.arith import MINUS_ONE, ONE
 from holoclosure.errors import ResourceLimitError
 from holoclosure.poly import (
     MAX_EXPONENT,
@@ -175,7 +175,9 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder) ->
     exponents; a product that sets a guard bit raises ResourceLimitError.
     The largest monomial is reduced by the first reducer in list order whose
     leading monomial divides it, so the result is deterministic; the
-    reducer's leading term is skipped, since it cancels exactly.  Only the
+    reducer's leading term is skipped, since it cancels exactly, and the
+    step's multiplier is the coefficient times the reducer's negated
+    leading-coefficient inverse, formed once per call.  Only the
     remainder is unpacked into exponent tuples; its terms are popped in
     descending order, so it comes back with both views under ``order``.
     """
@@ -185,7 +187,8 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder) ->
     for g in G:
         if not g.is_zero:
             (lp, lk, lc), *rest = g.packed_terms(order)
-            reducers.append((lp, lk, lc, rest))
+            # a monic reducer, the usual case, needs no division
+            reducers.append((lp, lk, MINUS_ONE if lc == ONE else -(ONE / lc), rest))
     dividend = f.packed_terms(order)
     coeffs = {k: c for _, k, c in dividend}
     exps = {k: p for p, k, _ in dividend}
@@ -199,11 +202,11 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder) ->
         p = exps.pop(k)
         if not c:
             continue
-        for lp, lk, lc, rest in reducers:
+        for lp, lk, ninv, rest in reducers:
             q = p - lp
             if not q & guard:
                 qk = k - lk
-                s = -(c / lc)
+                s = c * ninv
                 for p2, k2, c2 in rest:
                     t = qk + k2
                     old = coeffs.get(t)

@@ -15,8 +15,10 @@ all monomials free of it.
 Every monomial order here (lex, grevlex, block elimination) is a list of 0/1
 weight rows, so it is one additive int key: the row sums packed side by
 side, first row most significant.  Division works on that key and on the
-exponents packed into guarded int fields (``Packing``); the term maps keep
-their tuples, which the parser, the renderer and the jets share.
+exponents packed into guarded int fields (``Packing``).  Multiplication
+packs each product's exponents afresh, into unguarded fields just wide
+enough for it, over Gaussian-integer numerators.  Only the term maps keep
+exponent tuples, which the parser, the renderer and the jets share.
 """
 
 from __future__ import annotations
@@ -24,10 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import chain
+from math import lcm
 from operator import itemgetter, lshift, mul
 from typing import Mapping, Sequence
 
-from holoclosure.arith import GaussianRational, gq, gq_to_text, power
+from holoclosure.arith import ONE, GaussianRational, _reduced, gq, gq_to_text, power
 from holoclosure.errors import ResourceLimitError
 
 Monomial = tuple  # dense exponent tuple, one entry per context variable
@@ -273,6 +277,19 @@ LEX = Lex()
 # -- polynomials ------------------------------------------------------------
 
 
+def _packed_numerators(terms: Mapping, shifts: range) -> tuple:
+    """The terms as (packed exponents, a, b) over one denominator D, and D.
+
+    D is the lcm of the coefficients' denominators, a term's coefficient is
+    (a + b*i)/D, and exponent k goes into the field at ``shifts[k]``.
+    """
+    D = lcm(*[c._d for c in terms.values()])
+    return [
+        (sum(map(lshift, m, shifts)), c._a * (D // c._d), c._b * (D // c._d))
+        for m, c in terms.items()
+    ], D
+
+
 class Polynomial:
     """Immutable multivariate polynomial over Q(i).
 
@@ -412,19 +429,44 @@ class Polynomial:
         return Polynomial(self.context, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
+        """The product, by one packed kernel over Gaussian-integer numerators.
+
+        Each operand's exponents are packed into int fields wide enough for
+        the product's exponents (Kronecker substitution), so a monomial
+        product is one int addition with no exponent limit, and each operand
+        is put over the lcm of its denominators, so a coefficient product is
+        an int pair accumulated under its packed exponent.  Each surviving
+        term is canonicalized once and only the result's monomials are
+        unpacked.
+        """
         self._require_same_context(other)
-        res = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = monomial_mul(m1, m2)
-                c = c1 * c2
-                s = res.get(m)
-                s = c if s is None else s + c
-                if s:
-                    res[m] = s
-                else:
-                    res.pop(m, None)
-        return Polynomial(self.context, res)
+        context = self.context
+        if not self.terms or not other.terms:
+            return Polynomial.zero(context)
+        # no carry crosses a field; a product of constants still needs one
+        # field per variable, so the width is at least 1
+        width = (
+            max(chain.from_iterable(self.terms), default=0)
+            + max(chain.from_iterable(other.terms), default=0)
+        ).bit_length() or 1
+        shifts = range(0, width * context.size, width)
+        xs, d1 = _packed_numerators(self.terms, shifts)
+        ys, d2 = _packed_numerators(other.terms, shifts)
+        re, im = {}, {}
+        re_get, im_get = re.get, im.get
+        for p1, a1, b1 in xs:
+            for p2, a2, b2 in ys:
+                p = p1 + p2
+                re[p] = re_get(p, 0) + a1 * a2 - b1 * b2
+                im[p] = im_get(p, 0) + a1 * b2 + b1 * a2
+        d = d1 * d2
+        mask = (1 << width) - 1
+        terms = {}
+        for p, a in re.items():
+            b = im[p]
+            if a or b:
+                terms[tuple([(p >> s) & mask for s in shifts])] = _reduced(a, b, d)
+        return Polynomial(context, terms)
 
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
@@ -438,11 +480,16 @@ class Polynomial:
         return Polynomial(self.context, {m: k * c for m, k in self.terms.items()})
 
     def monic(self, order: MonomialOrder) -> "Polynomial":
-        """Scaled to leading coefficient 1; the views under ``order`` are scaled, not rebuilt."""
+        """Scaled to leading coefficient 1; the views under ``order`` are scaled, not rebuilt.
+
+        A polynomial that is already monic, or zero, is returned as it is.
+        """
         if self.is_zero:
             return self
         items = self.sorted_terms(order)
-        inv = gq(1) / items[0][1]
+        if items[0][1] == ONE:
+            return self
+        inv = ONE / items[0][1]
         items = [(m, c * inv) for m, c in items]
         packed = self._packed.get(order)
         if packed is not None:
@@ -570,12 +617,12 @@ def _monomial_to_text(context: VariableContext, m: Monomial) -> str:
 
 
 def _coeff_is_negative(c: GaussianRational) -> bool:
-    return c.re < 0 or (c.re == 0 and c.im < 0)
+    return c._a < 0 or (not c._a and c._b < 0)
 
 
 def _coeff_to_factor_text(c: GaussianRational) -> str:
     """Coefficient as a multiplicative prefix; mixed values get parentheses."""
-    if c.re != 0 and c.im != 0:
+    if c._a and c._b:
         return f"({gq_to_text(c)})"
     return gq_to_text(c)
 
@@ -591,7 +638,7 @@ def polynomial_to_text(f: Polynomial, order: MonomialOrder = GREVLEX) -> str:
         mono = _monomial_to_text(f.context, m)
         if not mono:
             body = _coeff_to_factor_text(mag)
-        elif mag == gq(1):
+        elif mag == ONE:
             body = mono
         else:
             body = f"{_coeff_to_factor_text(mag)}*{mono}"

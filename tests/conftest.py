@@ -92,6 +92,20 @@ GAUSSIAN_COEFFS = st.builds(
 ).filter(bool)
 
 
+def reference_gq_text(a):
+    """The canonical scalar syntax of a Gaussian rational, built from its Fraction views."""
+    def frac(q):
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+    re, im = a.re, a.im
+    if im == 0:
+        return frac(re)
+    im_text = "i" if im == 1 else "-i" if im == -1 else f"{frac(im)}*i"
+    if re == 0:
+        return im_text
+    return f"{frac(re)}{'+' if im > 0 else ''}{im_text}"
+
+
 def param_ctx(names):
     return VariableContext(tuple(names), (Block.PARAM,) * len(names))
 

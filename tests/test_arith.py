@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import reference_gq_text
 from holoclosure.arith import GaussianRational, gq, gq_from_text, gq_to_text
 
 fractions = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
@@ -91,6 +92,20 @@ def test_text_round_trip(a):
     assert gq_from_text(gq_to_text(a)) == a
 
 
+wide_gaussians = st.builds(
+    GaussianRational,
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 60)),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 60)),
+)
+
+
+@given(st.one_of(gaussians, wide_gaussians))
+def test_text_matches_the_fraction_reference(a):
+    text = gq_to_text(a)
+    assert text == reference_gq_text(a)
+    assert gq_from_text(text) == a
+
+
 @pytest.mark.parametrize(
     "value,text",
     [
@@ -101,6 +116,8 @@ def test_text_round_trip(a):
         (GaussianRational(Fraction(0), Fraction(-2, 5)), "-2/5*i"),
         (GaussianRational(Fraction(1, 2), Fraction(-3)), "1/2-3*i"),
         (GaussianRational(Fraction(-1, 2), Fraction(1)), "-1/2+i"),
+        (GaussianRational(Fraction(1, 2), Fraction(1)), "1/2+i"),
+        (GaussianRational(Fraction(3, 4), Fraction(-5, 6)), "3/4-5/6*i"),
     ],
 )
 def test_text_examples(value, text):

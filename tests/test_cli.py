@@ -211,6 +211,17 @@ def _run_bounded(argv, stdin="", timeout=PROBE_SECONDS):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def test_cli_import_freezes_its_objects_out_of_the_collector():
+    src = Path(holoclosure.__file__).resolve().parent.parent
+    code = "import gc, holoclosure.cli; print(gc.get_freeze_count())"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 0
+
+
 def _check_exit_codes(monkeypatch, code):
     """Every case of the table with this exit code."""
     _check_cases(monkeypatch, [case for case in EXIT_CASES if case.code == code])

@@ -463,6 +463,7 @@ def test_remainder_and_its_monic_form_carry_fresh_views(order, f, G):
         m = r.monic(order)
         assert m == r.scale(gq(1) / r.leading(order)[1])
         assert_views_are_fresh(m, order)
+        assert m.monic(order) is m
 
 
 def test_s_polynomial_exponent_past_the_packed_field_width_is_a_resource_limit():

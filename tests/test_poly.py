@@ -2,12 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import param_ctx, rand_nonzero_poly, rand_poly
+from conftest import param_ctx, rand_nonzero_poly, rand_poly, reference_gq_text
 from holoclosure.arith import GaussianRational, gq
 from holoclosure.poly import (
     Block,
@@ -24,6 +25,7 @@ from holoclosure.poly import (
     zeta_context,
     zw_context,
 )
+from holoclosure.syntax import parse
 
 ZW2 = zw_context(2)
 ZETA2 = zeta_context(("z1", "z2"))
@@ -187,6 +189,80 @@ def test_binomial_cube_coefficients():
     assert f == Polynomial(ZW2, {m: gq(c) for m, c in expected.items()})
 
 
+def reference_product(f, g):
+    """f * g term by term over exponent tuples and GaussianRational arithmetic."""
+    res = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            res[m] = res.get(m, gq(0)) + c1 * c2
+    return {m: c for m, c in res.items() if c}
+
+
+def reference_power(f, e):
+    result = Polynomial.constant(f.context, 1)
+    for _ in range(e):
+        result = Polynomial(f.context, reference_product(result, f))
+    return result.terms
+
+
+XYZ = param_context(("x", "y", "z"))
+# coefficients with denominators and imaginary parts, and units (with zero),
+# so that few terms often cancel
+kernel_coeffs = st.one_of(
+    st.builds(lambda a, b, c, d: GaussianRational(Fraction(a, c), Fraction(b, d)),
+              st.integers(-4, 4), st.integers(-4, 4), st.integers(1, 6), st.integers(1, 6)),
+    st.sampled_from([gq(0), gq(1), gq(-1), GaussianRational(0, 1), GaussianRational(0, -1)]),
+)
+kernel_polys = st.dictionaries(
+    st.tuples(*(st.integers(0, 3),) * 3), kernel_coeffs, max_size=5
+).map(lambda terms: Polynomial(XYZ, terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_polys, kernel_polys)
+@example(P(XYZ, {(1, 0, 0): 1, (0, 1, 0): 1}), P(XYZ, {(1, 0, 0): 1, (0, 1, 0): -1}))
+@example(P(XYZ, {(1, 0, 0): GaussianRational(0, 1), (0, 0, 0): 1}),
+         P(XYZ, {(1, 0, 0): GaussianRational(0, 1), (0, 0, 0): -1}))
+@example(Polynomial.zero(XYZ), P(XYZ, {(1, 2, 3): Fraction(1, 3)}))
+@example(P(XYZ, {(0, 0, 0): Fraction(-2, 3)}), P(XYZ, {(0, 0, 0): GaussianRational(0, Fraction(3, 2))}))
+@example(P(XYZ, {(0, 0, 0): Fraction(5, 7)}), P(XYZ, {(2, 0, 1): Fraction(1, 2), (0, 3, 0): 3}))
+def test_product_matches_the_tuple_reference(f, g):
+    assert (f * g).terms == reference_product(f, g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_polys, st.integers(0, 4))
+@example(P(XYZ, {(1, 0, 0): 1, (0, 1, 0): GaussianRational(0, 1)}), 4)
+@example(Polynomial.zero(XYZ), 0)
+@example(Polynomial.zero(XYZ), 3)
+@example(P(XYZ, {(0, 0, 0): GaussianRational(Fraction(1, 2), Fraction(-1, 3))}), 4)
+def test_power_matches_repeated_reference_products(f, e):
+    assert (f ** e).terms == reference_power(f, e)
+
+
+def test_product_has_no_exponent_limit():
+    z1 = var(ZW2, "z1")
+    assert z1 ** 40000 * z1 ** 40000 == z1 ** 80000
+    assert (z1 ** 40000 * z1 ** 40000).terms == {(80000, 0, 0, 0): gq(1)}
+
+
+def test_product_across_contexts_is_refused():
+    with pytest.raises(ValueError):
+        var(ZW2, "z1") * var(ZETA2, "z1")
+
+
+def test_ladder_power_coefficients_are_multinomials():
+    # independent oracle: (z1 + conj(z2) + 1)^30 = sum of 30!/(a! b! c!) z1^a conj(z2)^b
+    f = parse("vars z1 z2\neq (z1+conj(z2)+1)^30\n").equations[0]
+    a_at, b_at = f.context.index("z1"), f.context.index("conj(z2)")
+    assert len(f.terms) == 496
+    for m, c in f.terms.items():
+        a, b = m[a_at], m[b_at]
+        assert sum(m) == a + b <= 30
+        assert c == factorial(30) // (factorial(a) * factorial(b) * factorial(30 - a - b))
+
+
 # -- substitution --------------------------------------------------------------
 
 
@@ -303,6 +379,28 @@ def test_canonical_text():
     assert polynomial_to_text(Polynomial.zero(ZW2)) == "0"
     g = var(ZW2, "z1").scale(GaussianRational(Fraction(1, 2), Fraction(3, 4)))
     assert polynomial_to_text(g) == "(1/2+3/4*i)*z1"
+
+
+def reference_polynomial_text(f):
+    """polynomial_to_text's layout, with signs and factors read off the Fraction views."""
+    chunks = []
+    for m, c in f.sorted_terms(GREVLEX):
+        neg = c.re < 0 or (c.re == 0 and c.im < 0)
+        mag = -c if neg else c
+        factor = reference_gq_text(mag)
+        factor = f"({factor})" if mag.re != 0 and mag.im != 0 else factor
+        mono = "*".join(
+            name if e == 1 else f"{name}^{e}" for name, e in zip(f.context.names, m) if e
+        )
+        body = factor if not mono else mono if (mag.re, mag.im) == (1, 0) else f"{factor}*{mono}"
+        chunks.append(("-" if neg else "") + body if not chunks else (" - " if neg else " + ") + body)
+    return "".join(chunks) or "0"
+
+
+@given(kernel_polys)
+@example(P(XYZ, {(1, 0, 0): GaussianRational(Fraction(-1, 2), 1), (0, 0, 0): GaussianRational(0, -1)}))
+def test_canonical_text_matches_the_fraction_reference(f):
+    assert polynomial_to_text(f) == reference_polynomial_text(f)
 
 
 def test_context_validation():
