@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""Write every report of the CLI sweep to a directory, one file per invocation.
+
+Two commits are compared by sweeping each and diffing the directories:
+
+    python scripts/sweep.py OUTDIR
+    diff -r OUTDIR_A OUTDIR_B
+
+The sweep runs every fixture under every command (the commands a fixture's
+kind does not take end in their error report), the hard-tier inputs under
+``bench/inputs`` under hcdim, realdim and groebner in both orders, inputs
+read from stdin, and the error paths: unreadable and malformed input, a
+command line argparse rejects, each budget and a semantic failure.  Each
+invocation runs in this process through ``holoclosure.cli.run``, once as
+text and once with ``--json``.  A file holds ``exit <code>``, then the
+report, then what went to stderr, if anything, after a ``stderr:`` line.
+Paths are given relative to the repository root, so the reports of two
+checkouts can be equal byte for byte.  OUTDIR must be new or empty.
+"""
+
+import argparse
+import io
+import os
+import re
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from holoclosure.cli import run  # noqa: E402
+
+FIXTURE_COMMANDS = [
+    ["hcdim"],
+    ["realdim"],
+    ["param-hcdim"],
+    ["ranks"],
+    ["groebner"],
+    ["groebner", "--order", "lex"],
+    ["eliminate"],
+    ["strata", "--k", "0"],
+    ["strata", "--k", "1"],
+    ["probe", "--jets", "3,5,7", "--maxdeg", "2"],
+]
+
+# points on a fixture's set, for crdim at each and verify-dm at all of them
+POINTS = {
+    "sphere.sys": ["1, 0", "3/5, 4/5", "0, i"],
+    "mixed_graph.sys": ["1+2*i, 2"],
+    "umbrella.sys": ["0, 1"],
+}
+
+HARD_COMMANDS = [["hcdim"], ["realdim"], ["groebner"], ["groebner", "--order", "lex"]]
+
+STDIN_CASES = {
+    "stdin-sphere": (["hcdim", "-"], (ROOT / "fixtures" / "sphere.sys").read_bytes()),
+    "stdin-groebner": (["groebner", "-"], b"vars z1 z2\neq z1^2+z2-1\neq z1*z2-1\n"),
+    "stdin-empty": (["hcdim", "-"], b""),
+}
+
+ERROR_CASES = {
+    "error-unknown-identifier": (["hcdim", "-"], b"vars z1\neq z9\n"),
+    "error-nesting": (["hcdim", "-"], b"vars z1\neq " + b"(" * 3000 + b"z1" + b")" * 3000 + b"\n"),
+    "error-missing-file": (["hcdim", "fixtures/missing.sys"], b""),
+    "error-directory": (["hcdim", "fixtures"], b""),
+    "error-not-utf8": (["hcdim", "-"], b"vars z1\neq z1\n\xff\xfe"),
+    "error-budget-flag": (["groebner", "fixtures/sphere.sys", "--max-pairs", "0"], b""),
+    "error-jets-flag": (["probe-osgood", "--jets", "0", "--maxdeg", "2"], b""),
+    "error-pair-budget": (["hcdim", "fixtures/paraboloid.sys", "--max-pairs", "1"], b""),
+    "error-degree-budget": (["groebner", "-", "--max-degree", "1"],
+                            b"vars z1 z2\neq z1^2+z2-1\neq z1*z2-1\n"),
+    "error-term-budget": (["hcdim", "-"], b"vars z1 z2\neq (z1+1)^40*(z2+1)^40\n"),
+    "error-exponent-limit": (["groebner", "-", "--order", "lex", "--max-degree", "100000"],
+                             b"vars z1 z2\neq z1-z2^1000\neq z1^33-1\n"),
+    "error-off-the-set": (["crdim", "fixtures/sphere.sys", "--point", "2, 0"], b""),
+    "error-empty-set": (["hcdim", "-"], b"vars z1\neq 1\n"),
+}
+
+
+def invocations():
+    """(file stem, argv, stdin bytes) for every invocation of the sweep."""
+    cases = []
+    for path in sorted((ROOT / "fixtures").glob("*.*")):
+        rel = f"fixtures/{path.name}"
+        commands = [cmd[:1] + [rel] + cmd[1:] for cmd in FIXTURE_COMMANDS]
+        points = POINTS.get(path.name, [])
+        commands += [["crdim", rel, "--point", p] for p in points]
+        if points:
+            commands.append(["verify-dm", rel] + [a for p in points for a in ("--point", p)])
+        cases += [(path.name + "__" + "_".join(cmd[:1] + cmd[2:]), cmd, b"") for cmd in commands]
+    for path in sorted((ROOT / "bench" / "inputs").glob("*.sys")):
+        cases += [(f"bench-{path.name}__" + "_".join(cmd), cmd[:1] + [f"bench/inputs/{path.name}"] + cmd[1:], b"")
+                  for cmd in HARD_COMMANDS]
+    cases.append(("probe-osgood", ["probe-osgood", "--jets", "3,5", "--maxdeg", "2"], b""))
+    cases += [(name, argv, stdin) for name, (argv, stdin) in {**STDIN_CASES, **ERROR_CASES}.items()]
+    return [(re.sub(r"[^A-Za-z0-9.,_+-]", "_", name), argv, stdin) for name, argv, stdin in cases]
+
+
+def invoke(argv, stdin: bytes):
+    """(exit code, stdout, stderr) of one in-process CLI run reading ``stdin``."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin, sys.stderr
+    sys.stdin, sys.stderr = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8"), err
+    try:
+        code = run(argv, stdout=out)
+    except SystemExit as exc:  # argparse's exit on a bad command line
+        code = exc.code
+    finally:
+        sys.stdin, sys.stderr = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Write every report of the CLI sweep to OUTDIR.")
+    parser.add_argument("outdir", type=Path)
+    out = parser.parse_args(argv).outdir.resolve()
+    if out.exists() and any(out.iterdir()):
+        raise SystemExit(f"{out} is not empty")
+    out.mkdir(parents=True, exist_ok=True)
+    os.chdir(ROOT)
+    written = 0
+    for stem, argv, stdin in invocations():
+        for suffix, extra in (("txt", []), ("json", ["--json"])):
+            code, report, err = invoke(argv + extra, stdin)
+            text = f"exit {code}\n{report}" + (f"stderr:\n{err}" if err else "")
+            (out / f"{stem}.{suffix}").write_text(text, encoding="utf-8")
+            written += 1
+    print(f"wrote {written} reports to {out}")
+
+
+if __name__ == "__main__":
+    main()

@@ -167,9 +167,18 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-MINUS_ONE = GaussianRational(-1)
 I = GaussianRational(0, 1)
 HALF = GaussianRational(Fraction(1, 2))
+
+
+def inverse_numerator(a: int, b: int) -> tuple:
+    """(u_a, u_b, n) with n > 0 and (u_a + u_b*i)/n == 1/(a + b*i), for a nonzero Gaussian integer.
+
+    A real value needs only its sign; any other has the norm a^2 + b^2 as n.
+    """
+    if not b:
+        return (1, 0, a) if a > 0 else (-1, 0, -a)
+    return a, -b, a * a + b * b
 
 
 def power(base, e: int, one):

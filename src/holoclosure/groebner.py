@@ -3,16 +3,15 @@
 The engine is deliberately plain: the sugar pair-selection strategy plus
 the coprime and chain criteria, full inter-reduction at the end, and a hard
 pair/degree budget so adversarial input fails deterministically instead of
-looping.  Division reduces in one mutable term map keyed by the order's
-additive int key, each key sitting once in a min-heap (negated), so no step
-re-sorts a polynomial (a heap where Yan's geobuckets, JSC 26, 1998, keep
-buckets); exponents travel packed beside the keys, so a divisibility test
-is one subtraction and one mask and a product is two additions (Monagan
-and Pearce, JSC 46, 2011).  The popped largest monomial goes to the first
-reducer in list order that divides it, so remainders are deterministic.
-An S-polynomial is merged from its parents' packed terms, each shifted by
-int additions, and hands division that packed view; a remainder comes back
-with its views filled, so a new basis element is keyed once.
+looping.  The engine reads each polynomial through its cached
+``PackedRows`` view, built once: Gaussian-integer numerators over one
+denominator, exponents packed beside the order's additive int key, so a
+divisibility test is one subtraction and one mask and a product is two
+additions (Monagan and Pearce, JSC 46, 2011).  Division is fraction-free
+over Z[i], as in Singular, in one mutable term map whose keys sit once in
+a min-heap, so no step re-sorts a polynomial (a heap where Yan's
+geobuckets, JSC 26, 1998, keep buckets).  S-polynomials and remainders are
+built from rows; their terms are canonicalized only if read.
 Dimension is the combinatorial one, read off the leading-term staircase of
 a basis in any term order: R/I and R/in(I) have the same Krull dimension
 (Kredel and Weispfenning, JSC 6, 1988), and it agrees with the dimension of
@@ -26,9 +25,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from holoclosure.arith import MINUS_ONE, ONE
+from holoclosure.arith import inverse_numerator
 from holoclosure.errors import ResourceLimitError
 from holoclosure.poly import (
     MAX_EXPONENT,
@@ -164,67 +164,79 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder) ->
     """Remainder of multivariate division of f by G.
 
     No term of the result is divisible by any leading monomial of G, and
-    f - result lies in the ideal generated by G.  Division runs on the
-    polynomials' packed views: the dividend is one mutable map from order
-    key to coefficient, with the packed exponents of each key beside it, and
-    a min-heap holds each key once, negated, so every step pops the largest
-    live monomial without re-sorting.  A monomial whose coefficient
-    cancelled stays in the map at zero until it is popped and skipped.  A
-    reducer divides when ``(e - lm) & guard`` is 0, and the quotient times
-    a reducer term is one int addition for the key and one for the
-    exponents; a product that sets a guard bit raises ResourceLimitError.
-    The largest monomial is reduced by the first reducer in list order whose
-    leading monomial divides it, so the result is deterministic; the
-    reducer's leading term is skipped, since it cancels exactly, and the
-    step's multiplier is the coefficient times the reducer's negated
-    leading-coefficient inverse, formed once per call.  Only the
-    remainder is unpacked into exponent tuples; its terms are popped in
-    descending order, so it comes back with both views under ``order``.
+    f - result lies in the ideal generated by G.  Division is fraction-free
+    over Z[i] on the cached ``PackedRows`` views, which it never changes:
+    the dividend maps each order key to ``[packed exponents, a, b]``, a
+    numerator over one ``scale``, and a min-heap holds each key once,
+    negated.  The popped monomial is reduced by the first reducer whose
+    leading monomial divides it (``(e - lm) & guard`` is 0), so the result
+    is deterministic.  With popped numerator c and lead numerator L (if L
+    is not a positive integer, c is first multiplied by the numerator of
+    1/L and L becomes its denominator) and g = gcd(c, L), the dividend and
+    ``scale`` are multiplied by L/g and (c/g) times the quotient monomial
+    times the reducer's tail is subtracted.  A product exponent that sets a
+    guard bit raises ResourceLimitError.  Scaling changes neither the terms
+    nor the reducer chosen, so the remainder, each term over the scale of
+    its step, is the Q(i) one.
     """
-    packing = order.packing(f.context.size)
-    guard, unpack = packing.guard, packing.unpack
-    reducers = []
-    for g in G:
-        if not g.is_zero:
-            (lp, lk, lc), *rest = g.packed_terms(order)
-            # a monic reducer, the usual case, needs no division
-            reducers.append((lp, lk, MINUS_ONE if lc == ONE else -(ONE / lc), rest))
-    dividend = f.packed_terms(order)
-    coeffs = {k: c for _, k, c in dividend}
-    exps = {k: p for p, k, _ in dividend}
-    heap = [-k for k in coeffs]
+    if f.is_zero:
+        return f
+    guard = order.packing(f.context.size).guard
+    reducers = [r for g in G if (r := g.packed_terms(order))]
+    view = f.packed_terms(order)
+    scale = view.denominator
+    live = {k: [p, a, b] for p, k, a, b in view.rows()}
+    heap = [-k for k in live]
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
-    items, remainder = [], []
+    remainder = []
     while heap:
         k = -pop(heap)
-        c = coeffs.pop(k)
-        p = exps.pop(k)
-        if not c:
+        p, a, b = live.pop(k)
+        if not (a or b):
             continue
-        for lp, lk, ninv, rest in reducers:
-            q = p - lp
+        for r in reducers:
+            q = p - r[0]
             if not q & guard:
-                qk = k - lk
-                s = c * ninv
-                for p2, k2, c2 in rest:
-                    t = qk + k2
-                    old = coeffs.get(t)
-                    if old is None:
-                        # a live key's exponents already fit, so only a new one is checked
-                        e = q + p2
-                        if e & guard:
-                            _exponent_overflow("normal form")
-                        coeffs[t] = s * c2
-                        exps[t] = e
-                        push(heap, -t)
-                    else:
-                        coeffs[t] = old + s * c2
                 break
         else:
-            items.append((unpack(p), c))
-            remainder.append((p, k, c))
-    return Polynomial.with_views(f.context, order, items, remainder)
+            remainder.append((p, k, a, b, scale))
+            continue
+        _, lk, La, Lb, tail, _ = r
+        if Lb or La < 0:
+            ua, ub, L = inverse_numerator(La, Lb)
+            a, b = a * ua - b * ub, a * ub + b * ua
+        else:
+            L = La
+        if L != 1:
+            g = gcd(a, b, L)
+            if g != L:
+                m = L // g
+                scale *= m
+                for t in live.values():
+                    t[1] *= m
+                    t[2] *= m
+            if g != 1:
+                a //= g
+                b //= g
+        qk = k - lk
+        for p2, k2, a2, b2 in tail:
+            t = qk + k2
+            da = a * a2 - b * b2
+            db = a * b2 + b * a2
+            old = live.get(t)
+            if old is None:
+                # a live key's exponents already fit, so only a new one is checked
+                e = q + p2
+                if e & guard:
+                    _exponent_overflow("normal form")
+                live[t] = [e, -da, -db]
+                push(heap, -t)
+            else:
+                old[1] -= da
+                old[2] -= db
+    rows = [(p, k, a * (scale // s), b * (scale // s)) for p, k, a, b, s in remainder]
+    return Polynomial.from_rows(f.context, order, rows, scale)
 
 
 def _exponent_overflow(phase: str):
@@ -233,56 +245,54 @@ def _exponent_overflow(phase: str):
     )
 
 
-def _shifted_tail(terms: list, dp: int, dk: int, a) -> list:
-    """``terms`` without the leading one, times ``a`` and the monomial of pack dp and key dk."""
-    if a == ONE:  # a monic parent: no coefficient arithmetic
-        return [(p + dp, k + dk, c) for p, k, c in terms[1:]]
-    return [(p + dp, k + dk, c * a) for p, k, c in terms[1:]]
+def _shifted_tail(view, dp: int, dk: int, wa: int, wb: int) -> list:
+    """The tail of ``view`` times wa + wb*i and the monomial of pack dp and key dk."""
+    return [(p + dp, k + dk, a * wa - b * wb, a * wb + b * wa) for p, k, a, b in view.tail]
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    """lcm/lt(f) * f - lcm/lt(g) * g, formed on the packed views under ``order``.
+    """lcm/lt(f) * f - lcm/lt(g) * g, formed on the rows under ``order``.
 
-    Each tail is shifted by its cofactor, one int addition for the key and
-    one for the exponents, and the two shifted tails, both descending, are
-    merged in one pass; the leading terms cancel and are skipped.  The
-    result carries its views under ``order``, so ``normal_form`` neither
-    keys nor sorts it.  A shifted exponent that sets a guard bit raises
-    ResourceLimitError.
+    Each tail, divided by its lead numerator, is shifted by its cofactor
+    (one int addition for the key and one for the exponents), and the two,
+    over one denominator and both descending, are merged in one pass; the
+    leading terms cancel.  The result is built from these rows, so
+    ``normal_form`` neither keys nor sorts it.  A shifted exponent that sets
+    a guard bit raises ResourceLimitError.
     """
     packing = order.packing(f.context.size)
     F, G = f.packed_terms(order), g.packed_terms(order)
-    (pf, kf, cf), (pg, kg, cg) = F[0], G[0]
-    lcm = monomial_lcm(packing.unpack(pf), packing.unpack(pg))
-    lp, lk = packing.pack(lcm), packing.key(lcm)
-    A = _shifted_tail(F, lp - pf, lk - kf, ONE / cf)
-    B = _shifted_tail(G, lp - pg, lk - kg, ONE / cg)
+    m = monomial_lcm(packing.unpack(F.lead_pack), packing.unpack(G.lead_pack))
+    lp, lk = packing.pack(m), packing.key(m)
+    fa, fb, nf = inverse_numerator(F.lead_a, F.lead_b)
+    ga, gb, ng = inverse_numerator(G.lead_a, G.lead_b)
+    n = lcm(nf, ng)
+    A = _shifted_tail(F, lp - F.lead_pack, lk - F.lead_key, fa * (n // nf), fb * (n // nf))
+    B = _shifted_tail(G, lp - G.lead_pack, lk - G.lead_key, -ga * (n // ng), -gb * (n // ng))
     merged = []
     i, j = 0, 0
     while i < len(A) and j < len(B):
-        a, b = A[i], B[j]
-        if a[1] > b[1]:
-            merged.append(a)
+        x, y = A[i], B[j]
+        if x[1] > y[1]:
+            merged.append(x)
             i += 1
-        elif b[1] > a[1]:
-            merged.append((b[0], b[1], -b[2]))
+        elif y[1] > x[1]:
+            merged.append(y)
             j += 1
         else:
-            c = a[2] - b[2]
-            if c:
-                merged.append((a[0], a[1], c))
+            a, b = x[2] + y[2], x[3] + y[3]
+            if a or b:
+                merged.append((x[0], x[1], a, b))
             i += 1
             j += 1
     merged += A[i:]
-    merged += [(p, k, -c) for p, k, c in B[j:]]
+    merged += B[j:]
     seen = 0
-    for p, _, _ in merged:
+    for p, _, _, _ in merged:
         seen |= p
     if seen & packing.guard:
         _exponent_overflow("S-polynomial")
-    unpack = packing.unpack
-    items = [(unpack(p), c) for p, _, c in merged]
-    return Polynomial.with_views(f.context, order, items, merged)
+    return Polynomial.from_rows(f.context, order, merged, n)
 
 
 def _reduce_basis(G: list, order: MonomialOrder) -> tuple:
@@ -290,20 +300,20 @@ def _reduce_basis(G: list, order: MonomialOrder) -> tuple:
     guard = order.packing(G[0].context.size).guard
 
     def lead(g):
-        return g.packed_terms(order)[0]
+        return g.packed_terms(order)
 
-    G = sorted((g for g in G if not g.is_zero), key=lambda g: lead(g)[1])
+    G = sorted((g for g in G if not g.is_zero), key=lambda g: lead(g).lead_key)
     minimal = []
     for g in G:
-        lp = lead(g)[0]
-        if all((lp - lead(h)[0]) & guard for h in minimal):
+        lp = lead(g).lead_pack
+        if all((lp - lead(h).lead_pack) & guard for h in minimal):
             minimal.append(g)
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
         r = normal_form(g, others, order)
         reduced.append(r.monic(order))
-    reduced.sort(key=lambda g: lead(g)[1])
+    reduced.sort(key=lambda g: lead(g).lead_key)
     return tuple(reduced)
 
 
@@ -325,12 +335,12 @@ def buchberger(I: Ideal, order: MonomialOrder, config: GroebnerConfig = DEFAULT_
         return GroebnerBasis(I.context, order, ())
     G = [g.monic(order) for g in gens]
     sugar = [g.total_degree() for g in G]
-    lead = [g.leading(order)[0] for g in G]
-    degree = [monomial_degree(m) for m in lead]
-    # the leads packed, for the coprime and chain tests
+    # the leads packed, for the coprime and chain tests, and unpacked
     packing = order.packing(I.context.size)
     guard = packing.guard
-    packed = [g.packed_terms(order)[0][0] for g in G]
+    packed = [g.packed_terms(order).lead_pack for g in G]
+    lead = [packing.unpack(p) for p in packed]
+    degree = [monomial_degree(m) for m in lead]
 
     heap = []
     pending = set()
@@ -373,16 +383,16 @@ def buchberger(I: Ideal, order: MonomialOrder, config: GroebnerConfig = DEFAULT_
         h = normal_form(s_polynomial(G[i], G[j], order), G, order)
         if h.is_zero:
             continue
+        h = h.monic(order)
         if h.total_degree() > config.max_degree:
             raise ResourceLimitError(
                 f"intermediate degree {h.total_degree()} exceeds budget {config.max_degree}"
             )
-        h = h.monic(order)
         G.append(h)
         sugar.append(s)
-        lead.append(h.leading(order)[0])
+        packed.append(h.packed_terms(order).lead_pack)
+        lead.append(packing.unpack(packed[-1]))
         degree.append(monomial_degree(lead[-1]))
-        packed.append(h.packed_terms(order)[0][0])
         push_pairs(len(G) - 1)
 
     return GroebnerBasis(I.context, order, _reduce_basis(G, order))

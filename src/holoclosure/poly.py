@@ -14,8 +14,9 @@ all monomials free of it.
 
 Every monomial order here (lex, grevlex, block elimination) is a list of 0/1
 weight rows, so it is one additive int key: the row sums packed side by
-side, first row most significant.  Division works on that key and on the
-exponents packed into guarded int fields (``Packing``).  Multiplication
+side, first row most significant.  Division works on that key, on the
+exponents packed into guarded int fields (``Packing``) and on
+Gaussian-integer numerators (``PackedRows``).  Multiplication
 packs each product's exponents afresh, into unguarded fields just wide
 enough for it, over Gaussian-integer numerators.  Only the term maps keep
 exponent tuples, which the parser, the renderer and the jets share.
@@ -27,11 +28,11 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter, lshift, mul
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from holoclosure.arith import ONE, GaussianRational, _reduced, gq, gq_to_text, power
+from holoclosure.arith import ONE, GaussianRational, _reduced, gq, gq_to_text, inverse_numerator, power
 from holoclosure.errors import ResourceLimitError
 
 Monomial = tuple  # dense exponent tuple, one entry per context variable
@@ -135,12 +136,6 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
 
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
-
-def monomial_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-def monomial_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
 
 def monomial_degree(m: Monomial) -> int:
     return sum(m)
@@ -290,13 +285,34 @@ def _packed_numerators(terms: Mapping, shifts: range) -> tuple:
     ], D
 
 
+class PackedRows(NamedTuple):
+    """A nonzero polynomial under one order as rows (pack, key, a, b), keys descending.
+
+    A row is the term (a + b*i)/denominator times the monomial of packed
+    exponents ``pack`` and order key ``key``; the leading row is held in the
+    ``lead_*`` fields.  ``denominator`` is the lcm of the coefficients'
+    denominators, so the rows are a function of the polynomial.
+    """
+
+    lead_pack: int
+    lead_key: int
+    lead_a: int
+    lead_b: int
+    tail: list
+    denominator: int
+
+    def rows(self):
+        """Every row, the leading one first."""
+        return chain(((self.lead_pack, self.lead_key, self.lead_a, self.lead_b),), self.tail)
+
+
 class Polynomial:
     """Immutable multivariate polynomial over Q(i).
 
     ``terms`` maps exponent tuples to nonzero coefficients.  A sorted term
     view is needed only for rendering and for leading terms, and a packed
-    view only for division; both are cached per monomial order object, since
-    one polynomial is read under several orders.
+    view (``PackedRows``) only for division; both are cached per monomial
+    order object, since one polynomial is read under several orders.
     """
 
     __slots__ = ("context", "terms", "_sorted", "_packed")
@@ -336,18 +352,24 @@ class Polynomial:
         return cls(context, {tuple(m): gq(c)})
 
     @classmethod
-    def with_views(cls, context: VariableContext, order: MonomialOrder, items: list, packed: list) -> "Polynomial":
-        """A polynomial from its term views under ``order``, kept as its caches.
+    def from_rows(cls, context: VariableContext, order: MonomialOrder, rows: list, scale: int) -> "Polynomial":
+        """The sum of (a + b*i)/scale times each monomial, for rows (pack, key, a, b).
 
-        ``items`` is the ``sorted_terms`` view and ``packed`` the aligned
-        ``packed_terms`` view (or None); the coefficients must be nonzero
-        GaussianRationals, so nothing is checked or sorted.
+        The keys strictly descend under ``order``, no row is zero, and
+        ``scale`` > 0.  Their common factor divided out, the rows are the
+        ``packed_terms`` view.
         """
-        f = object.__new__(cls)
+        if not rows:
+            return cls.zero(context)
+        if scale != 1:
+            g = gcd(scale, *[r[2] for r in rows], *[r[3] for r in rows])
+            if g != 1:
+                rows = [(p, k, a // g, b // g) for p, k, a, b in rows]
+                scale //= g
+        f = object.__new__(_RowsPolynomial)
         object.__setattr__(f, "context", context)
-        object.__setattr__(f, "terms", dict(items))
-        object.__setattr__(f, "_sorted", {order: items})
-        object.__setattr__(f, "_packed", {} if packed is None else {order: packed})
+        object.__setattr__(f, "_sorted", {})
+        object.__setattr__(f, "_packed", {order: PackedRows(*rows[0], rows[1:], scale)})
         return f
 
     # -- structure ---------------------------------------------------------
@@ -374,19 +396,26 @@ class Polynomial:
         """Terms as (monomial, coeff), descending in the active order."""
         cached = self._sorted.get(order)
         if cached is None:
-            key = order.packing(self.context.size).key
-            cached = sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
-            self._sorted[order] = cached
+            terms = self.terms  # for a polynomial built from rows, fills their order's view
+            cached = self._sorted.get(order)
+            if cached is None:
+                key = order.packing(self.context.size).key
+                cached = sorted(terms.items(), key=lambda t: key(t[0]), reverse=True)
+                self._sorted[order] = cached
         return cached
 
-    def packed_terms(self, order: MonomialOrder) -> list:
-        """Terms as (packed exponents, order key, coeff), descending in ``order``."""
+    def packed_terms(self, order: MonomialOrder) -> PackedRows | None:
+        """The ``PackedRows`` view under ``order``; None for the zero polynomial."""
         cached = self._packed.get(order)
         if cached is None:
+            if self.is_zero:
+                return None
             packing = order.packing(self.context.size)
             pack, key = packing.pack, packing.key
-            cached = [(pack(m), key(m), c) for m, c in self.terms.items()]
-            cached.sort(key=itemgetter(1), reverse=True)
+            d = lcm(*[c._d for c in self.terms.values()])
+            rows = [(pack(m), key(m), c._a * (d // c._d), c._b * (d // c._d)) for m, c in self.terms.items()]
+            rows.sort(key=itemgetter(1), reverse=True)
+            cached = PackedRows(*rows[0], rows[1:], d)
             self._packed[order] = cached
         return cached
 
@@ -480,22 +509,21 @@ class Polynomial:
         return Polynomial(self.context, {m: k * c for m, k in self.terms.items()})
 
     def monic(self, order: MonomialOrder) -> "Polynomial":
-        """Scaled to leading coefficient 1; the views under ``order`` are scaled, not rebuilt.
+        """Scaled to leading coefficient 1; returned as it is if monic or zero.
 
-        A polynomial that is already monic, or zero, is returned as it is.
+        Rows under ``order``, which the engine's polynomials have, are scaled
+        row by row, and a term map without them term by term, so neither is
+        converted into the other.
         """
-        if self.is_zero:
+        view = self._packed.get(order)
+        if view is None:
+            c = self.leading(order)[1] if self.terms else ONE
+            return self if c == ONE else self.scale(ONE / c)
+        if not view.lead_b and view.lead_a == view.denominator:
             return self
-        items = self.sorted_terms(order)
-        if items[0][1] == ONE:
-            return self
-        inv = ONE / items[0][1]
-        items = [(m, c * inv) for m, c in items]
-        packed = self._packed.get(order)
-        if packed is not None:
-            # keys are distinct, so both views list the terms in the same order
-            packed = [(p, k, c) for (p, k, _), (_, c) in zip(packed, items)]
-        return Polynomial.with_views(self.context, order, items, packed)
+        ua, ub, n = inverse_numerator(view.lead_a, view.lead_b)
+        rows = [(p, k, a * ua - b * ub, a * ub + b * ua) for p, k, a, b in view.rows()]
+        return Polynomial.from_rows(self.context, order, rows, n)
 
     def sub_scaled(self, other: "Polynomial", m: Monomial, c: GaussianRational) -> "Polynomial":
         """self - c * x^m * other, the reduction step of the division algorithm."""
@@ -605,6 +633,29 @@ class Polynomial:
 
     def __repr__(self):
         return f"<Polynomial {polynomial_to_text(self)}>"
+
+
+class _RowsPolynomial(Polynomial):
+    """A nonzero polynomial built ``from_rows``, whose term map is built when first read.
+
+    The engine reads most of them only through their rows.  A subclass keeps
+    the ``__getattr__`` hook, which slows every attribute read, off term-built
+    polynomials.
+    """
+
+    __slots__ = ()
+    is_zero = False
+
+    def __getattr__(self, name):
+        # only the unset terms slot lands here
+        if name != "terms":
+            raise AttributeError(name)
+        (order, view), = self._packed.items()
+        unpack, d = order.packing(self.context.size).unpack, view.denominator
+        items = [(unpack(p), _reduced(a, b, d)) for p, _, a, b in view.rows()]
+        object.__setattr__(self, "terms", dict(items))
+        self._sorted[order] = items
+        return self.terms
 
 
 def _pow_text(name: str, e: int) -> str:

@@ -116,6 +116,14 @@ def is_swap_symmetric(ideal):
     return all(ideal_membership(g.conjugate(swap), ideal) for g in ideal.generators)
 
 
+def monomial_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def monomial_div(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
 def staircase_dimension_brute_force(monomials, nvars):
     """Independent oracle: subset search directly on monomial generators."""
     supports = [frozenset(k for k, e in enumerate(m) if e) for m in monomials]

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 from typing import Callable
 
@@ -25,7 +26,8 @@ from holoclosure.cli import (
     EXIT_SEMANTIC,
     run,
 )
-from holoclosure.poly import z_context
+from holoclosure.complexify import System
+from holoclosure.poly import GREVLEX, LEX, z_context
 from holoclosure.syntax import parse, parse_polynomial
 
 GOLDEN = FIXTURES / "golden"
@@ -413,6 +415,22 @@ def test_katsura3_lex_reduces_28_s_pairs(monkeypatch):
     code, out = invoke(["groebner", str(BENCH / "inputs" / "katsura3.sys"), "--order", "lex", "--json"])
     assert code == EXIT_OK
     assert len(calls) == 28
+
+
+def test_katsura4_lex_answers_in_a_child_and_spans_the_grevlex_ideal():
+    # 31 s before division went fraction-free over Z[i]; about 1.5 s after
+    path = BENCH / "inputs" / "katsura4.sys"
+    code, out, err = _run_bounded(["groebner", str(path), "--order", "lex", "--json"], timeout=20)
+    assert code == EXIT_OK and "Traceback" not in err
+    system = System.from_document(parse(path.read_text(encoding="utf-8")))
+    lex = [parse_polynomial(g, system.context) for g in json.loads(out)["results"]["basis"]]
+    # every S-pair reducing to 0 makes it a lex basis of the ideal it spans, and
+    # the two bases reducing each other's elements to 0 make that ideal katsura-4's
+    for f, g in combinations(lex, 2):
+        assert groebner.normal_form(groebner.s_polynomial(f, g, LEX), lex, LEX).is_zero
+    grevlex = groebner.buchberger(system.ideal(), GREVLEX).basis
+    assert all(groebner.normal_form(g, grevlex, GREVLEX).is_zero for g in lex)
+    assert all(groebner.normal_form(g, lex, LEX).is_zero for g in grevlex)
 
 
 def test_probe_osgood_matches_user_probe():

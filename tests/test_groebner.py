@@ -1,6 +1,8 @@
 """Normal forms, Buchberger, elimination, and staircase dimension."""
 
+import copy
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -9,12 +11,14 @@ from hypothesis import strategies as st
 
 from conftest import (
     GAUSSIAN_COEFFS,
+    monomial_div,
+    monomial_divides,
     param_ctx,
     rand_exponents,
     rand_nonzero_poly,
     staircase_dimension_brute_force,
 )
-from holoclosure.arith import gq
+from holoclosure.arith import GaussianRational, gq
 from holoclosure.errors import ResourceLimitError
 from holoclosure.groebner import (
     GroebnerBasis,
@@ -35,8 +39,6 @@ from holoclosure.poly import (
     MAX_EXPONENT,
     Polynomial,
     VariableContext,
-    monomial_div,
-    monomial_divides,
     monomial_lcm,
     zw_context,
 )
@@ -318,9 +320,6 @@ def test_dimension_witness_matches_the_unpruned_subset_search():
 
 
 def test_basis_is_fully_reduced():
-    from holoclosure.poly import monomial_divides
-    from holoclosure.arith import gq
-
     rng = random.Random(616)
     for _ in range(40):
         nv = rng.randint(1, 3)
@@ -339,8 +338,6 @@ def test_basis_is_fully_reduced():
 def test_normal_form_postconditions():
     # dual route: the division remainder differs from f by an ideal member,
     # and no remainder term is divisible by a basis leading monomial
-    from holoclosure.poly import monomial_divides
-
     rng = random.Random(31)
     for _ in range(15):
         ctx = param_ctx(("x", "y"))
@@ -400,10 +397,59 @@ def polys4(max_terms):
     )
 
 
+nonzero_polys4 = polys4(6).filter(lambda f: not f.is_zero)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(DIVISION_ORDERS), polys4(8), st.lists(polys4(4), max_size=3))
 def test_normal_form_matches_textbook_division(order, f, G):
     assert normal_form(f, G, order) == reference_normal_form(f, G, order)
+
+
+# leading coefficients the fraction-free step handles apart from a positive
+# integer: off the real axis and not a unit, negative real, and a unit
+AWKWARD_LEADS = [
+    GaussianRational(Fraction(2, 5), Fraction(3, 5)),
+    GaussianRational(-3),
+    GaussianRational(Fraction(-1, 2)),
+    GaussianRational(0, Fraction(7, 3)),
+    GaussianRational(0, -1),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(DIVISION_ORDERS), polys4(8),
+    st.lists(st.tuples(nonzero_polys4, st.sampled_from(AWKWARD_LEADS)), min_size=1, max_size=3),
+)
+def test_normal_form_matches_textbook_division_under_awkward_leads(order, f, scaled):
+    G = [g.scale(c / g.leading(order)[1]) for g, c in scaled]
+    assert [g.leading(order)[1] for g in G] == [c for _, c in scaled]
+    assert normal_form(f, G, order) == reference_normal_form(f, G, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(DIVISION_ORDERS), polys4(8), st.lists(polys4(4), max_size=3), GAUSSIAN_COEFFS)
+def test_normal_form_commutes_with_scalars(order, f, G, c):
+    assert normal_form(f.scale(c), G, order) == normal_form(f, G, order).scale(c)
+
+
+def _views(f, order):
+    return dict(f.terms), list(f.sorted_terms(order)), copy.deepcopy(f.packed_terms(order))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(DIVISION_ORDERS), polys4(8), st.lists(polys4(4), max_size=3))
+def test_normal_form_leaves_every_cached_view_as_it_was(order, f, G):
+    # the kernel scales its dividend in place: a row it shared with f or with a
+    # reducer would change that polynomial; reducers built from rows, as
+    # basis elements are, and from term maps
+    G = G + [normal_form(g, [], order).monic(order) for g in G]
+    before = [_views(g, order) for g in [f, *G]]
+    normal_form(f, G, order)
+    assert [_views(g, order) for g in [f, *G]] == before
+    assert [_views(g, order) for g in [f, *G]] == [_views(Polynomial(g.context, g.terms), order)
+                                                   for g in [f, *G]]
 
 
 def test_normal_form_sorts_each_reducer_once_at_most(monkeypatch):
@@ -438,9 +484,6 @@ def assert_views_are_fresh(f, order):
     fresh = Polynomial(f.context, f.terms)
     assert f.sorted_terms(order) == fresh.sorted_terms(order)
     assert f.packed_terms(order) == fresh.packed_terms(order)
-
-
-nonzero_polys4 = polys4(6).filter(lambda f: not f.is_zero)
 
 
 @settings(max_examples=80, deadline=None)
