@@ -10,10 +10,11 @@ The sweep runs every fixture under every command (the commands a fixture's
 kind does not take end in their error report), the hard-tier inputs under
 ``bench/inputs`` under hcdim, realdim and groebner in both orders, inputs
 read from stdin, and the error paths: unreadable and malformed input, a
-command line argparse rejects, each budget and a semantic failure.  Each
-invocation runs in this process through ``holoclosure.cli.run``, once as
-text and once with ``--json``.  A file holds ``exit <code>``, then the
-report, then what went to stderr, if anything, after a ``stderr:`` line.
+command line argparse rejects, each budget, semantic failures and a
+sampler that finds no rational point.  Each invocation runs in this
+process through ``holoclosure.cli.run``, once as text and once with
+``--json``.  A file holds ``exit <code>``, then the report, then what went
+to stderr, if anything, after a ``stderr:`` line.
 Paths are given relative to the repository root, so the reports of two
 checkouts can be equal byte for byte.  OUTDIR must be new or empty.
 """
@@ -74,6 +75,7 @@ ERROR_CASES = {
                              b"vars z1 z2\neq z1-z2^1000\neq z1^33-1\n"),
     "error-off-the-set": (["crdim", "fixtures/sphere.sys", "--point", "2, 0"], b""),
     "error-empty-set": (["hcdim", "-"], b"vars z1\neq 1\n"),
+    "error-no-rational-point": (["ranks", "-"], b"mapvars u v\nmap u\nmap v\neq u^2 - 2\n"),
 }
 
 

@@ -5,7 +5,7 @@ Gabrielov ranks from polynomial defining equations, on top of an exact
 Groebner-basis engine over the Gaussian rationals Q(i).
 """
 
-from holoclosure.arith import GaussianRational, Rational
+from holoclosure.arith import GaussianRational
 from holoclosure.closure import (
     HCReport,
     RankReport,
@@ -68,7 +68,6 @@ __all__ = [
     "Polynomial",
     "ProbeResult",
     "RankReport",
-    "Rational",
     "System",
     "VariableContext",
     "buchberger",

@@ -1,23 +1,25 @@
-"""Exact arithmetic over Q and the Gaussian rationals Q(i).
+"""Exact arithmetic over the Gaussian rationals Q(i).
 
-Rational numbers are ``fractions.Fraction``.  ``GaussianRational`` is the
-field Q(i), the coefficient field of every polynomial in this package, and
-is closed under the coefficient conjugation that the complexification step
-needs.  An element is one triple of Python ints ``(a, b, d)`` meaning
-``(a + b*i)/d``, kept canonical: ``d > 0`` and ``gcd(a, b, d) == 1``, so zero
-is ``(0, 0, 1)`` and structural equality is mathematical equality.  A field
-operation forms the integer numerator pair and the denominator and divides
-out one three-argument gcd (none when the denominator is 1); a sum over equal
-denominators skips the cross products, and negation and conjugation need no
-gcd at all.  ``re`` and ``im`` are read-only ``Fraction`` views.
+``GaussianRational`` is the field Q(i), the one scalar type of this package:
+polynomial coefficients, jet coefficients, matrix entries, sampled points
+and parsed literals are all its elements, and a rational number is a real
+element.  It is closed under the coefficient conjugation that the
+complexification step needs.  An element is one triple of Python ints
+``(a, b, d)`` meaning ``(a + b*i)/d``, kept canonical: ``d > 0`` and
+``gcd(a, b, d) == 1``, so zero is ``(0, 0, 1)`` and structural equality is
+mathematical equality.  A field operation forms the integer numerator pair
+and the denominator and divides out one three-argument gcd (none when the
+denominator is 1); a sum over equal denominators skips the cross products,
+and negation and conjugation need no gcd at all.  ``real_part`` and
+``imag_part`` are elements of Q(i) again.  ``fractions.Fraction`` appears
+only at the edges: the constructor accepts it, equality and hashing agree
+with it, and ``re`` and ``im`` are read-only ``Fraction`` views.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-
-Rational = Fraction
 
 
 def _as_fraction(x) -> Fraction:
@@ -104,6 +106,12 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return _canonical(self._a, -self._b, self._d)
 
+    def real_part(self) -> "GaussianRational":
+        return _reduced(self._a, 0, self._d)
+
+    def imag_part(self) -> "GaussianRational":
+        return _reduced(self._b, 0, self._d)
+
     def inverse(self) -> "GaussianRational":
         return ONE / self
 
@@ -168,7 +176,7 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
-HALF = GaussianRational(Fraction(1, 2))
+HALF = _canonical(1, 0, 2)
 
 
 def inverse_numerator(a: int, b: int) -> tuple:
@@ -205,7 +213,7 @@ def gq(x) -> GaussianRational:
 
 # -- textual form ----------------------------------------------------------
 #
-# Canonical scalar syntax, the exact inverse of parsing:
+# Canonical scalar syntax, which ``syntax.parse_point`` reads back exactly:
 #   0        -> "0"
 #   3/7      -> "3/7"          (denominator omitted when 1)
 #   i, -i    -> "i", "-i"
@@ -235,41 +243,3 @@ def gq_to_text(x: GaussianRational) -> str:
         return im
     sign = "+" if b > 0 else ""
     return f"{_ratio_to_text(a, d)}{sign}{im}"
-
-
-def _frac_from_text(s: str) -> Fraction:
-    s = s.strip()
-    if "/" in s:
-        num, den = s.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
-
-
-def gq_from_text(s: str) -> GaussianRational:
-    """Parse the canonical scalar syntax produced by :func:`gq_to_text`."""
-    s = s.strip().replace(" ", "")
-    if not s:
-        raise ValueError("empty Gaussian rational literal")
-    # split off an imaginary tail if present
-    if s.endswith("i"):
-        body = s[:-1]
-        # find the sign that separates real and imaginary parts, skipping a
-        # leading sign of the real part
-        split = -1
-        for k in range(1, len(body)):
-            if body[k] in "+-" and body[k - 1] not in "+-/*":
-                split = k
-                break
-        if split == -1:
-            re_part, im_part = "0", body
-        else:
-            re_part, im_part = body[:split], body[split:]
-        im_part = im_part.rstrip("*")
-        if im_part in ("", "+"):
-            im = Fraction(1)
-        elif im_part == "-":
-            im = Fraction(-1)
-        else:
-            im = _frac_from_text(im_part)
-        return GaussianRational(_frac_from_text(re_part), im)
-    return GaussianRational(_frac_from_text(s))

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt, lcm
 from typing import Sequence
 
-from holoclosure.arith import gq
+from holoclosure.arith import GaussianRational, gq
 from holoclosure.complexify import System, complexify_ideal
 from holoclosure.errors import EmptySetError, InvariantError, SamplingError
 from holoclosure.groebner import (
@@ -182,8 +181,8 @@ FIBRE_SAMPLES = 5  # seeded fibre draws per rank report
 SAMPLE_RETRIES = 25  # random slices tried per sample point
 
 
-def _random_rational(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-100, 100), rng.randint(1, 100))
+def _random_rational(rng: random.Random) -> GaussianRational:
+    return gq(rng.randint(-100, 100)) / rng.randint(1, 100)
 
 
 def _divisors(n: int) -> list:
@@ -213,38 +212,40 @@ def _univariate_coeffs(f: Polynomial, index: int) -> list:
 
 
 def _rational_roots(coeffs: list) -> list:
-    """Roots in Q(i) found exactly: linear always, higher degree over Q only."""
+    """Roots in Q(i) found exactly: linear always, higher degree over Q only.
+
+    A real polynomial is cleared to integer coefficients c_0..c_n, its root 0
+    split off, and each candidate p/q of the rational root theorem kept when
+    q^n * f(p/q) vanishes.  Every root times |c_n| is an integer, which
+    orders the roots ascending.
+    """
     while len(coeffs) > 1 and not coeffs[-1]:
         coeffs.pop()
     if len(coeffs) <= 1:
         return []
     if len(coeffs) == 2:
         return [-coeffs[0] / coeffs[1]]
-    if any(c.im != 0 for c in coeffs):
+    if not all(c.is_real() for c in coeffs):
         return []
-    roots = []
-    rational = [c.re for c in coeffs]
-    if rational[0] == 0:
-        roots.append(gq(0))
-        while rational[0] == 0 and len(rational) > 1:
-            rational.pop(0)
-        if len(rational) == 2:
-            roots.append(gq(-rational[0] / rational[1]))
-            return sorted(set(roots), key=lambda r: (r.re, r.im))
-    denom_lcm = 1
-    for c in rational:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in rational]
-    lead, const = ints[-1], ints[0]
-    for p in _divisors(const):
-        for q in _divisors(lead):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                val = Fraction(0)
-                for c in reversed(ints):
-                    val = val * cand + c
-                if val == 0:
-                    roots.append(gq(cand))
-    return sorted(set(roots), key=lambda r: (r.re, r.im))
+    denom = lcm(*(c._d for c in coeffs))
+    ints = [c._a * (denom // c._d) for c in coeffs]
+    low = next(k for k, c in enumerate(ints) if c)
+    ints = ints[low:]
+    scale = abs(ints[-1])
+    scaled_roots = {0} if low else set()
+    if len(ints) == 2:
+        scaled_roots.add(-ints[0] * scale // ints[1])
+    else:
+        for p in _divisors(ints[0]):
+            for q in _divisors(scale):
+                for n in (p, -p):
+                    val, qk = 0, 1
+                    for c in reversed(ints):
+                        val = val * n + c * qk
+                        qk *= q
+                    if not val:
+                        scaled_roots.add(n * (scale // q))
+    return [gq(r) / scale for r in sorted(scaled_roots)]
 
 
 def _substitute_value(gens, ctx, index, value):
@@ -265,7 +266,7 @@ def _find_rational_point(I: Ideal, rng: random.Random, config: GroebnerConfig):
     if ctx.size == 0:
         return {} if all(g.is_zero for g in I.generators) else None
     if I.is_zero:
-        return {name: gq(_random_rational(rng)) for name in ctx.names}
+        return {name: _random_rational(rng) for name in ctx.names}
     gb = buchberger(I, LEX, config)
     if gb.is_unit:
         return None
@@ -282,7 +283,7 @@ def _find_rational_point(I: Ideal, rng: random.Random, config: GroebnerConfig):
     if univariate is None:
         if touched:
             return None  # not triangular in the last variable; try another slice
-        value = gq(_random_rational(rng))
+        value = _random_rational(rng)
         gens, sub = _substitute_value(gb.basis, ctx, last, value)
         rest = _find_rational_point(Ideal.from_polys(sub, gens), rng, config)
         if rest is None:
@@ -314,7 +315,7 @@ def sample_point_on_variety(
     """
     ctx = source.context
     if source.is_zero:
-        return tuple(gq(_random_rational(rng)) for _ in ctx.names)
+        return tuple(_random_rational(rng) for _ in ctx.names)
     dim = len(indep)
     for attempt in range(SAMPLE_RETRIES):
         # slice the staircase independent set first; on later attempts try
@@ -329,7 +330,7 @@ def sample_point_on_variety(
         work_ctx = ctx
         for k in sliced:
             name = ctx.names[k]
-            values[name] = gq(_random_rational(rng))
+            values[name] = _random_rational(rng)
             idx = work_ctx.index(name)
             gens, work_ctx = _substitute_value(gens, work_ctx, idx, values[name])
         solved = _find_rational_point(Ideal.from_polys(work_ctx, gens), rng, config)

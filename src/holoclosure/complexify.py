@@ -59,7 +59,7 @@ class System:
             if nr == 0 or nr % 2 != 0:
                 raise ValueError("real-form context needs interleaved x,y pairs")
             for g in self.generators:
-                if any(c.im != 0 for c in g.terms.values()):
+                if not all(c.is_real() for c in g.terms.values()):
                     raise ValueError("real-form generators must have real coefficients")
         else:
             raise ValueError(f"unknown system form {self.form!r}")
@@ -123,8 +123,8 @@ def zeta_to_real(system: System) -> System:
     gens = []
     for g in system.generators:
         h = g.substitute(rctx, images)
-        re_part = Polynomial(rctx, {m: gq(c.re) for m, c in h.terms.items()})
-        im_part = Polynomial(rctx, {m: gq(c.im) for m, c in h.terms.items()})
+        re_part = Polynomial(rctx, {m: c.real_part() for m, c in h.terms.items()})
+        im_part = Polynomial(rctx, {m: c.imag_part() for m, c in h.terms.items()})
         for part in (re_part, im_part):
             if not part.is_zero and part not in gens:
                 gens.append(part)
@@ -207,6 +207,6 @@ def evaluate_system(system: System, point: Sequence[GaussianRational]) -> list:
             values[system.context.names[n + j]] = point[j].conjugate()
     else:
         for j in range(n):
-            values[system.context.names[2 * j]] = gq(point[j].re)
-            values[system.context.names[2 * j + 1]] = gq(point[j].im)
+            values[system.context.names[2 * j]] = point[j].real_part()
+            values[system.context.names[2 * j + 1]] = point[j].imag_part()
     return [g.evaluate(values) for g in system.generators]

@@ -91,8 +91,8 @@ def _real_coordinates(system: System, point: Point) -> dict:
     values = {}
     for j in range(n):
         c = gq(point[j])
-        values[system.context.names[2 * j]] = gq(c.re)
-        values[system.context.names[2 * j + 1]] = gq(c.im)
+        values[system.context.names[2 * j]] = c.real_part()
+        values[system.context.names[2 * j + 1]] = c.imag_part()
     return values
 
 
@@ -109,8 +109,8 @@ def _jacobian_rows_at(system: System, values: dict) -> list:
     for g in system.generators:
         row = []
         for name in system.context.names:
-            v = g.derivative(name).evaluate(values)
-            row.append(v.re)  # real-form generators have real coefficients
+            # real-form generators at real coordinates: every entry is a real element of Q(i)
+            row.append(g.derivative(name).evaluate(values))
         rows.append(row)
     return rows
 

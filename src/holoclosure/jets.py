@@ -3,7 +3,7 @@
 A jet is a polynomial truncation of a power series at a fixed total degree
 K; arithmetic drops every term above K.  The relation probe looks for a
 nonzero polynomial F of bounded degree with F(components) = 0 up to degree
-K: the coefficients of F satisfy an exact rational linear system, one
+K: the coefficients of F satisfy an exact linear system over Q, one
 column per candidate monomial of F.  The columns go to ``linalg.relations``
 in ascending grevlex, lowest degree first, and the search stops at the first
 column that depends on earlier ones, so each column is eliminated once.
@@ -12,21 +12,20 @@ degree less.  Applied to the truncations of the map
 (v,w) -> (v, vw, vw*e^w), the probe exhibits how the minimal relation degree
 grows with K while any fixed degree is eventually excluded - one-sided
 evidence (not proof) that the components satisfy no analytic relation at
-all.  Relations are sought over Q: the components handled here have
-rational coefficients, and then a relation with Gaussian rational
-coefficients exists iff one with rational coefficients does (take real or
-imaginary parts).
+all.  Relations are sought over Q: a jet coefficient is a real element of
+Q(i), checked where it enters a jet, and for such components a relation
+with Gaussian rational coefficients exists iff one with rational
+coefficients does (take real or imaginary parts).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import Mapping, Sequence
 
 from holoclosure import linalg
-from holoclosure.arith import power
+from holoclosure.arith import ONE, ZERO, GaussianRational, gq, power
 from holoclosure.errors import InvariantError, ResourceLimitError
 from holoclosure.poly import (
     Block,
@@ -42,27 +41,19 @@ from holoclosure.poly import (
 MAX_PROBE_ENTRIES = 2_000_000  # rows x cols bound for the relation system
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    if c.im != 0:
-        raise ValueError("jet coefficients must be rational (real)")
-    return c.re
-
-
 class Jet:
-    """Power series truncated at total degree ``order``, over Q."""
+    """Power series truncated at total degree ``order``, with real coefficients in Q(i)."""
 
     __slots__ = ("context", "order", "coeffs")
 
-    def __init__(self, context: VariableContext, order: int, coeffs: Mapping[Monomial, Fraction]):
+    def __init__(self, context: VariableContext, order: int, coeffs: Mapping[Monomial, GaussianRational]):
         if order < 0:
             raise ValueError("jet order must be non-negative")
         pruned = {}
         for m, c in coeffs.items():
-            c = _as_fraction(c)
+            c = gq(c)
+            if not c.is_real():
+                raise ValueError("jet coefficients must be rational (real)")
             if c and sum(m) <= order:
                 pruned[m] = c
         object.__setattr__(self, "context", context)
@@ -78,13 +69,13 @@ class Jet:
 
     @classmethod
     def constant(cls, context: VariableContext, order: int, c) -> "Jet":
-        return cls(context, order, {(0,) * context.size: _as_fraction(c)})
+        return cls(context, order, {(0,) * context.size: c})
 
     @classmethod
     def variable(cls, context: VariableContext, order: int, name: str) -> "Jet":
         e = [0] * context.size
         e[context.index(name)] = 1
-        return cls(context, order, {tuple(e): Fraction(1)})
+        return cls(context, order, {tuple(e): ONE})
 
     @property
     def is_zero(self) -> bool:
@@ -98,7 +89,7 @@ class Jet:
         self._require_compatible(other)
         res = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            s = res.get(m, Fraction(0)) + c
+            s = res.get(m, ZERO) + c
             if s:
                 res[m] = s
             else:
@@ -114,7 +105,7 @@ class Jet:
                 if d1 + sum(m2) > self.order:
                     continue
                 m = monomial_mul(m1, m2)
-                s = res.get(m, Fraction(0)) + c1 * c2
+                s = res.get(m, ZERO) + c1 * c2
                 if s:
                     res[m] = s
                 else:
@@ -156,7 +147,7 @@ def jet_exp(context: VariableContext, name: str, order: int) -> Jet:
             factorial *= j
         e = [0] * context.size
         e[idx] = j
-        coeffs[tuple(e)] = Fraction(1, factorial)
+        coeffs[tuple(e)] = ONE / factorial
     return Jet(context, order, coeffs)
 
 
@@ -175,7 +166,7 @@ def jet_compose(F: Polynomial, components: Sequence[Jet], order: int) -> Jet:
     comps = [jet.truncate(order) for jet in components]
     result = Jet.zero(ctx, order)
     for m, c in F.terms.items():
-        term = Jet.constant(ctx, order, _as_fraction(c))
+        term = Jet.constant(ctx, order, c)
         for k, e in enumerate(m):
             if e:
                 term = term * comps[k] ** e

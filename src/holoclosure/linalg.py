@@ -1,7 +1,7 @@
-"""Exact rational linear algebra: linear relations among columns, rank, nullspace.
+"""Exact linear algebra over Q(i): linear relations among columns, rank, nullspace.
 
 One elimination serves every caller.  ``relations`` reduces sparse columns,
-``{row: Fraction}`` maps of the nonzero entries under any comparable row
+``{row: GaussianRational}`` maps of the nonzero entries under any comparable row
 labels, one at a time against the independent columns kept so far, so a
 caller can feed columns lazily and stop at the first relation, as the jet
 relation probe does.  A relation is the reduced row echelon kernel vector of
@@ -11,11 +11,12 @@ echelon form.  ``nullspace`` and ``rank`` adapt it to dense row lists.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
+from holoclosure.arith import ONE, ZERO, GaussianRational
 
-def _sub_scaled(target: dict, f: Fraction, other: dict):
+
+def _sub_scaled(target: dict, f: GaussianRational, other: dict):
     """target -= f * other in place, deleting the entries that cancel."""
     for k, x in other.items():
         y = target.get(k)
@@ -32,7 +33,7 @@ def _sub_scaled(target: dict, f: Fraction, other: dict):
 def relations(columns: Iterable[Mapping]) -> Iterator[tuple]:
     """Yield (j, relation) for each column j that depends on the earlier columns.
 
-    The relation is a ``{column index: Fraction}`` map of its nonzero
+    The relation is a ``{column index: GaussianRational}`` map of its nonzero
     coordinates, supported on column j and earlier independent columns, with
     sum(relation[i] * column i) = 0 and its first (lowest index) coordinate
     equal to 1: the reduced row echelon kernel vector of the free column j.
@@ -43,7 +44,7 @@ def relations(columns: Iterable[Mapping]) -> Iterator[tuple]:
     kept = []  # (pivot row, reduced column, its combination of input columns)
     for j, column in enumerate(columns):
         v = {r: x for r, x in column.items() if x}
-        combination = {j: Fraction(1)}
+        combination = {j: ONE}
         for p, reduced, combo in kept:
             f = v.get(p)
             if f is not None:
@@ -79,7 +80,7 @@ def nullspace(rows: list, ncols: int) -> list:
     """
     basis = []
     for _, relation in relations(_columns(rows, ncols)):
-        v = [Fraction(0)] * ncols
+        v = [ZERO] * ncols
         for i, x in relation.items():
             v[i] = x
         basis.append(v)

@@ -17,10 +17,9 @@ and parsing a printed document reproduces the document exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
-from holoclosure.arith import I as IMAG, gq
+from holoclosure.arith import I as IMAG, GaussianRational, gq
 from holoclosure.errors import ResourceLimitError
 from holoclosure.poly import (
     Block,
@@ -232,8 +231,8 @@ class _ExprParser:
             return _power(base, _int_value(etok), tok)
         return base
 
-    def _rational(self) -> Fraction:
-        value = Fraction(_int_value(self.advance()))
+    def _rational(self) -> GaussianRational:
+        value = gq(_int_value(self.advance()))
         nxt = self.peek()
         if nxt.kind == "op" and nxt.text == "/":
             self.advance()
@@ -251,7 +250,7 @@ class _ExprParser:
         env = self.env
         tok = self.peek()
         if tok.kind == "int":
-            return Polynomial.constant(env.context, gq(self._rational()))
+            return Polynomial.constant(env.context, self._rational())
         if tok.kind == "op" and tok.text == "(":
             self.advance()
             inner = self._nested(tok, self._sum)

@@ -1,14 +1,18 @@
 """Field axioms and canonical form of the Gaussian rationals."""
 
+import ast
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import holoclosure
 from conftest import reference_gq_text
-from holoclosure.arith import GaussianRational, gq, gq_from_text, gq_to_text
+from holoclosure.arith import GaussianRational, gq, gq_to_text
+from holoclosure.syntax import parse_point
 
 fractions = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
 gaussians = st.builds(GaussianRational, fractions, fractions)
@@ -89,7 +93,7 @@ def test_canonical_form_equality_and_hash(a):
 
 @given(gaussians)
 def test_text_round_trip(a):
-    assert gq_from_text(gq_to_text(a)) == a
+    assert parse_point(gq_to_text(a)) == (a,)
 
 
 wide_gaussians = st.builds(
@@ -103,7 +107,7 @@ wide_gaussians = st.builds(
 def test_text_matches_the_fraction_reference(a):
     text = gq_to_text(a)
     assert text == reference_gq_text(a)
-    assert gq_from_text(text) == a
+    assert parse_point(text) == (a,)
 
 
 @pytest.mark.parametrize(
@@ -122,7 +126,7 @@ def test_text_matches_the_fraction_reference(a):
 )
 def test_text_examples(value, text):
     assert gq_to_text(value) == text
-    assert gq_from_text(text) == value
+    assert parse_point(text) == (value,)
 
 
 def test_pow():
@@ -237,3 +241,19 @@ def test_real_values_agree_with_int_and_fraction(q):
         assert hash(z) == hash(q)
         assert z.is_real() and z.re == q and z.im == 0
         assert z != q + 1 and z != GaussianRational(q, 1)
+
+
+def test_only_arith_imports_fractions():
+    """Q(i) is the package's one scalar: ``Fraction`` stays behind ``arith``."""
+    importers = set()
+    for path in sorted(Path(holoclosure.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "fractions" for m in modules):
+                importers.add(path.name)
+    assert importers == {"arith.py"}

@@ -177,6 +177,8 @@ EXIT_CASES = [
              EXIT_RESOURCE_LIMIT, "exceeds the probe budget", bounded=True),
     ExitCase(("crdim", SPHERE, "--point", "2, 0"), EXIT_SEMANTIC, "does not satisfy the system"),
     ExitCase(("hcdim", "-"), EXIT_SEMANTIC, "empty set", "vars z1\neq 1\n"),
+    ExitCase(("ranks", "-"), EXIT_SEMANTIC, "no rational point found",
+             "mapvars u v\nmap u\nmap v\neq u^2 - 2\n"),
     ExitCase(("crdim", str(FIXTURES / "umbrella.sys"), "--point", "0, 1"), EXIT_SEMANTIC,
              "Jacobian rank"),
     ExitCase(("hcdim", SPHERE), EXIT_INVARIANT, "closure dimension 99", patch=_claim_h_above_n),

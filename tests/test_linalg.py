@@ -1,4 +1,4 @@
-"""Column-by-column exact elimination against a dense Gauss-Jordan model."""
+"""Column-by-column exact elimination over Q(i) against a dense Gauss-Jordan model."""
 
 from fractions import Fraction
 
@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holoclosure import linalg
+from holoclosure.arith import GaussianRational, gq
 
 
 def dense_row_echelon(rows):
-    """Model: dense Fraction Gauss-Jordan, first nonzero at or below r as pivot."""
+    """Model: dense Gauss-Jordan, first nonzero at or below r as pivot."""
     m = [list(r) for r in rows]
     if not m:
         return [], []
@@ -39,8 +40,8 @@ def dense_nullspace(rows, ncols):
     for f in range(ncols):
         if f in pivots:
             continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+        v = [gq(0)] * ncols
+        v[f] = gq(1)
         for r, p in enumerate(pivots):
             v[p] = -rref[r][f]
         first = next(x for x in v if x != 0)
@@ -49,7 +50,12 @@ def dense_nullspace(rows, ncols):
 
 
 RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
-MOSTLY_ZERO = st.one_of(st.just(Fraction(0)), RATIONALS)
+# real entries, and entries with a nonzero imaginary part
+ENTRIES = st.one_of(
+    st.builds(GaussianRational, RATIONALS),
+    st.builds(GaussianRational, RATIONALS, RATIONALS.filter(bool)),
+)
+MOSTLY_ZERO = st.one_of(st.just(gq(0)), ENTRIES)
 
 
 @st.composite
@@ -67,12 +73,12 @@ def matrices(draw):
     if shape == "sparse":
         # at most one nonzero in ten cells
         cells = nrows * ncols
-        rows = [[Fraction(0)] * ncols for _ in range(nrows)]
+        rows = [[gq(0)] * ncols for _ in range(nrows)]
         for _ in range(cells // 10):
             r, c = draw(st.integers(0, nrows - 1)), draw(st.integers(0, ncols - 1))
-            rows[r][c] = draw(RATIONALS)
+            rows[r][c] = draw(ENTRIES)
         return rows, ncols
-    cell = st.just(Fraction(0)) if shape == "zero" else MOSTLY_ZERO
+    cell = st.just(gq(0)) if shape == "zero" else MOSTLY_ZERO
     rows = [draw(st.lists(cell, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
     if shape == "repeated" and rows:
         rows = rows + [list(rows[draw(st.integers(0, len(rows) - 1))]) for _ in range(2)]
@@ -100,7 +106,7 @@ def test_rank_and_nullspace_match_the_dense_model(matrix):
     assert kernel == dense_nullspace(rows, ncols)
     assert len(kernel) == ncols - len(expected_pivots)
     for v in kernel:
-        assert all(type(x) is Fraction for x in v)
+        assert all(type(x) is GaussianRational for x in v)
         assert next(x for x in v if x != 0) == 1
         assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
 
@@ -116,22 +122,22 @@ def test_relations_are_the_kernel_vectors_of_the_free_columns(matrix):
     assert cols == copy  # the input maps are left unchanged
     assert [j for j, _ in found] == [c for c in range(ncols) if c not in pivots]
     for (j, relation), v in zip(found, dense_nullspace(rows, ncols)):
-        assert all(type(x) is Fraction and x != 0 for x in relation.values())
+        assert all(type(x) is GaussianRational and x != 0 for x in relation.values())
         assert max(relation) == j and relation[min(relation)] == 1
         assert relation == {i: x for i, x in enumerate(v) if x}
 
 
 def test_relations_take_any_comparable_row_labels_and_stop_early():
     # rows labelled by monomials; the third column is the sum of the first two
-    a = {(0, 1): Fraction(2), (1, 0): Fraction(1)}
-    b = {(1, 0): Fraction(3)}
+    a = {(0, 1): gq(2), (1, 0): gq(1)}
+    b = {(1, 0): gq(3)}
     fed = []
 
     def columns():
-        for col in (a, b, {(0, 1): Fraction(2), (1, 0): Fraction(4)}, {(2, 0): Fraction(1)}):
+        for col in (a, b, {(0, 1): gq(2), (1, 0): gq(4)}, {(2, 0): gq(1)}):
             fed.append(col)
             yield col
 
     j, relation = next(linalg.relations(columns()))
-    assert (j, relation) == (2, {0: Fraction(1), 1: Fraction(1), 2: Fraction(-1)})
+    assert (j, relation) == (2, {0: gq(1), 1: gq(1), 2: gq(-1)})
     assert len(fed) == 3

@@ -1,5 +1,5 @@
-"""Reduced Groebner bases, elimination ideals, staircase dimensions and
-rational kernels checked against sympy.
+"""Reduced Groebner bases, elimination ideals, staircase dimensions,
+kernels and the sampler's rational roots checked against sympy.
 
 sympy is an independent implementation over the same field Q(i)
 (``domain=QQ_I``).  It is a test-only dependency, so the module is skipped
@@ -7,6 +7,7 @@ where sympy is not installed.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 from conftest import GAUSSIAN_COEFFS, param_ctx, staircase_dimension_brute_force
 from holoclosure import linalg
-from holoclosure.arith import GaussianRational
+from holoclosure.arith import GaussianRational, gq
+from holoclosure.closure import _rational_roots
 from holoclosure.groebner import Ideal, buchberger
 from holoclosure.poly import GREVLEX, LEX, BlockElimination, Polynomial
 
@@ -106,3 +108,44 @@ def test_nullspace_matches_sympy_rref_kernel(nrows, ncols, data):
         first = next(x for x in v if x != 0)
         theirs.append([_fraction(x / first) for x in v])
     assert linalg.nullspace(rows, ncols) == theirs
+
+
+def _is_square(n: int) -> bool:
+    return n >= 0 and isqrt(n) ** 2 == n
+
+
+@st.composite
+def products_with_an_irreducible_quadratic(draw):
+    """c * x^k * (x^2 + b*x + e) * prod(q*x - p) over Q, as a sympy polynomial."""
+    x = sympy.Symbol("x")
+    b, e = draw(st.tuples(st.integers(-6, 6), st.integers(-12, 12)).filter(
+        lambda be: not _is_square(be[0] ** 2 - 4 * be[1])))
+    f = sympy.Rational(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 9)))
+    f *= x ** draw(st.integers(0, 2)) * (x ** 2 + b * x + e)
+    for p, q in draw(st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 12)), max_size=4)):
+        f *= q * x - p
+    return sympy.Poly(f, x, domain=QQ)
+
+
+@settings(max_examples=60, deadline=None)
+@given(products_with_an_irreducible_quadratic())
+def test_rational_roots_match_sympy(poly):
+    coeffs = [GaussianRational(_fraction(c)) for c in reversed(poly.all_coeffs())]
+    roots = set()
+    for factor, _ in poly.factor_list()[1]:
+        if factor.degree() == 1:
+            a1, a0 = factor.all_coeffs()
+            roots.add(-a0 / a1)
+    assert _rational_roots(coeffs) == [GaussianRational(_fraction(r)) for r in sorted(roots)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.just(gq(0)), GAUSSIAN_COEFFS), min_size=1, max_size=5).filter(
+    lambda cs: not all(c.is_real() for c in cs)))
+def test_rational_roots_of_a_non_real_input_come_only_from_a_linear_one(coeffs):
+    degree = max(k for k, c in enumerate(coeffs) if c)
+    roots = _rational_roots(list(coeffs))
+    if degree == 1:
+        assert len(roots) == 1 and coeffs[0] + coeffs[1] * roots[0] == 0
+    else:
+        assert roots == []
