@@ -10,11 +10,14 @@ The sweep runs every fixture under every command (the commands a fixture's
 kind does not take end in their error report), the hard-tier inputs under
 ``bench/inputs`` under hcdim, realdim and groebner in both orders, inputs
 read from stdin, and the error paths: unreadable and malformed input, a
-command line argparse rejects, each budget, semantic failures and a
-sampler that finds no rational point.  Each invocation runs in this
-process through ``holoclosure.cli.run``, once as text and once with
-``--json``.  A file holds ``exit <code>``, then the report, then what went
-to stderr, if anything, after a ``stderr:`` line.
+command line argparse rejects (a bad flag value, an unknown flag, an
+unknown command or none), each budget, semantic failures and a sampler
+that finds no rational point, and the top-level and a subcommand's help.
+Each invocation runs in this process through ``holoclosure.cli.run``, once
+as text and once with ``--json``.  A file holds ``exit <code>``, then what
+went to stdout (the report, or argparse's help), then what went to stderr,
+if anything, after a ``stderr:`` line.  Help and usage are wrapped at 80
+columns whatever the terminal.
 Paths are given relative to the repository root, so the reports of two
 checkouts can be equal byte for byte.  OUTDIR must be new or empty.
 """
@@ -76,6 +79,14 @@ ERROR_CASES = {
     "error-off-the-set": (["crdim", "fixtures/sphere.sys", "--point", "2, 0"], b""),
     "error-empty-set": (["hcdim", "-"], b"vars z1\neq 1\n"),
     "error-no-rational-point": (["ranks", "-"], b"mapvars u v\nmap u\nmap v\neq u^2 - 2\n"),
+    "error-unknown-flag": (["hcdim", "fixtures/sphere.sys", "--bogus"], b""),
+    "error-unknown-command": (["bogus"], b""),
+    "error-no-command": ([], b""),
+}
+
+HELP_CASES = {
+    "help-top": (["-h"], b""),
+    "help-groebner": (["groebner", "-h"], b""),
 }
 
 
@@ -94,21 +105,22 @@ def invocations():
         cases += [(f"bench-{path.name}__" + "_".join(cmd), cmd[:1] + [f"bench/inputs/{path.name}"] + cmd[1:], b"")
                   for cmd in HARD_COMMANDS]
     cases.append(("probe-osgood", ["probe-osgood", "--jets", "3,5", "--maxdeg", "2"], b""))
-    cases += [(name, argv, stdin) for name, (argv, stdin) in {**STDIN_CASES, **ERROR_CASES}.items()]
+    cases += [(name, argv, stdin) for name, (argv, stdin) in {**STDIN_CASES, **ERROR_CASES, **HELP_CASES}.items()]
     return [(re.sub(r"[^A-Za-z0-9.,_+-]", "_", name), argv, stdin) for name, argv, stdin in cases]
 
 
 def invoke(argv, stdin: bytes):
     """(exit code, stdout, stderr) of one in-process CLI run reading ``stdin``."""
     out, err = io.StringIO(), io.StringIO()
-    saved = sys.stdin, sys.stderr
-    sys.stdin, sys.stderr = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8"), err
+    saved = sys.stdin, sys.stdout, sys.stderr
+    # argparse writes help to sys.stdout, not to the report's stream
+    sys.stdin, sys.stdout, sys.stderr = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8"), out, err
     try:
         code = run(argv, stdout=out)
-    except SystemExit as exc:  # argparse's exit on a bad command line
+    except SystemExit as exc:  # argparse's exit on -h or a bad command line
         code = exc.code
     finally:
-        sys.stdin, sys.stderr = saved
+        sys.stdin, sys.stdout, sys.stderr = saved
     return code, out.getvalue(), err.getvalue()
 
 
@@ -120,6 +132,7 @@ def main(argv=None):
         raise SystemExit(f"{out} is not empty")
     out.mkdir(parents=True, exist_ok=True)
     os.chdir(ROOT)
+    os.environ["COLUMNS"] = "80"  # argparse wraps help and usage to the terminal's width
     written = 0
     for stem, argv, stdin in invocations():
         for suffix, extra in (("txt", []), ("json", ["--json"])):

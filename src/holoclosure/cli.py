@@ -7,6 +7,10 @@ below 1), 3 resource-limit abort, 4 semantic precondition failure (empty
 set, point off the set, non-smooth point, ...), 5 internal invariant
 violated (a defect in the toolkit, not in the input).
 Errors are also echoed in the report diagnostics.
+
+A command line that names its command builds only the top-level parser and
+that command's; -h, --help, no command or an unknown one, whose help or
+error lists every command, builds all.  Help and errors read the same.
 """
 
 from __future__ import annotations
@@ -142,15 +146,13 @@ def _require_kind(doc: InputDocument, kind: str):
         raise ValueError(f"this command needs a {kind} document, got {doc.kind}")
 
 
-def _probe_table(results) -> list:
-    table = []
-    for res in results:
-        table.append({
-            "jet_order": res.jet_order,
-            "min_relation_degree": res.min_relation_degree,
-            "witness": polynomial_to_text(res.witness) if res.witness is not None else None,
-        })
-    return table
+def _report_probe(report, results):
+    report.results = {"table": [{
+        "jet_order": res.jet_order,
+        "min_relation_degree": res.min_relation_degree,
+        "witness": polynomial_to_text(res.witness) if res.witness is not None else None,
+    } for res in results]}
+    report.diagnostics.append("non-regularity evidence only: truncation cannot prove ker = 0")
 
 
 def _closure_results(hc) -> dict:
@@ -220,14 +222,8 @@ def _cmd_verify_dm(args, doc, config, report):
     system = System.from_document(doc)
     points = [parse_point(p, system.n) for p in args.point]
     dm = verify_d_minus_m(system, points, config)
-    entries = []
-    for e in dm.entries:
-        entries.append({
-            "point": _point_strings(e.point),
-            "m": e.m,
-            "agrees": e.agrees,
-            "error": e.error,
-        })
+    entries = [{"point": _point_strings(e.point), "m": e.m, "agrees": e.agrees, "error": e.error}
+               for e in dm.entries]
     report.results = {
         "hc_dimension": dm.h,
         "real_dimension": dm.d,
@@ -271,31 +267,12 @@ def _cmd_eliminate(args, doc, config, report):
 
 def _cmd_probe_osgood(args, doc, config, report):
     report.inputs = {"jet_orders": args.jets, "max_degree": args.maxdeg}
-    results = osgood_probe(args.jets, args.maxdeg)
-    report.results = {"table": _probe_table(results)}
-    report.diagnostics.append("non-regularity evidence only: truncation cannot prove ker = 0")
+    _report_probe(report, osgood_probe(args.jets, args.maxdeg))
 
 
 def _cmd_probe(args, doc, config, report):
     _require_kind(doc, KIND_JETS)
-    results = symbolic_probe(doc.jet_components, args.jets, args.maxdeg)
-    report.results = {"table": _probe_table(results)}
-    report.diagnostics.append("non-regularity evidence only: truncation cannot prove ker = 0")
-
-
-_HANDLERS = {
-    "hcdim": _cmd_hcdim,
-    "realdim": _cmd_realdim,
-    "param-hcdim": _cmd_param_hcdim,
-    "ranks": _cmd_ranks,
-    "crdim": _cmd_crdim,
-    "strata": _cmd_strata,
-    "verify-dm": _cmd_verify_dm,
-    "groebner": _cmd_groebner,
-    "eliminate": _cmd_eliminate,
-    "probe-osgood": _cmd_probe_osgood,
-    "probe": _cmd_probe,
-}
+    _report_probe(report, symbolic_probe(doc.jet_components, args.jets, args.maxdeg))
 
 
 def _budget(text: str) -> int:
@@ -317,70 +294,68 @@ def _jet_orders(text: str) -> list:
     return orders
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
+# (name or flag, add_argument keywords): the flags every subcommand takes
+_COMMON = (
+    ("--json", {"action": "store_true", "help": "emit a JSON report"}),
+    ("--seed", {"type": int, "default": 0, "help": "seed for random sampling"}),
+    ("--max-pairs", {"type": _budget, "default": DEFAULT_CONFIG.max_pairs,
+                     "help": "override the Groebner S-pair budget (at least 1)"}),
+    ("--max-degree", {"type": _budget, "default": DEFAULT_CONFIG.max_degree,
+                      "help": "override the Groebner degree budget (at least 1)"}),
+)
+_INPUT = ("input", {"help": "input file path, or - for stdin"})
+_PROBE = (
+    ("--jets", {"required": True, "type": _jet_orders,
+                "help": "comma-separated truncation orders (each at least 1)"}),
+    ("--maxdeg", {"required": True, "type": _budget,
+                  "help": "largest relation degree searched (at least 1)"}),
+)
+
+# command -> (handler, help, arguments beyond the common flags)
+_COMMANDS = {
+    "hcdim": (_cmd_hcdim, "holomorphic closure dimension of a system", (_INPUT,)),
+    "realdim": (_cmd_realdim, "real dimension of a system", (_INPUT,)),
+    "param-hcdim": (_cmd_param_hcdim, "closure dimension of a parametrized image", (_INPUT,)),
+    "ranks": (_cmd_ranks, "Gabrielov ranks r1, r3 of a polynomial map", (_INPUT,)),
+    "crdim": (_cmd_crdim, "CR dimension at a point", (
+        _INPUT, ("--point", {"required": True, "help": 'point as "a/b+c/d*i, ..."'}))),
+    "strata": (_cmd_strata, "ideal of the CR stratum {m >= k}", (
+        _INPUT, ("--k", {"required": True, "type": int}))),
+    "verify-dm": (_cmd_verify_dm, "check h = d - m at sampled points", (
+        _INPUT, ("--point", {"required": True, "action": "append",
+                             "help": "repeatable; one point per flag"}))),
+    "groebner": (_cmd_groebner, "reduced Groebner basis of a system's ideal", (
+        _INPUT, ("--order", {"choices": ("grevlex", "lex"), "default": "grevlex"}))),
+    "eliminate": (_cmd_eliminate, "elimination ideal (zetabar block, or map source block)",
+                  (_INPUT,)),
+    "probe-osgood": (_cmd_probe_osgood, "relation probe on the Osgood map", _PROBE),
+    "probe": (_cmd_probe, "relation probe on user jet components", (_INPUT,) + _PROBE),
+}
+
+
+def build_arg_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser, with every subparser or with ``command``'s only."""
     parser = argparse.ArgumentParser(
         prog="holoclosure",
         description="holomorphic closure dimension, CR strata, and Gabrielov ranks "
                     "for real algebraic subsets of C^n",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, with_input=True):
-        if with_input:
-            sp.add_argument("input", help="input file path, or - for stdin")
-        sp.add_argument("--json", action="store_true", help="emit a JSON report")
-        sp.add_argument("--seed", type=int, default=0, help="seed for random sampling")
-        sp.add_argument("--max-pairs", type=_budget, default=DEFAULT_CONFIG.max_pairs,
-                        help="override the Groebner S-pair budget (at least 1)")
-        sp.add_argument("--max-degree", type=_budget, default=DEFAULT_CONFIG.max_degree,
-                        help="override the Groebner degree budget (at least 1)")
-
-    common(sub.add_parser("hcdim", help="holomorphic closure dimension of a system"))
-    common(sub.add_parser("realdim", help="real dimension of a system"))
-    common(sub.add_parser("param-hcdim", help="closure dimension of a parametrized image"))
-    common(sub.add_parser("ranks", help="Gabrielov ranks r1, r3 of a polynomial map"))
-
-    crdim = sub.add_parser("crdim", help="CR dimension at a point")
-    common(crdim)
-    crdim.add_argument("--point", required=True, help='point as "a/b+c/d*i, ..."')
-
-    strata = sub.add_parser("strata", help="ideal of the CR stratum {m >= k}")
-    common(strata)
-    strata.add_argument("--k", required=True, type=int)
-
-    verify = sub.add_parser("verify-dm", help="check h = d - m at sampled points")
-    common(verify)
-    verify.add_argument("--point", required=True, action="append",
-                        help="repeatable; one point per flag")
-
-    groebner = sub.add_parser("groebner", help="reduced Groebner basis of a system's ideal")
-    common(groebner)
-    groebner.add_argument("--order", choices=("grevlex", "lex"), default="grevlex")
-
-    common(sub.add_parser("eliminate",
-                          help="elimination ideal (zetabar block, or map source block)"))
-
-    osgood = sub.add_parser("probe-osgood", help="relation probe on the Osgood map")
-    common(osgood, with_input=False)
-    osgood.add_argument("--jets", required=True, type=_jet_orders,
-                        help="comma-separated truncation orders (each at least 1)")
-    osgood.add_argument("--maxdeg", required=True, type=_budget,
-                        help="largest relation degree searched (at least 1)")
-
-    probe = sub.add_parser("probe", help="relation probe on user jet components")
-    common(probe)
-    probe.add_argument("--jets", required=True, type=_jet_orders,
-                        help="comma-separated truncation orders (each at least 1)")
-    probe.add_argument("--maxdeg", required=True, type=_budget,
-                        help="largest relation degree searched (at least 1)")
-
+    # the lean build lists every command in its usage line, as the full build does
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        _, help_text, arguments = _COMMANDS[name]
+        sp = sub.add_parser(name, help=help_text)
+        for flag, keywords in _COMMON + arguments:
+            sp.add_argument(flag, **keywords)
     return parser
 
 
 def run(argv, stdout=None) -> int:
     """Execute one command; writes the report and returns the exit status."""
     stdout = stdout if stdout is not None else sys.stdout
-    args = build_arg_parser().parse_args(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_arg_parser(command).parse_args(argv)
     config = GroebnerConfig(max_pairs=args.max_pairs, max_degree=args.max_degree)
     report = Report(command=args.command)
     code = EXIT_OK
@@ -389,7 +364,7 @@ def run(argv, stdout=None) -> int:
         if "input" in args:
             doc = parse(_read_input(args.input))
             report.inputs = _echo_inputs(doc)
-        _HANDLERS[args.command](args, doc, config, report)
+        _COMMANDS[args.command][0](args, doc, config, report)
     except (ParseError, InputReadError) as exc:
         report.diagnostics.append(f"parse error: {exc}")
         code = EXIT_PARSE_ERROR

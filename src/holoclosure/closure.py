@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import isqrt, lcm
+from functools import cache
+from math import isqrt, lcm, prod
 from typing import Sequence
 
 from holoclosure.arith import GaussianRational, gq
@@ -179,27 +180,48 @@ def gabrielov_r3(
 
 FIBRE_SAMPLES = 5  # seeded fibre draws per rank report
 SAMPLE_RETRIES = 25  # random slices tried per sample point
+TRIAL_PRIME_BOUND = 2**16  # rational roots: trial division by the primes below this
+MAX_ROOT_CANDIDATES = 50_000  # rational roots: numerator-denominator pairs tried at most
 
 
 def _random_rational(rng: random.Random) -> GaussianRational:
     return gq(rng.randint(-100, 100)) / rng.randint(1, 100)
 
 
+@cache
+def _trial_primes() -> list:
+    """The primes below TRIAL_PRIME_BOUND, sieved on first use."""
+    sieve = bytearray([1]) * TRIAL_PRIME_BOUND
+    for k in range(2, isqrt(TRIAL_PRIME_BOUND) + 1):
+        if sieve[k]:
+            sieve[k * k::k] = bytes(len(range(k * k, TRIAL_PRIME_BOUND, k)))
+    return [k for k in range(2, TRIAL_PRIME_BOUND) if sieve[k]]
+
+
 def _divisors(n: int) -> list:
-    n = abs(n)
-    if n == 0:
+    """The positive divisors of n != 0, or none past MAX_ROOT_CANDIDATES of them.
+
+    Trial division by the primes below TRIAL_PRIME_BOUND leaves a remainder
+    kept as one factor or the square of one, which hides any other divisors.
+    """
+    n, factors = abs(n), []
+    for p in _trial_primes():
+        if p * p > n:
+            break
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        if e:
+            factors.append((p, e))
+    if n > 1:  # a prime, a square, or a product of primes above the bound
+        r = isqrt(n)
+        factors.append((r, 2) if r * r == n else (n, 1))
+    if prod(e + 1 for _, e in factors) > MAX_ROOT_CANDIDATES:
         return []
-    if n > 10**12:
-        return [1, n]
-    out = []
-    k = 1
-    while k <= isqrt(n):
-        if n % k == 0:
-            out.append(k)
-            if k != n // k:
-                out.append(n // k)
-        k += 1
-    return sorted(out)
+    divisors = [1]
+    for p, e in factors:
+        divisors = [d * p**k for d in divisors for k in range(e + 1)]
+    return divisors
 
 
 def _univariate_coeffs(f: Polynomial, index: int) -> list:
@@ -217,7 +239,9 @@ def _rational_roots(coeffs: list) -> list:
     A real polynomial is cleared to integer coefficients c_0..c_n, its root 0
     split off, and each candidate p/q of the rational root theorem kept when
     q^n * f(p/q) vanishes.  Every root times |c_n| is an integer, which
-    orders the roots ascending.
+    orders the roots ascending.  Past MAX_ROOT_CANDIDATES pairs p, q none is
+    tried, nor a p or q that ``_divisors`` misses; the sampler may then end
+    in its "no rational point found" error.
     """
     while len(coeffs) > 1 and not coeffs[-1]:
         coeffs.pop()
@@ -236,8 +260,9 @@ def _rational_roots(coeffs: list) -> list:
     if len(ints) == 2:
         scaled_roots.add(-ints[0] * scale // ints[1])
     else:
-        for p in _divisors(ints[0]):
-            for q in _divisors(scale):
+        ps, qs = _divisors(ints[0]), _divisors(scale)
+        for p in ps if len(ps) * len(qs) <= MAX_ROOT_CANDIDATES else ():
+            for q in qs:
                 for n in (p, -p):
                     val, qk = 0, 1
                     for c in reversed(ints):

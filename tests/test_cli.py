@@ -1,5 +1,6 @@
 """CLI behavior: golden reports, exit codes, determinism."""
 
+import argparse
 import importlib.util
 import io
 import json
@@ -550,3 +551,70 @@ def test_ranks_computes_the_source_basis_once(monkeypatch):
     assert invoke(["ranks", "-", "--json", "--seed", "0"])[0] == EXIT_OK
     source = parse(text).equations
     assert [order for order, I in zip(calls, ideals) if I.generators == source] == ["Grevlex"]
+
+
+@pytest.mark.parametrize("root", [
+    10**7,
+    3 * 65537 * 65539,  # trial division leaves the square of two primes above its bound
+], ids=["smooth", "square-cofactor"])
+def test_ranks_finds_a_root_whose_constant_is_above_10_12(monkeypatch, root):
+    text = f"mapvars u v\nmap u\nmap v\neq u^2 - {root ** 2}\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out = invoke(["ranks", "-", "--json"])
+    assert code == EXIT_OK
+    assert json.loads(out)["results"]["fibre_witness"][0] in (str(root), str(-root))
+
+
+@pytest.mark.parametrize("constant", [
+    36**2570,  # a square, but its 5141^2 divisors are past the candidate cap
+    10**3999 + 7,  # factors past the trial primes stay one cofactor
+], ids=["square", "cofactor"])
+def test_ranks_on_a_4000_digit_constant_ends_in_exit_4_in_a_child(constant):
+    assert len(str(constant)) == 4000
+    code, out, err = _run_bounded(["ranks", "-"], f"mapvars u v\nmap u\nmap v\neq u^2 - {constant}\n",
+                                  timeout=30)
+    assert code == EXIT_SEMANTIC and "Traceback" not in err
+    assert "note: error: no rational point found" in out
+
+
+def _argparse_surface(argv):
+    """(exit code, stdout, stderr) of one run; argparse writes help to sys.stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = out, err
+    try:
+        code = run(argv, stdout=out)
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        sys.stdout, sys.stderr = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_argparse_help_and_errors_replay_byte_for_byte(monkeypatch):
+    """Help, usage and argparse errors as recorded with the 12-parser build on every call."""
+    pinned = json.loads((DATA / "cli_argparse.json").read_text(encoding="utf-8"))
+    monkeypatch.setenv("COLUMNS", str(pinned["columns"]))
+    # argparse's wording and wrapping change between Python minor versions
+    same_python = pinned["python"] == "%d.%d" % sys.version_info[:2]
+    for case in pinned["cases"]:
+        code, out, err = _argparse_surface(case["argv"])
+        assert code == case["exit"], case["argv"]
+        if same_python:
+            assert (out, err) == (case["stdout"], case["stderr"]), case["argv"]
+
+
+def test_a_command_line_builds_only_its_own_subparser(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert invoke(["realdim", str(FIXTURES / "sphere.sys")])[0] == EXIT_OK
+    assert len(built) == 2
+    built.clear()
+    assert _argparse_surface(["-h"])[0] == 0
+    assert len(built) == 12

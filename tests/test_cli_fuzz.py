@@ -57,7 +57,7 @@ def documents(draw):
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(documents(), st.sampled_from(sorted(cli._HANDLERS)), st.data())
+@given(documents(), st.sampled_from(sorted(cli._COMMANDS)), st.data())
 def test_cli_ends_in_a_documented_exit_code(document, command, data):
     argv = [command] if command == "probe-osgood" else [command, "-"]
     argv += data.draw(COMMAND_FLAGS[command])

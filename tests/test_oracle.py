@@ -116,13 +116,20 @@ def _is_square(n: int) -> bool:
 
 @st.composite
 def products_with_an_irreducible_quadratic(draw):
-    """c * x^k * (x^2 + b*x + e) * prod(q*x - p) over Q, as a sympy polynomial."""
+    """c * x^k * (x^2 + b*x + e) * prod(q*x - p) over Q, as a sympy polynomial.
+
+    One p may be a prime above 10^12, which puts the constant term above
+    10^12 and leaves that prime after trial division by the small primes.
+    """
     x = sympy.Symbol("x")
     b, e = draw(st.tuples(st.integers(-6, 6), st.integers(-12, 12)).filter(
         lambda be: not _is_square(be[0] ** 2 - 4 * be[1])))
     f = sympy.Rational(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 9)))
     f *= x ** draw(st.integers(0, 2)) * (x ** 2 + b * x + e)
-    for p, q in draw(st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 12)), max_size=4)):
+    roots = draw(st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 12)), max_size=4))
+    large = st.integers(10**12, 10**15).map(sympy.nextprime)
+    roots += draw(st.lists(st.tuples(large, st.integers(1, 12)), max_size=1))
+    for p, q in roots:
         f *= q * x - p
     return sympy.Poly(f, x, domain=QQ)
 

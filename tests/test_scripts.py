@@ -70,6 +70,10 @@ def test_sweep_writes_every_report_with_its_exit_code(tmp_path):
     assert exits["error-missing-file.txt"] == 2
     assert "cannot read input 'fixtures/missing.sys'" in files["error-missing-file.txt"]
     assert exits["error-budget-flag.json"] == 2 and "stderr:\nusage: " in files["error-budget-flag.json"]
+    assert exits["error-unknown-flag.txt"] == 2
+    assert files["error-unknown-flag.txt"].split("stderr:\n", 1)[1].startswith("usage: holoclosure [-h]\n")
+    assert exits["help-groebner.txt"] == 0
+    assert files["help-groebner.txt"].split("\n", 2)[1].startswith("usage: holoclosure groebner [-h]")
     assert exits["error-pair-budget.json"] == 3
     assert exits["error-exponent-limit.txt"] == 3
     assert exits["error-off-the-set.txt"] == 4
