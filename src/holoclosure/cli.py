@@ -222,8 +222,14 @@ def _cmd_verify_dm(args, doc, config, report):
     system = System.from_document(doc)
     points = [parse_point(p, system.n) for p in args.point]
     dm = verify_d_minus_m(system, points, config)
-    entries = [{"point": _point_strings(e.point), "m": e.m, "agrees": e.agrees, "error": e.error}
-               for e in dm.entries]
+    entries = []
+    for e in dm.entries:
+        entries.append({
+            "point": _point_strings(e.point),
+            "m": e.m,
+            "agrees": e.agrees,
+            "error": e.error,
+        })
     report.results = {
         "hc_dimension": dm.h,
         "real_dimension": dm.d,

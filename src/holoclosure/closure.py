@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache
-from math import isqrt, lcm, prod
+from functools import lru_cache
+from itertools import islice
+from math import isqrt, lcm
 from typing import Sequence
 
 from holoclosure.arith import GaussianRational, gq
@@ -180,48 +181,51 @@ def gabrielov_r3(
 
 FIBRE_SAMPLES = 5  # seeded fibre draws per rank report
 SAMPLE_RETRIES = 25  # random slices tried per sample point
-TRIAL_PRIME_BOUND = 2**16  # rational roots: trial division by the primes below this
-MAX_ROOT_CANDIDATES = 50_000  # rational roots: numerator-denominator pairs tried at most
+TRIAL_BOUND = 2**16  # rational roots: trial divisors of a constant above 10^12 stay below this
+FULL_FACTOR_BOUND = 10**12  # rational roots: constants up to this are factored completely
+MAX_ROOT_CANDIDATES = 150_000  # rational roots: numerator-denominator pairs tried at most
 
 
 def _random_rational(rng: random.Random) -> GaussianRational:
     return gq(rng.randint(-100, 100)) / rng.randint(1, 100)
 
 
-@cache
-def _trial_primes() -> list:
-    """The primes below TRIAL_PRIME_BOUND, sieved on first use."""
-    sieve = bytearray([1]) * TRIAL_PRIME_BOUND
-    for k in range(2, isqrt(TRIAL_PRIME_BOUND) + 1):
-        if sieve[k]:
-            sieve[k * k::k] = bytes(len(range(k * k, TRIAL_PRIME_BOUND, k)))
-    return [k for k in range(2, TRIAL_PRIME_BOUND) if sieve[k]]
+def _factor(n: int) -> list:
+    """Pairs (p, e) with prod p^e = |n| != 0, each p a prime or one cofactor.
 
-
-def _divisors(n: int) -> list:
-    """The positive divisors of n != 0, or none past MAX_ROOT_CANDIDATES of them.
-
-    Trial division by the primes below TRIAL_PRIME_BOUND leaves a remainder
-    kept as one factor or the square of one, which hides any other divisors.
+    Trial division runs up to the square root of what is left while that is
+    at most FULL_FACTOR_BOUND, so at most 5 * 10^5 odd steps, and otherwise
+    stops at TRIAL_BOUND.  What it leaves above FULL_FACTOR_BOUND is kept as
+    one factor, or the square of one, which hides any other divisors.
     """
-    n, factors = abs(n), []
-    for p in _trial_primes():
-        if p * p > n:
-            break
+    n, factors, k = abs(n), [], 2
+    while k * k <= n and (k < TRIAL_BOUND or n <= FULL_FACTOR_BOUND):
         e = 0
-        while n % p == 0:
-            n, e = n // p, e + 1
+        while n % k == 0:
+            n, e = n // k, e + 1
         if e:
-            factors.append((p, e))
-    if n > 1:  # a prime, a square, or a product of primes above the bound
+            factors.append((k, e))
+        k += 1 if k == 2 else 2
+    if n > 1:
         r = isqrt(n)
         factors.append((r, 2) if r * r == n else (n, 1))
-    if prod(e + 1 for _, e in factors) > MAX_ROOT_CANDIDATES:
-        return []
-    divisors = [1]
-    for p, e in factors:
-        divisors = [d * p**k for d in divisors for k in range(e + 1)]
-    return divisors
+    return factors
+
+
+def _divisors(factors: list):
+    """The divisors prod p^k (0 <= k <= e) of a factorization, one at a time."""
+    exponents, d = [0] * len(factors), 1
+    while True:
+        yield d
+        for i, (p, e) in enumerate(factors):
+            if exponents[i] < e:
+                exponents[i] += 1
+                d *= p
+                break
+            exponents[i] = 0
+            d //= p**e
+        else:
+            return
 
 
 def _univariate_coeffs(f: Polynomial, index: int) -> list:
@@ -237,11 +241,8 @@ def _rational_roots(coeffs: list) -> list:
     """Roots in Q(i) found exactly: linear always, higher degree over Q only.
 
     A real polynomial is cleared to integer coefficients c_0..c_n, its root 0
-    split off, and each candidate p/q of the rational root theorem kept when
-    q^n * f(p/q) vanishes.  Every root times |c_n| is an integer, which
-    orders the roots ascending.  Past MAX_ROOT_CANDIDATES pairs p, q none is
-    tried, nor a p or q that ``_divisors`` misses; the sampler may then end
-    in its "no rational point found" error.
+    split off, and the rest found by ``_scaled_roots``.  Every root times
+    |c_n| is an integer, which orders the roots ascending.
     """
     while len(coeffs) > 1 and not coeffs[-1]:
         coeffs.pop()
@@ -260,17 +261,32 @@ def _rational_roots(coeffs: list) -> list:
     if len(ints) == 2:
         scaled_roots.add(-ints[0] * scale // ints[1])
     else:
-        ps, qs = _divisors(ints[0]), _divisors(scale)
-        for p in ps if len(ps) * len(qs) <= MAX_ROOT_CANDIDATES else ():
-            for q in qs:
-                for n in (p, -p):
-                    val, qk = 0, 1
-                    for c in reversed(ints):
-                        val = val * n + c * qk
-                        qk *= q
-                    if not val:
-                        scaled_roots.add(n * (scale // q))
+        scaled_roots |= _scaled_roots(tuple(ints))
     return [gq(r) / scale for r in sorted(scaled_roots)]
+
+
+@lru_cache(maxsize=64)  # the sampler retries slices whose univariate is the same
+def _scaled_roots(ints: tuple) -> frozenset:
+    """The rational roots times |c_n| of c_0 + ... + c_n x^n over Z, c_0 != 0.
+
+    Each candidate p/q of the rational root theorem is kept when q^n f(p/q)
+    vanishes.  At most MAX_ROOT_CANDIDATES pairs p, q are tried, and none
+    with a p or q that ``_factor`` hides; a root past them is missed, and the
+    sampler may then end in its "no rational point found" error.
+    """
+    scale = abs(ints[-1])
+    ps, qs = _factor(ints[0]), _factor(scale)
+    pairs = ((p, q) for p in _divisors(ps) for q in _divisors(qs))
+    roots = set()
+    for p, q in islice(pairs, MAX_ROOT_CANDIDATES):
+        for n in (p, -p):
+            val, qk = 0, 1
+            for c in reversed(ints):
+                val = val * n + c * qk
+                qk *= q
+            if not val:
+                roots.add(n * (scale // q))
+    return frozenset(roots)
 
 
 def _substitute_value(gens, ctx, index, value):

@@ -553,16 +553,18 @@ def test_ranks_computes_the_source_basis_once(monkeypatch):
     assert [order for order, I in zip(calls, ideals) if I.generators == source] == ["Grevlex"]
 
 
-@pytest.mark.parametrize("root", [
-    10**7,
-    3 * 65537 * 65539,  # trial division leaves the square of two primes above its bound
-], ids=["smooth", "square-cofactor"])
-def test_ranks_finds_a_root_whose_constant_is_above_10_12(monkeypatch, root):
-    text = f"mapvars u v\nmap u\nmap v\neq u^2 - {root ** 2}\n"
-    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+@pytest.mark.parametrize("equation, roots", [
+    (f"u^2 - {10**14}", ("10000000", "-10000000")),  # above 10^12, all its factors small
+    # above 10^12, trial division leaves the square of two primes above its bound
+    (f"u^2 - {(3 * 65537 * 65539) ** 2}", (str(3 * 65537 * 65539), str(-3 * 65537 * 65539))),
+    ("(u - 65537)*(u - 65539)", ("65537", "65539")),  # two primes above the trial bound
+    ("(720720*u - 1)*(u + 720720)", ("-720720", "1/720720")),  # 240 * 240 divisor pairs
+], ids=["smooth", "square-cofactor", "two-large-primes", "many-divisors"])
+def test_ranks_finds_a_rational_root(monkeypatch, equation, roots):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(f"mapvars u v\nmap u\nmap v\neq {equation}\n"))
     code, out = invoke(["ranks", "-", "--json"])
     assert code == EXIT_OK
-    assert json.loads(out)["results"]["fibre_witness"][0] in (str(root), str(-root))
+    assert json.loads(out)["results"]["fibre_witness"][0] in roots
 
 
 @pytest.mark.parametrize("constant", [

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from conftest import GAUSSIAN_COEFFS, param_ctx, staircase_dimension_brute_force
 from holoclosure import linalg
 from holoclosure.arith import GaussianRational, gq
-from holoclosure.closure import _rational_roots
+from holoclosure.closure import _factor, _rational_roots
 from holoclosure.groebner import Ideal, buchberger
 from holoclosure.poly import GREVLEX, LEX, BlockElimination, Polynomial
 
@@ -132,6 +132,18 @@ def products_with_an_irreducible_quadratic(draw):
     for p, q in roots:
         f *= q * x - p
     return sympy.Poly(f, x, domain=QQ)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    st.integers(1, 10**12),
+    st.tuples(st.integers(2**16, 10**6), st.integers(2**16, 10**6)).map(
+        lambda ab: sympy.nextprime(ab[0]) * sympy.nextprime(ab[1])).filter(lambda n: n <= 10**12),
+))
+def test_factor_splits_a_constant_up_to_10_12_into_primes(n):
+    factors = _factor(n)
+    assert {p: e for p, e in factors} == sympy.factorint(n)
+    assert len(factors) == len({p for p, _ in factors})
 
 
 @settings(max_examples=60, deadline=None)
