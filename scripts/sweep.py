@@ -60,6 +60,8 @@ STDIN_CASES = {
     "stdin-sphere": (["hcdim", "-"], (ROOT / "fixtures" / "sphere.sys").read_bytes()),
     "stdin-groebner": (["groebner", "-"], b"vars z1 z2\neq z1^2+z2-1\neq z1*z2-1\n"),
     "stdin-empty": (["hcdim", "-"], b""),
+    "stdin-probe": (["probe", "-", "--jets", "4,6", "--maxdeg", "3"],
+                    b"params v w\njet 1/2*v*exp(w)^3 - w\njet v^2*exp(v)\njet v*w\n"),
 }
 
 ERROR_CASES = {
@@ -70,6 +72,7 @@ ERROR_CASES = {
     "error-not-utf8": (["hcdim", "-"], b"vars z1\neq z1\n\xff\xfe"),
     "error-budget-flag": (["groebner", "fixtures/sphere.sys", "--max-pairs", "0"], b""),
     "error-jets-flag": (["probe-osgood", "--jets", "0", "--maxdeg", "2"], b""),
+    "error-probe-budget": (["probe-osgood", "--jets", "2000", "--maxdeg", "1"], b""),
     "error-pair-budget": (["hcdim", "fixtures/paraboloid.sys", "--max-pairs", "1"], b""),
     "error-degree-budget": (["groebner", "-", "--max-degree", "1"],
                             b"vars z1 z2\neq z1^2+z2-1\neq z1*z2-1\n"),

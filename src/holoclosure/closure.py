@@ -94,7 +94,8 @@ def holomorphic_closure(system: System, config: GroebnerConfig = DEFAULT_CONFIG)
     return _closure_report(gb, system.n)
 
 
-def _validate_map(components: Sequence[Polynomial]) -> VariableContext:
+def _validate_map(components: Sequence[Polynomial], target: VariableContext) -> VariableContext:
+    """The source context of the map's components, checked against the target variables."""
     if not components:
         raise ValueError("a map needs at least one component")
     src = components[0].context
@@ -103,10 +104,9 @@ def _validate_map(components: Sequence[Polynomial]) -> VariableContext:
             raise ValueError("map components over different contexts")
     if any(b is not Block.PARAM for b in src.blocks):
         raise ValueError("map source variables must form a parameter block")
-    n = len(components)
-    target_names = {f"z{j}" for j in range(1, n + 1)}
-    if target_names & set(src.names):
-        raise ValueError("source variable names collide with target z1..zn")
+    clash = [name for name in src.names if name in target.names]
+    if clash:
+        raise ValueError(f"source variable names collide with target variables: {', '.join(clash)}")
     return src
 
 
@@ -121,9 +121,10 @@ def hc_dimension_parametrized(
     real dimension), and its part free of parameters and w is the closure of
     the image of phi itself in C[z].
     """
-    src = _validate_map(components)
     n = len(components)
-    big = src.concat(zw_context(n))
+    target = zw_context(n)
+    src = _validate_map(components, target)
+    big = src.concat(target)
     gens = []
     for j, f in enumerate(components):
         zj = Polynomial.variable(big, f"z{j + 1}")
@@ -145,9 +146,8 @@ def pullback_kernel(
     This is the elimination of the source block from the graph ideal; its
     zero set is the Zariski closure of the image.
     """
-    src = _validate_map(components)
-    n = len(components)
-    target = z_context(n)
+    target = z_context(len(components))
+    src = _validate_map(components, target)
     big = src.concat(target)
     gens = []
     if source is not None:
@@ -398,7 +398,7 @@ def gabrielov_r1(
     r1 = dim V(source) - min fibre dimension over ``FIBRE_SAMPLES`` seeded
     draws; one grevlex basis of the source gives dim V(source) and the slices.
     """
-    src = _validate_map(components)
+    src = _validate_map(components, z_context(len(components)))
     if source is None:
         source = Ideal(src, ())
     elif source.context != src:

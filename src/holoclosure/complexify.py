@@ -29,12 +29,11 @@ from holoclosure.poly import (
     GREVLEX,
     Polynomial,
     VariableContext,
+    ZETA_SWAP,
     real_context,
     zeta_context,
     zw_context,
 )
-
-ZETA_SWAP = {Block.ZETA: Block.ZETABAR}
 
 ZETA_FORM = "zeta"
 REAL_FORM = "real"

@@ -1,20 +1,23 @@
 """Truncated power series (jets) and the relation-degree probe.
 
-A jet is a polynomial truncation of a power series at a fixed total degree
-K; arithmetic drops every term above K.  The relation probe looks for a
-nonzero polynomial F of bounded degree with F(components) = 0 up to degree
-K: the coefficients of F satisfy an exact linear system over Q, one
-column per candidate monomial of F.  The columns go to ``linalg.relations``
-in ascending grevlex, lowest degree first, and the search stops at the first
-column that depends on earlier ones, so each column is eliminated once.
-Each candidate is composed with one jet product, from a candidate of one
-degree less.  Applied to the truncations of the map
-(v,w) -> (v, vw, vw*e^w), the probe exhibits how the minimal relation degree
-grows with K while any fixed degree is eventually excluded - one-sided
-evidence (not proof) that the components satisfy no analytic relation at
-all.  Relations are sought over Q: a jet coefficient is a real element of
-Q(i), checked where it enters a jet, and for such components a relation
-with Gaussian rational coefficients exists iff one with rational
+A jet is a power series truncated at a fixed total degree K: a
+``Polynomial`` of its terms of degree <= K.  Its sums, products and powers
+are ``Polynomial``'s arithmetic, truncated again at K, and composition
+F(components) is the loop ``poly.compose`` that substitution also runs.
+
+The relation probe looks for a nonzero polynomial F of bounded degree with
+F(components) = 0 up to degree K: the coefficients of F satisfy an exact
+linear system over Q, one column per candidate monomial of F.  The columns
+go to ``linalg.relations`` in ascending grevlex, lowest degree first, and
+the search stops at the first column that depends on earlier ones, so each
+column is eliminated once.  Each candidate is composed with one jet
+product, from a candidate of one degree less.  Applied to the truncations
+of the map (v,w) -> (v, vw, vw*e^w), the probe exhibits how the minimal
+relation degree grows with K while any fixed degree is eventually excluded
+- one-sided evidence (not proof) that the components satisfy no analytic
+relation at all.  Relations are sought over Q: a jet coefficient is a real
+element of Q(i), checked where it enters a jet, and for such components a
+relation with Gaussian rational coefficients exists iff one with rational
 coefficients does (take real or imaginary parts).
 """
 
@@ -25,7 +28,7 @@ from math import comb
 from typing import Mapping, Sequence
 
 from holoclosure import linalg
-from holoclosure.arith import ONE, ZERO, GaussianRational, gq, power
+from holoclosure.arith import ONE, GaussianRational, power
 from holoclosure.errors import InvariantError, ResourceLimitError
 from holoclosure.poly import (
     Block,
@@ -33,7 +36,7 @@ from holoclosure.poly import (
     Monomial,
     Polynomial,
     VariableContext,
-    monomial_mul,
+    compose,
     param_context,
     z_context,
 )
@@ -42,44 +45,51 @@ MAX_PROBE_ENTRIES = 2_000_000  # rows x cols bound for the relation system
 
 
 class Jet:
-    """Power series truncated at total degree ``order``, with real coefficients in Q(i)."""
+    """Power series truncated at total degree ``order``: ``poly``, its terms of degree <= order.
 
-    __slots__ = ("context", "order", "coeffs")
+    Sums, products and powers are ``Polynomial``'s, truncated again at the
+    order.  The coefficients are real elements of Q(i), checked where they
+    enter, by ``Jet(...)`` and ``Jet.constant``; the ring operations keep
+    them real.
+    """
+
+    __slots__ = ("order", "poly")
 
     def __init__(self, context: VariableContext, order: int, coeffs: Mapping[Monomial, GaussianRational]):
-        if order < 0:
-            raise ValueError("jet order must be non-negative")
-        pruned = {}
-        for m, c in coeffs.items():
-            c = gq(c)
-            if not c.is_real():
-                raise ValueError("jet coefficients must be rational (real)")
-            if c and sum(m) <= order:
-                pruned[m] = c
-        object.__setattr__(self, "context", context)
+        f = Polynomial(context, coeffs)
+        if not all(c.is_real() for c in f.terms.values()):
+            raise ValueError("jet coefficients must be rational (real)")
+        jet = _truncated(f, order)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", pruned)
+        object.__setattr__(self, "poly", jet.poly)
 
     def __setattr__(self, name, value):
         raise AttributeError("Jet is immutable")
 
     @classmethod
     def zero(cls, context: VariableContext, order: int) -> "Jet":
-        return cls(context, order, {})
+        return _truncated(Polynomial.zero(context), order)
 
     @classmethod
     def constant(cls, context: VariableContext, order: int, c) -> "Jet":
-        return cls(context, order, {(0,) * context.size: c})
+        return cls(context, order, Polynomial.constant(context, c).terms)
 
     @classmethod
     def variable(cls, context: VariableContext, order: int, name: str) -> "Jet":
-        e = [0] * context.size
-        e[context.index(name)] = 1
-        return cls(context, order, {tuple(e): ONE})
+        return _truncated(Polynomial.variable(context, name), order)
+
+    @property
+    def context(self) -> VariableContext:
+        return self.poly.context
+
+    @property
+    def coeffs(self) -> dict:
+        """The term map monomial -> nonzero coefficient."""
+        return self.poly.terms
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.poly.is_zero
 
     def _require_compatible(self, other: "Jet"):
         if self.context != other.context or self.order != other.order:
@@ -87,30 +97,11 @@ class Jet:
 
     def __add__(self, other: "Jet") -> "Jet":
         self._require_compatible(other)
-        res = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            s = res.get(m, ZERO) + c
-            if s:
-                res[m] = s
-            else:
-                res.pop(m, None)
-        return Jet(self.context, self.order, res)
+        return _truncated(self.poly + other.poly, self.order)
 
     def __mul__(self, other: "Jet") -> "Jet":
         self._require_compatible(other)
-        res = {}
-        for m1, c1 in self.coeffs.items():
-            d1 = sum(m1)
-            for m2, c2 in other.coeffs.items():
-                if d1 + sum(m2) > self.order:
-                    continue
-                m = monomial_mul(m1, m2)
-                s = res.get(m, ZERO) + c1 * c2
-                if s:
-                    res[m] = s
-                else:
-                    res.pop(m, None)
-        return Jet(self.context, self.order, res)
+        return _truncated(self.poly * other.poly, self.order)
 
     def __pow__(self, e: int) -> "Jet":
         if e < 0:
@@ -118,23 +109,32 @@ class Jet:
         return power(self, e, Jet.constant(self.context, self.order, 1))
 
     def truncate(self, order: int) -> "Jet":
-        return Jet(self.context, order, self.coeffs)
+        """The jet at a lower or equal order; a higher one is not known from this jet."""
+        if order > self.order:
+            raise ValueError(f"cannot raise a jet's order from {self.order} to {order}")
+        return _truncated(self.poly, order)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Jet):
             return NotImplemented
-        return (
-            self.context == other.context
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
+        return self.order == other.order and self.poly == other.poly
 
     def __hash__(self):
-        return hash((self.context, self.order, frozenset(self.coeffs.items())))
+        return hash((self.order, self.poly))
 
     def __repr__(self):
-        terms = sorted(self.coeffs.items())
-        return f"<Jet order={self.order} {terms!r}>"
+        return f"<Jet order={self.order} {sorted(self.coeffs.items())!r}>"
+
+
+def _truncated(f: Polynomial, order: int) -> Jet:
+    """The jet of the terms of ``f`` of total degree <= ``order``; f's coefficients are real."""
+    if order < 0:
+        raise ValueError("jet order must be non-negative")
+    kept = {m: c for m, c in f.terms.items() if sum(m) <= order}
+    jet = object.__new__(Jet)
+    object.__setattr__(jet, "order", order)
+    object.__setattr__(jet, "poly", f if len(kept) == len(f.terms) else Polynomial(f.context, kept))
+    return jet
 
 
 def jet_exp(context: VariableContext, name: str, order: int) -> Jet:
@@ -153,25 +153,21 @@ def jet_exp(context: VariableContext, name: str, order: int) -> Jet:
 
 def jet_compose(F: Polynomial, components: Sequence[Jet], order: int) -> Jet:
     """Exact composition F(components) truncated at total degree ``order``."""
+    comps = _components_at(components, order)
+    if F.context.size != len(comps):
+        raise ValueError("polynomial arity does not match component count")
+    ctx = comps[0].context
+    return compose(F, comps, lambda c: Jet.constant(ctx, order, c))
+
+
+def _components_at(components: Sequence[Jet], order: int) -> list:
+    """The components, over one context and of order at least ``order``, truncated at it."""
     if not components:
         raise ValueError("need at least one component")
     ctx = components[0].context
-    for jet in components:
-        if jet.context != ctx:
-            raise ValueError("components over different parameter contexts")
-        if jet.order < order:
-            raise ValueError("component order below the composition order")
-    if F.context.size != len(components):
-        raise ValueError("polynomial arity does not match component count")
-    comps = [jet.truncate(order) for jet in components]
-    result = Jet.zero(ctx, order)
-    for m, c in F.terms.items():
-        term = Jet.constant(ctx, order, c)
-        for k, e in enumerate(m):
-            if e:
-                term = term * comps[k] ** e
-        result = result + term
-    return result
+    if any(jet.context != ctx for jet in components):
+        raise ValueError("components over different parameter contexts")
+    return [jet.truncate(order) for jet in components]  # refuses a jet of lower order
 
 
 def jet_from_symbolic(f: Polynomial, order: int) -> Jet:
@@ -237,10 +233,10 @@ def relation_probe(components: Sequence[Jet], order: int, max_degree: int) -> Pr
     search goes.  The first dependent column fixes the degree; its relation,
     with first nonzero coefficient 1 in that order, is the witness.
     """
-    r = len(components)
-    ctx = components[0].context
+    comps = _components_at(components, order)
+    r = len(comps)
+    ctx = comps[0].context
     _check_probe_request(ctx.size, r, order, max_degree)
-    comps = [jet.truncate(order) for jet in components]
     equations = comb(order + ctx.size, ctx.size)
     one = (0,) * r
     candidates = [one]  # the monomial of each column, in the order fed

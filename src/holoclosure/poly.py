@@ -29,7 +29,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
-from operator import itemgetter, lshift, mul
+from operator import add, itemgetter, lshift, mul
 from typing import Mapping, NamedTuple, Sequence
 
 from holoclosure.arith import ONE, GaussianRational, _reduced, gq, gq_to_text, inverse_numerator, power
@@ -46,6 +46,9 @@ class Block(Enum):
     REAL = "real"        # interleaved x1,y1,...,xn,yn
     PARAM = "param"      # map source / parametrization variables
     EXP = "exp"          # formal exp(t) symbols used by jet components
+
+
+ZETA_SWAP = {Block.ZETA: Block.ZETABAR}  # the block swap of formal conjugation
 
 
 @dataclass(frozen=True)
@@ -130,9 +133,6 @@ def param_context(names: Sequence[str]) -> VariableContext:
 
 # -- monomial helpers -------------------------------------------------------
 
-
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
 
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
@@ -443,16 +443,7 @@ class Polynomial:
         return Polynomial(self.context, res)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._require_same_context(other)
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            s = res.get(m)
-            s = -c if s is None else s - c
-            if s:
-                res[m] = s
-            else:
-                res.pop(m, None)
-        return Polynomial(self.context, res)
+        return self + -other
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.context, {m: -c for m, c in self.terms.items()})
@@ -529,7 +520,7 @@ class Polynomial:
         """self - c * x^m * other, the reduction step of the division algorithm."""
         res = dict(self.terms)
         for m2, c2 in other.terms.items():
-            key = monomial_mul(m, m2)
+            key = tuple(map(add, m, m2))
             delta = c * c2
             s = res.get(key)
             s = -delta if s is None else s - delta
@@ -552,14 +543,7 @@ class Polynomial:
             if img.context != target:
                 raise ValueError(f"image of {name!r} is not over the target context")
             image_list[k] = img
-        result = Polynomial.zero(target)
-        for m, c in self.terms.items():
-            term = Polynomial.constant(target, c)
-            for k, e in enumerate(m):
-                if e:
-                    term = term * (image_list[k] ** e)
-            result = result + term
-        return result
+        return compose(self, image_list, lambda c: Polynomial.constant(target, c))
 
     def rename(self, target: VariableContext, index_map: Sequence[int]) -> "Polynomial":
         """Transport to ``target``, old index k becoming ``index_map[k]``."""
@@ -633,6 +617,22 @@ class Polynomial:
 
     def __repr__(self):
         return f"<Polynomial {polynomial_to_text(self)}>"
+
+
+def compose(f: Polynomial, images: Sequence, constant):
+    """The sum over the terms c*x^m of ``f`` of constant(c) * images[0]^m[0] * ...
+
+    ``images`` holds a ring element per variable ``f`` uses, and ``constant``
+    maps a coefficient into that ring: substitution, and composition with jets.
+    """
+    result = constant(0)
+    for m, c in f.terms.items():
+        term = constant(c)
+        for k, e in enumerate(m):
+            if e:
+                term = term * images[k] ** e
+        result = result + term
+    return result
 
 
 class _RowsPolynomial(Polynomial):

@@ -25,13 +25,12 @@ from holoclosure.poly import (
     Block,
     Polynomial,
     VariableContext,
+    ZETA_SWAP,
     param_context,
     polynomial_to_text,
     real_context,
     zeta_context,
 )
-
-_ZETA_SWAP = {Block.ZETA: Block.ZETABAR}
 
 # Parentheses, conj(...) and unary minus nest at most this deep.  A nested
 # level costs up to six parser frames, so the limit keeps the recursive
@@ -272,7 +271,7 @@ class _ExprParser:
                 self.expect_op("(")
                 inner = self._nested(tok, self._sum)
                 self.expect_op(")")
-                return inner.conjugate(_ZETA_SWAP)
+                return inner.conjugate(ZETA_SWAP)
             if name == "exp":
                 if not env.allow_exp:
                     raise ParseError(

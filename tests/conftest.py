@@ -116,6 +116,10 @@ def is_swap_symmetric(ideal):
     return all(ideal_membership(g.conjugate(swap), ideal) for g in ideal.generators)
 
 
+def monomial_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
 def monomial_divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 

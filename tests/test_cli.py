@@ -182,6 +182,8 @@ EXIT_CASES = [
              "mapvars u v\nmap u\nmap v\neq u^2 - 2\n"),
     ExitCase(("crdim", str(FIXTURES / "umbrella.sys"), "--point", "0, 1"), EXIT_SEMANTIC,
              "Jacobian rank"),
+    ExitCase(("param-hcdim", "-"), EXIT_SEMANTIC, "collide with target variables: w1",
+             "params w1 t\nmap w1\nmap w1*t\n"),
     ExitCase(("hcdim", SPHERE), EXIT_INVARIANT, "closure dimension 99", patch=_claim_h_above_n),
     ExitCase(("probe-osgood", "--jets", "3", "--maxdeg", "2"), EXIT_INVARIANT, "witness degree",
              patch=_constant_relation),

@@ -1,11 +1,15 @@
 """Jet arithmetic, composition, and the relation-degree probe."""
 
+import operator
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from holoclosure import jets, linalg
+from holoclosure.arith import ONE, ZERO, GaussianRational, gq
 from holoclosure.errors import ResourceLimitError
 from holoclosure.jets import (
     Jet,
@@ -21,6 +25,110 @@ from holoclosure.syntax import parse, parse_polynomial
 
 VW = param_context(("v", "w"))
 VT = param_context(("v", "t"))
+
+
+# -- jet arithmetic against a term-by-term truncated model ------------------------
+
+
+def _model(terms, order):
+    return {m: gq(c) for m, c in terms.items() if c and sum(m) <= order}
+
+
+def _model_add(a, b):
+    res = dict(a)
+    for m, c in b.items():
+        s = res.get(m, ZERO) + c
+        if s:
+            res[m] = s
+        else:
+            res.pop(m, None)
+    return res
+
+
+def _model_mul(a, b, order):
+    res = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            if sum(m1) + sum(m2) > order:
+                continue
+            m = tuple(x + y for x, y in zip(m1, m2))
+            s = res.get(m, ZERO) + c1 * c2
+            if s:
+                res[m] = s
+            else:
+                res.pop(m, None)
+    return res
+
+
+REAL_COEFFS = st.builds(lambda a, d: Fraction(a, d), st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def jet_operands(draw):
+    """An order, two term maps over v, w reaching one degree past it, and a power."""
+    order = draw(st.integers(0, 4))
+    terms = st.dictionaries(st.tuples(st.integers(0, order + 1), st.integers(0, order + 1)),
+                            REAL_COEFFS, max_size=6)
+    return order, draw(terms), draw(terms), draw(st.integers(0, 3))
+
+
+@given(jet_operands())
+@example((0, {(0, 0): 2, (1, 0): 5}, {(0, 0): Fraction(-1, 3), (0, 1): 1}, 3))
+@example((2, {(1, 1): 1, (0, 0): 1}, {(2, 0): 1, (0, 0): -1, (0, 3): 2}, 2))
+@example((1, {(1, 0): 1}, {(1, 0): -1}, 2))
+def test_jet_arithmetic_matches_the_truncated_model(case):
+    order, ta, tb, e = case
+    a, b = Jet(VW, order, ta), Jet(VW, order, tb)
+    ma, mb = _model(ta, order), _model(tb, order)
+    assert a.coeffs == ma and b.coeffs == mb
+    power = {(0, 0): ONE}
+    for _ in range(e):
+        power = _model_mul(power, ma, order)
+    for got, want in ((a + b, _model_add(ma, mb)), (a * b, _model_mul(ma, mb, order)), (a ** e, power)):
+        assert got.order == order
+        assert got.coeffs == want
+        assert got == Jet(VW, order, want)
+
+
+def test_jet_operations_refuse_other_contexts_and_orders():
+    a = Jet.variable(VW, 3, "v")
+    for b in (Jet.variable(VW, 4, "v"), Jet.variable(VT, 3, "v")):
+        for op in (operator.add, operator.mul):
+            with pytest.raises(ValueError):
+                op(a, b)
+
+
+def test_jet_equality_and_hash_include_the_order_and_context():
+    a = Jet.constant(VW, 2, 1)
+    assert a == Jet.constant(VW, 2, 1) and hash(a) == hash(Jet.constant(VW, 2, 1))
+    higher = Jet.constant(VW, 3, 1)
+    assert higher.coeffs == a.coeffs
+    assert higher != a and hash(higher) != hash(a)
+    assert Jet.constant(VT, 2, 1) != a
+    assert len({a, higher, Jet.constant(VW, 2, 1)}) == 2
+
+
+def test_jet_rejects_a_non_real_coefficient_where_it_enters():
+    with pytest.raises(ValueError):
+        Jet(VW, 2, {(1, 0): GaussianRational(0, 1)})
+    with pytest.raises(ValueError):
+        Jet.constant(VW, 2, GaussianRational(1, 1))
+    assert Jet(VW, 2, {(1, 0): GaussianRational(2)}) == Jet.variable(VW, 2, "v") + Jet.variable(VW, 2, "v")
+
+
+def test_truncate_lowers_the_order_only():
+    v2 = Jet.variable(VW, 3, "v") ** 2
+    assert v2.truncate(3) == v2
+    assert v2.truncate(1) == Jet.zero(VW, 1)
+    with pytest.raises(ValueError):
+        v2.truncate(4)
+
+
+def test_relation_probe_refuses_components_below_the_probed_order():
+    # order-3 components would answer degree 2 with a witness that fails at order 10
+    assert relation_probe(osgood_components(10), 10, 6).min_relation_degree == 3
+    with pytest.raises(ValueError):
+        relation_probe(osgood_components(3), 10, 6)
 
 
 def test_jet_exp_order_zero():

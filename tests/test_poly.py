@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import monomial_divides, param_ctx, rand_nonzero_poly, rand_poly, reference_gq_text
+from conftest import monomial_divides, monomial_mul, param_ctx, rand_nonzero_poly, rand_poly, reference_gq_text
 from holoclosure.arith import GaussianRational, gq
 from holoclosure.poly import (
     Block,
@@ -18,7 +18,7 @@ from holoclosure.poly import (
     MAX_EXPONENT,
     Polynomial,
     VariableContext,
-    monomial_mul,
+    ZETA_SWAP,
     param_context,
     polynomial_to_text,
     zeta_context,
@@ -315,7 +315,6 @@ def test_substitute_identity_images():
 # -- conjugation ----------------------------------------------------------------
 
 
-ZETA_SWAP = {Block.ZETA: Block.ZETABAR}
 ZW_SWAP = {Block.Z: Block.W}
 
 
