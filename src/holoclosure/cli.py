@@ -19,7 +19,6 @@ import argparse
 import gc
 import json
 import sys
-from dataclasses import asdict, dataclass, field
 
 from holoclosure.arith import gq_to_text
 from holoclosure.closure import (
@@ -74,15 +73,20 @@ GERM_NOTE = (
 )
 
 
-@dataclass
 class Report:
-    command: str
-    inputs: dict = field(default_factory=dict)
-    results: dict = field(default_factory=dict)
-    diagnostics: list = field(default_factory=list)
+    """One command's report, filled in as the command runs."""
+
+    __slots__ = ("command", "inputs", "results", "diagnostics")
+
+    def __init__(self, command: str):
+        self.command = command
+        self.inputs = {}
+        self.results = {}
+        self.diagnostics = []
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2) + "\n"
+        fields = {name: getattr(self, name) for name in self.__slots__}
+        return json.dumps(fields, indent=2) + "\n"
 
     def to_text(self) -> str:
         lines = [f"command: {self.command}"]

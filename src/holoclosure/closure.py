@@ -16,11 +16,10 @@ overwhelming probability, and r1 <= r3 holds for every sample outcome.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from math import isqrt, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from holoclosure.arith import GaussianRational, gq
 from holoclosure.complexify import System, complexify_ideal
@@ -47,8 +46,7 @@ from holoclosure.poly import (
 )
 
 
-@dataclass(frozen=True)
-class HCReport:
+class HCReport(NamedTuple):
     """Holomorphic closure ideal over the z variables, with both dimensions."""
 
     hc_ideal: Ideal
@@ -56,8 +54,7 @@ class HCReport:
     real_dimension: int
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(NamedTuple):
     """Gabrielov ranks of a polynomial map restricted to a source variety.
 
     ``lam`` is the generic fibre dimension; regular means r1 == r3.  The

@@ -14,7 +14,6 @@ special points require the caller to supply generators of the local germ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from holoclosure.arith import GaussianRational, gq, HALF, I as IMAG
@@ -39,32 +38,46 @@ ZETA_FORM = "zeta"
 REAL_FORM = "real"
 
 
-@dataclass(frozen=True)
 class System:
     """Defining equations of a real set, in zeta or real coordinates."""
 
-    context: VariableContext
-    form: str
-    generators: tuple
+    __slots__ = ("context", "form", "generators")
 
-    def __post_init__(self):
-        if self.form == ZETA_FORM:
-            nz = len(self.context.indices(Block.ZETA))
-            nb = len(self.context.indices(Block.ZETABAR))
+    def __init__(self, context: VariableContext, form: str, generators: tuple):
+        if form == ZETA_FORM:
+            nz = len(context.indices(Block.ZETA))
+            nb = len(context.indices(Block.ZETABAR))
             if nz == 0 or nz != nb:
                 raise ValueError("zeta-form context needs paired zeta/zetabar blocks")
-        elif self.form == REAL_FORM:
-            nr = len(self.context.indices(Block.REAL))
+        elif form == REAL_FORM:
+            nr = len(context.indices(Block.REAL))
             if nr == 0 or nr % 2 != 0:
                 raise ValueError("real-form context needs interleaved x,y pairs")
-            for g in self.generators:
+            for g in generators:
                 if not all(c.is_real() for c in g.terms.values()):
                     raise ValueError("real-form generators must have real coefficients")
         else:
-            raise ValueError(f"unknown system form {self.form!r}")
-        for g in self.generators:
-            if g.context != self.context:
+            raise ValueError(f"unknown system form {form!r}")
+        for g in generators:
+            if g.context != context:
                 raise ValueError("generator over a different context")
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "generators", generators)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("System is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, System):
+            return NotImplemented
+        return (self.context, self.form, self.generators) == (other.context, other.form, other.generators)
+
+    def __hash__(self):
+        return hash((self.context, self.form, self.generators))
+
+    def __repr__(self):
+        return f"System(context={self.context!r}, form={self.form!r}, generators={self.generators!r})"
 
     @property
     def n(self) -> int:

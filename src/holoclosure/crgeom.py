@@ -14,9 +14,8 @@ symbolic entries yields the ideals cutting out the strata {m >= k}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from holoclosure import linalg
 from holoclosure.arith import gq
@@ -40,8 +39,7 @@ from holoclosure.poly import Polynomial
 Point = tuple  # n Gaussian rationals
 
 
-@dataclass(frozen=True)
-class TangentReport:
+class TangentReport(NamedTuple):
     """Kernel basis of the real Jacobian at a point, with the smoothness verdict."""
 
     basis: tuple
@@ -50,8 +48,7 @@ class TangentReport:
     d: int
 
 
-@dataclass(frozen=True)
-class CRReport:
+class CRReport(NamedTuple):
     d: int
     m: int
     smooth: bool
@@ -59,16 +56,14 @@ class CRReport:
     rank_stacked: int
 
 
-@dataclass(frozen=True)
-class DMEntry:
+class DMEntry(NamedTuple):
     point: Point
     m: int | None
     agrees: bool | None
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class DMReport:
+class DMReport(NamedTuple):
     """Per-point comparison of the closure dimension with d - m."""
 
     h: int

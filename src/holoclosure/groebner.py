@@ -24,9 +24,8 @@ question about an ideal and its projections.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from holoclosure.arith import inverse_numerator
 from holoclosure.errors import ResourceLimitError
@@ -43,8 +42,7 @@ from holoclosure.poly import (
 )
 
 
-@dataclass(frozen=True)
-class GroebnerConfig:
+class GroebnerConfig(NamedTuple):
     """Deterministic failure budget for basis computations."""
 
     max_pairs: int = 50_000
@@ -54,8 +52,7 @@ class GroebnerConfig:
 DEFAULT_CONFIG = GroebnerConfig()
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(NamedTuple):
     """An ideal presented by generators (the object is the ideal, not the list)."""
 
     context: VariableContext
@@ -76,8 +73,7 @@ class Ideal:
         return not self.generators
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(NamedTuple):
     """The reduced Groebner basis of an ideal over ``context`` under ``order``."""
 
     context: VariableContext

@@ -23,9 +23,8 @@ coefficients does (take real or imaginary parts).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from holoclosure import linalg
 from holoclosure.arith import ONE, GaussianRational, power
@@ -187,8 +186,7 @@ def jet_from_symbolic(f: Polynomial, order: int) -> Jet:
     return jet_compose(f, images, order)
 
 
-@dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(NamedTuple):
     """Outcome of a relation search: minimal witness degree, or none <= D."""
 
     jet_order: int

@@ -24,7 +24,6 @@ exponent tuples, which the parser, the renderer and the jets share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import chain
@@ -51,18 +50,32 @@ class Block(Enum):
 ZETA_SWAP = {Block.ZETA: Block.ZETABAR}  # the block swap of formal conjugation
 
 
-@dataclass(frozen=True)
 class VariableContext:
     """Ordered variable names partitioned into labeled blocks."""
 
-    names: tuple
-    blocks: tuple
+    __slots__ = ("names", "blocks")
 
-    def __post_init__(self):
-        if len(self.names) != len(self.blocks):
+    def __init__(self, names: tuple, blocks: tuple):
+        if len(names) != len(blocks):
             raise ValueError("one block label per variable required")
-        if len(set(self.names)) != len(self.names):
-            raise ValueError(f"duplicate variable names in {self.names}")
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate variable names in {names}")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "blocks", blocks)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("VariableContext is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, VariableContext):
+            return NotImplemented
+        return self is other or (self.names == other.names and self.blocks == other.blocks)
+
+    def __hash__(self):
+        return hash((self.names, self.blocks))
+
+    def __repr__(self):
+        return f"VariableContext(names={self.names!r}, blocks={self.blocks!r})"
 
     @property
     def size(self) -> int:
@@ -205,8 +218,23 @@ class MonomialOrder:
     ``weight_rows(n)`` lists, most significant first, the index tuples whose
     exponent sums are compared in turn; the rows are independent, so the
     order is total.  ``key`` packs those sums into one int that grows with
-    the monomial and adds under multiplication.
+    the monomial and adds under multiplication.  An order without parameters
+    equals every instance of its class and hashes by its class.
     """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        return True if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(type(self))
+
+    def __repr__(self):
+        return f"{type(self).__name__}()"
 
     def weight_rows(self, n: int) -> tuple:
         raise NotImplementedError
@@ -218,29 +246,47 @@ class MonomialOrder:
         return self.packing(len(m)).key(m)
 
 
-@dataclass(frozen=True)
 class Lex(MonomialOrder):
+    __slots__ = ()
+
     def weight_rows(self, n: int) -> tuple:
         return tuple((k,) for k in range(n))
 
 
-@dataclass(frozen=True)
 class Grevlex(MonomialOrder):
     """Degree, then the smaller last exponent: the prefix sums e1+...+en, ..., e1."""
+
+    __slots__ = ()
 
     def weight_rows(self, n: int) -> tuple:
         return tuple(tuple(range(k)) for k in range(n, 0, -1))
 
 
-@dataclass(frozen=True)
 class BlockElimination(MonomialOrder):
     """Index groups ranked in order, each dominating all later ones; grevlex inside each.
 
     ``groups`` is a tuple of ascending index tuples partitioning the variables;
-    the weight rows are each group's grevlex rows, in group rank order.
+    the weight rows are each group's grevlex rows, in group rank order.  The
+    hash of the groups is taken once: every cached view of a polynomial is
+    looked up by its order.
     """
 
-    groups: tuple
+    __slots__ = ("groups", "_hash")
+
+    def __init__(self, groups: tuple):
+        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "_hash", hash(groups))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not BlockElimination:
+            return NotImplemented
+        return self is other or self.groups == other.groups
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"BlockElimination(groups={self.groups!r})"
 
     @classmethod
     def of_blocks(cls, context: VariableContext, *blocks: Block) -> "BlockElimination":

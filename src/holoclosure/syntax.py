@@ -16,8 +16,8 @@ and parsing a printed document reproduces the document exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from holoclosure.arith import I as IMAG, GaussianRational, gq
 from holoclosure.errors import ResourceLimitError
@@ -62,8 +62,7 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "int" | "ident" | "op" | "end"
     text: str
     line: int
@@ -139,8 +138,7 @@ def _int_value(tok: Token) -> int:
         ) from None
 
 
-@dataclass
-class _Env:
+class _Env(NamedTuple):
     context: VariableContext
     declared: tuple
     allow_i: bool
@@ -294,8 +292,7 @@ class _ExprParser:
         raise ParseError("expected an expression", tok.line, tok.col)
 
 
-@dataclass(frozen=True)
-class InputDocument:
+class InputDocument(NamedTuple):
     kind: str
     context: VariableContext
     declared: tuple

@@ -1,5 +1,9 @@
 """Shared fixtures and seeded random generators for the test suite."""
 
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -7,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
+import holoclosure
 from holoclosure.arith import GaussianRational
 from holoclosure.complexify import System
 from holoclosure.groebner import ideal_membership
@@ -35,6 +40,23 @@ ALL_FIXTURES = SYSTEM_FIXTURES + ["whitney.map", "osgood.jets", "surface_param.p
 @pytest.fixture
 def fixtures_dir():
     return FIXTURES
+
+
+def run_cli_child(argv, stdin, timeout):
+    """(exit code, stdout, stderr) of ``python -m holoclosure.cli`` in a child process.
+
+    The child has ``timeout`` seconds and 1 GiB of address space, so neither a
+    hang nor a runaway computation can stall or starve the test process.
+    """
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    src = Path(holoclosure.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "holoclosure.cli", *argv], input=stdin, capture_output=True,
+        text=True, timeout=timeout, env=dict(os.environ, PYTHONPATH=str(src)), preexec_fn=cap_memory,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def load_fixture(name):

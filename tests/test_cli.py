@@ -5,7 +5,6 @@ import importlib.util
 import io
 import json
 import os
-import resource
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from typing import Callable
 import pytest
 
 import holoclosure
-from conftest import FIXTURES
+from conftest import FIXTURES, run_cli_child
 from holoclosure import groebner, jets
 from holoclosure.cli import (
     EXIT_INVARIANT,
@@ -207,15 +206,7 @@ DIAGNOSTIC_PREFIX = {
 def _run_bounded(argv, stdin="", timeout=PROBE_SECONDS):
     """The CLI in a child process: without its budget checks a probe of this
     size would exhaust memory, which must not happen in the test process."""
-    def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
-    src = Path(holoclosure.__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-m", "holoclosure.cli", *argv], input=stdin, capture_output=True,
-        text=True, timeout=timeout, env=dict(os.environ, PYTHONPATH=str(src)), preexec_fn=cap_memory,
-    )
-    return proc.returncode, proc.stdout, proc.stderr
+    return run_cli_child(argv, stdin, timeout)
 
 
 def test_cli_import_freezes_its_objects_out_of_the_collector():

@@ -1,13 +1,21 @@
-"""CLI fuzz: generated small documents and command lines end in a documented exit code."""
+"""CLI fuzz: generated small documents and command lines end in a documented exit code.
+
+Most cases run in this process; a few run as ``python -m holoclosure.cli`` in
+a child process with a timeout, so a hang fails the suite instead of stalling it.
+"""
 
 import io
 import sys
 from unittest import mock
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
+from conftest import run_cli_child
 from holoclosure import cli
+
+EXIT_CODES = {0, 2, 3, 4, 5}
+CHILD_SECONDS = 60  # each case takes well under a second; only a hang comes near this
 
 # declaration keyword ->
 #   (variable names, numbers of them, statement keyword, atom forms, coefficients)
@@ -56,13 +64,19 @@ def documents(draw):
     return "\n".join([f"{keyword} {' '.join(names)}"] + lines) + "\n"
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(documents(), st.sampled_from(sorted(cli._COMMANDS)), st.data())
-def test_cli_ends_in_a_documented_exit_code(document, command, data):
+def _command_line(command, data) -> list:
+    """``command`` reading its document from stdin, with its flags and small budgets."""
     argv = [command] if command == "probe-osgood" else [command, "-"]
     argv += data.draw(COMMAND_FLAGS[command])
     argv += ["--max-pairs", "200", "--max-degree", "12"]
     argv += data.draw(st.sampled_from([[], ["--json"]]))
+    return argv
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(documents(), st.sampled_from(sorted(cli._COMMANDS)), st.data())
+def test_cli_ends_in_a_documented_exit_code(document, command, data):
+    argv = _command_line(command, data)
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.object(sys, "stdin", io.StringIO(document)), \
             mock.patch.object(sys, "stderr", err):
@@ -70,6 +84,17 @@ def test_cli_ends_in_a_documented_exit_code(document, command, data):
             code = cli.run(argv, stdout=out)
         except SystemExit as exc:  # argparse's exit on a bad command line
             code = exc.code
-    assert code in {0, 2, 3, 4, 5}, (argv, document)
+    assert code in EXIT_CODES, (argv, document)
     assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+# no shrinking: a hanging case would be rerun for each shrink step
+@settings(max_examples=10, deadline=None, phases=[Phase.generate],
+          suppress_health_check=[HealthCheck.too_slow])
+@given(documents(), st.sampled_from(sorted(cli._COMMANDS)), st.data())
+def test_cli_child_process_ends_in_time(document, command, data):
+    argv = _command_line(command, data)
+    code, out, err = run_cli_child(argv, document, CHILD_SECONDS)
+    assert code in EXIT_CODES, (argv, document)
+    assert "Traceback" not in out + err
 

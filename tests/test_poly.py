@@ -402,9 +402,9 @@ def test_canonical_text_matches_the_fraction_reference(f):
 
 
 def test_context_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate variable names"):
         VariableContext(("a", "a"), (Block.PARAM, Block.PARAM))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="one block label per variable"):
         VariableContext(("a",), (Block.PARAM, Block.PARAM))
 
 
