@@ -112,9 +112,6 @@ class GaussianRational:
     def imag_part(self) -> "GaussianRational":
         return _reduced(self._b, 0, self._d)
 
-    def inverse(self) -> "GaussianRational":
-        return ONE / self
-
     # -- predicates and protocol ------------------------------------------
 
     def is_real(self) -> bool:

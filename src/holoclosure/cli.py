@@ -27,7 +27,7 @@ from holoclosure.closure import (
     holomorphic_closure,
     pullback_kernel,
 )
-from holoclosure.complexify import System, real_dimension
+from holoclosure.complexify import ZETA_FORM, System, real_dimension
 from holoclosure.crgeom import cr_dimension_at, cr_strata_ideal, verify_d_minus_m
 from holoclosure.errors import (
     EmptySetError,
@@ -264,7 +264,7 @@ def _cmd_eliminate(args, doc, config, report):
         block = "param"
     else:
         system = System.from_document(doc)
-        if system.form != "zeta":
+        if system.form != ZETA_FORM:
             raise ValueError("eliminate works on zeta-form systems or maps")
         result = eliminate_ideal(system.ideal(), Block.ZETABAR, config)
         block = "zetabar"

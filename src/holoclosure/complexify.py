@@ -5,8 +5,8 @@ A ``System`` describes a real algebraic subset of C^n either in zeta form
 in real form (variables x_1,y_1,...,x_n,y_n, rational coefficients).  The
 complexification replaces zeta_j by z_j and conj(zeta_j) by w_j after the
 system has been closed under conjugation; the resulting ideal in C[z,w] has
-Krull dimension equal to the real dimension of the described set, and its
-z-block elimination is the holomorphic closure ideal.
+Krull dimension equal to the real dimension of the described set, and the
+elimination of its w block (w > z) is the holomorphic closure ideal.
 
 Everything here is ideal-theoretic (Zariski-global): germ-level answers at
 special points require the caller to supply generators of the local germ.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from holoclosure.arith import GaussianRational, gq, HALF, I as IMAG
+from holoclosure.arith import HALF, I as IMAG
 from holoclosure.groebner import (
     DEFAULT_CONFIG,
     GroebnerConfig,
@@ -204,21 +204,3 @@ def real_dimension(system: System, config: GroebnerConfig = DEFAULT_CONFIG):
     Returns None when the equations are inconsistent (empty set).
     """
     return ideal_dimension(complexify_ideal(system), config=config)
-
-
-def evaluate_system(system: System, point: Sequence[GaussianRational]) -> list:
-    """Values of every generator at a point given by n complex coordinates."""
-    n = system.n
-    if len(point) != n:
-        raise ValueError(f"expected {n} coordinates, got {len(point)}")
-    point = [gq(c) for c in point]
-    values = {}
-    if system.form == ZETA_FORM:
-        for j in range(n):
-            values[system.context.names[j]] = point[j]
-            values[system.context.names[n + j]] = point[j].conjugate()
-    else:
-        for j in range(n):
-            values[system.context.names[2 * j]] = point[j].real_part()
-            values[system.context.names[2 * j + 1]] = point[j].imag_part()
-    return [g.evaluate(values) for g in system.generators]

@@ -1,17 +1,18 @@
 """Buchberger's algorithm, normal forms, elimination ideals, Krull dimension.
 
-The engine is deliberately plain: the sugar pair-selection strategy plus
-the coprime and chain criteria, full inter-reduction at the end, and a hard
-pair/degree budget so adversarial input fails deterministically instead of
-looping.  The engine reads each polynomial through its cached
-``PackedRows`` view, built once: Gaussian-integer numerators over one
-denominator, exponents packed beside the order's additive int key, so a
-divisibility test is one subtraction and one mask and a product is two
-additions (Monagan and Pearce, JSC 46, 2011).  Division is fraction-free
-over Z[i], as in Singular, in one mutable term map whose keys sit once in
-a min-heap, so no step re-sorts a polynomial (a heap where Yan's
-geobuckets, JSC 26, 1998, keep buckets).  S-polynomials and remainders are
-built from rows; their terms are canonicalized only if read.
+The engine is deliberately plain: the sugar pair-selection strategy plus the
+coprime and chain criteria, full inter-reduction at the end, and two budgets:
+``max_pairs`` bounds the S-pairs popped, ``max_degree`` the total degree of
+an element added to the basis.  Neither bounds the time of one normal form,
+so an input can run for minutes without tripping either.  The engine reads
+each polynomial through its cached ``PackedRows`` view, built once:
+Gaussian-integer numerators over one denominator, exponents packed beside the
+order's additive int key, so a divisibility test is one subtraction and one
+mask and a product is two additions (Monagan and Pearce, JSC 46, 2011).
+Division is fraction-free over Z[i], as in Singular, in one mutable term map
+whose keys sit once in a min-heap, so no step re-sorts a polynomial (a heap
+where Yan's geobuckets, JSC 26, 1998, keep buckets).  S-polynomials and
+remainders are built from rows; their terms are canonicalized only if read.
 Dimension is the combinatorial one, read off the leading-term staircase of
 a basis in any term order: R/I and R/in(I) have the same Krull dimension
 (Kredel and Weispfenning, JSC 6, 1988), and it agrees with the dimension of

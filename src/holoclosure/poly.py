@@ -394,10 +394,6 @@ class Polynomial:
         return cls(context, {tuple(e): gq(1)})
 
     @classmethod
-    def from_monomial(cls, context: VariableContext, m: Monomial, c=1) -> "Polynomial":
-        return cls(context, {tuple(m): gq(c)})
-
-    @classmethod
     def from_rows(cls, context: VariableContext, order: MonomialOrder, rows: list, scale: int) -> "Polynomial":
         """The sum of (a + b*i)/scale times each monomial, for rows (pack, key, a, b).
 

@@ -433,24 +433,6 @@ def print_document(doc: InputDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_polynomial(text: str, context: VariableContext) -> Polynomial:
-    """Parse one expression against an existing context (round-trip helper)."""
-    blocks = set(context.blocks)
-    declared = tuple(
-        name
-        for name, b in zip(context.names, context.blocks)
-        if b in (Block.ZETA, Block.REAL, Block.PARAM, Block.Z, Block.W)
-    )
-    env = _Env(
-        context,
-        declared,
-        allow_i=blocks != {Block.REAL},
-        allow_conj=Block.ZETABAR in blocks,
-        allow_exp=Block.EXP in blocks,
-    )
-    return _ExprParser(_tokenize(text, 1), env).parse()
-
-
 def parse_point(text: str, n: int | None = None) -> tuple:
     """Comma-separated Gaussian rational coordinates, e.g. ``"1/2+i, 0"``."""
     empty = VariableContext((), ())

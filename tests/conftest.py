@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import holoclosure
 from holoclosure.arith import GaussianRational
-from holoclosure.complexify import System
+from holoclosure.complexify import ZETA_FORM, System
 from holoclosure.groebner import ideal_membership
 from holoclosure.poly import Block, Polynomial, VariableContext
 from holoclosure.syntax import parse
@@ -69,6 +69,33 @@ def system_from_text(text):
 
 def system_fixture(name):
     return system_from_text(load_fixture(name))
+
+
+def parse_polynomial(text, ctx):
+    """One expression over ``ctx``, read through the document parser.
+
+    A zeta context is declared by its zeta names (``vars``), a real one by
+    all its names (``realvars``); any other is parsed over parameters named
+    like its variables (``mapvars``) and embedded.
+    """
+    blocks = set(ctx.blocks)
+    if Block.ZETA in blocks:
+        names = [v for v, b in zip(ctx.names, ctx.blocks) if b is Block.ZETA]
+        return parse(f"vars {' '.join(names)}\neq {text}\n").equations[0]
+    if blocks == {Block.REAL}:
+        return parse(f"realvars {' '.join(ctx.names)}\neq {text}\n").equations[0]
+    doc = parse(f"mapvars {' '.join(ctx.names)}\nmap {text}\n")
+    return doc.map_components[0].embed(ctx)
+
+
+def evaluate_system(system, point):
+    """Values of every generator at a point given by n complex coordinates."""
+    if system.form == ZETA_FORM:
+        coords = [*point, *(c.conjugate() for c in point)]
+    else:
+        coords = [part for c in point for part in (c.real_part(), c.imag_part())]
+    values = dict(zip(system.context.names, coords))
+    return [g.evaluate(values) for g in system.generators]
 
 
 def rand_fraction(rng, bound=5, den=3):

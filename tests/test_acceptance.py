@@ -10,9 +10,11 @@ import random
 
 from conftest import (
     ALL_FIXTURES,
+    evaluate_system,
     is_swap_symmetric,
     load_fixture,
     param_ctx,
+    parse_polynomial,
     rand_exponents,
     rand_fraction,
     rand_gq,
@@ -29,7 +31,6 @@ from holoclosure.closure import gabrielov_r1, holomorphic_closure, pullback_kern
 from holoclosure.complexify import (
     complexify_complex_set,
     complexify_ideal,
-    evaluate_system,
     real_to_zeta,
 )
 from holoclosure.crgeom import verify_d_minus_m
@@ -43,7 +44,7 @@ from holoclosure.groebner import (
 )
 from holoclosure.jets import jet_compose, osgood_components, osgood_probe, relation_probe
 from holoclosure.poly import Polynomial, polynomial_to_text, z_context, zeta_context, zw_context
-from holoclosure.syntax import parse, parse_point, parse_polynomial, print_document
+from holoclosure.syntax import parse, parse_point, print_document
 
 
 def check(label, ok):
@@ -194,7 +195,7 @@ def test_ac7_groebner_engine_properties():
         monos = [m for m in (rand_exponents(rng2, nv, 4) for _ in range(rng2.randint(1, 4))) if any(m)]
         if not monos:
             continue
-        gens = [Polynomial.from_monomial(ctx, m) for m in monos]
+        gens = [Polynomial(ctx, {m: 1}) for m in monos]
         assert ideal_dimension(Ideal.from_polys(ctx, gens)) == staircase_dimension_brute_force(monos, nv)
         dims += 1
     check("AC7 Groebner engine: 500 S-polynomial checks, 200 dimension oracles", True)

@@ -16,7 +16,7 @@ from typing import Callable
 import pytest
 
 import holoclosure
-from conftest import FIXTURES, run_cli_child
+from conftest import FIXTURES, parse_polynomial, run_cli_child
 from holoclosure import groebner, jets
 from holoclosure.cli import (
     EXIT_INVARIANT,
@@ -28,7 +28,7 @@ from holoclosure.cli import (
 )
 from holoclosure.complexify import System
 from holoclosure.poly import GREVLEX, LEX, z_context
-from holoclosure.syntax import parse, parse_polynomial
+from holoclosure.syntax import parse
 
 GOLDEN = FIXTURES / "golden"
 DATA = Path(__file__).resolve().parent / "data"

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import param_ctx, rand_gq, system_fixture, system_from_text
+from conftest import param_ctx, parse_polynomial, rand_gq, system_fixture, system_from_text
 from holoclosure.closure import (
     gabrielov_r1,
     gabrielov_r3,
@@ -17,7 +17,7 @@ from holoclosure.complexify import complexify_complex_set
 from holoclosure.errors import EmptySetError
 from holoclosure.groebner import Ideal, dimension_and_witness, eliminate, ideal_dimension
 from holoclosure.poly import Block, Polynomial, z_context
-from holoclosure.syntax import parse, parse_polynomial
+from holoclosure.syntax import parse
 
 
 def components_from_text(text):

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    evaluate_system,
     is_swap_symmetric,
+    parse_polynomial,
     rand_fraction,
     rand_nonzero_poly,
     system_fixture,
@@ -18,14 +20,12 @@ from holoclosure.complexify import (
     complexify_complex_set,
     complexify_ideal,
     conjugation_closure,
-    evaluate_system,
     real_dimension,
     real_to_zeta,
     zeta_to_real,
 )
 from holoclosure.groebner import Ideal, ideal_dimension, ideal_membership
 from holoclosure.poly import Block, Polynomial, z_context, zeta_context
-from holoclosure.syntax import parse, parse_polynomial
 
 ZETA2 = zeta_context(("z1", "z2"))
 

@@ -14,6 +14,7 @@ from conftest import (
     monomial_div,
     monomial_divides,
     param_ctx,
+    parse_polynomial,
     rand_exponents,
     rand_nonzero_poly,
     staircase_dimension_brute_force,
@@ -42,7 +43,6 @@ from holoclosure.poly import (
     monomial_lcm,
     zw_context,
 )
-from holoclosure.syntax import parse_polynomial
 
 XY = param_ctx(("x", "y"))
 XYZ = param_ctx(("x", "y", "z"))
@@ -202,7 +202,7 @@ def test_dimension_matches_brute_force_on_monomial_ideals():
                 monos.append(m)
         if not monos:
             continue
-        gens = [Polynomial.from_monomial(ctx, m) for m in monos]
+        gens = [Polynomial(ctx, {m: 1}) for m in monos]
         assert ideal_dimension(Ideal.from_polys(ctx, gens)) == staircase_dimension_brute_force(
             monos, nv
         )
@@ -268,13 +268,13 @@ def test_degree_budget_exhaustion():
 def test_exponent_past_the_packed_field_width_is_a_resource_limit():
     # x*y^e reduced by x - y^5000 (lead x under lex) multiplies out to y^(e + 5000)
     reducer = Polynomial(XY, {(1, 0): gq(1), (0, 5000): gq(-1)})
-    at_limit = Polynomial.from_monomial(XY, (1, MAX_EXPONENT - 5000))
-    assert normal_form(at_limit, [reducer], LEX) == Polynomial.from_monomial(XY, (0, MAX_EXPONENT))
-    past_limit = Polynomial.from_monomial(XY, (1, MAX_EXPONENT - 4999))
+    at_limit = Polynomial(XY, {(1, MAX_EXPONENT - 5000): 1})
+    assert normal_form(at_limit, [reducer], LEX) == Polynomial(XY, {(0, MAX_EXPONENT): 1})
+    past_limit = Polynomial(XY, {(1, MAX_EXPONENT - 4999): 1})
     with pytest.raises(ResourceLimitError, match="packed exponent limit of 32767"):
         normal_form(past_limit, [reducer], LEX)
     # an exponent that does not fit its field is refused before any arithmetic
-    too_wide = Polynomial.from_monomial(XY, (MAX_EXPONENT + 1, 0))
+    too_wide = Polynomial(XY, {(MAX_EXPONENT + 1, 0): 1})
     with pytest.raises(ResourceLimitError, match="exponent 32768 exceeds"):
         normal_form(too_wide, [reducer], LEX)
     with pytest.raises(ResourceLimitError, match="exponent 32768 exceeds"):
@@ -315,7 +315,7 @@ def test_dimension_witness_matches_the_unpruned_subset_search():
                 monos.add(tuple(m))
             else:
                 monos.add(rand_exponents(rng, nv, 3))
-        basis = tuple(Polynomial.from_monomial(ctx, m) for m in sorted(monos))
+        basis = tuple(Polynomial(ctx, {m: 1}) for m in sorted(monos))
         assert GroebnerBasis(ctx, GREVLEX, basis).dimension() == first_independent_set(monos, nv)
 
 
@@ -474,8 +474,8 @@ def reference_s_polynomial(f, g, order):
     """lcm/lt(f) * f - lcm/lt(g) * g by products and a difference over exponent tuples."""
     (mf, cf), (mg, cg) = f.leading(order), g.leading(order)
     lcm = monomial_lcm(mf, mg)
-    a = Polynomial.from_monomial(f.context, monomial_div(lcm, mf), gq(1) / cf) * f
-    b = Polynomial.from_monomial(g.context, monomial_div(lcm, mg), gq(1) / cg) * g
+    a = Polynomial(f.context, {monomial_div(lcm, mf): gq(1) / cf}) * f
+    b = Polynomial(g.context, {monomial_div(lcm, mg): gq(1) / cg}) * g
     return a - b
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import parse_polynomial
 from holoclosure import jets, linalg
 from holoclosure.arith import ONE, ZERO, GaussianRational, gq
 from holoclosure.errors import ResourceLimitError
@@ -21,7 +22,7 @@ from holoclosure.jets import (
     relation_probe,
 )
 from holoclosure.poly import GREVLEX, param_context, z_context
-from holoclosure.syntax import parse, parse_polynomial
+from holoclosure.syntax import parse
 
 VW = param_context(("v", "w"))
 VT = param_context(("v", "t"))

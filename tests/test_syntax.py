@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import ALL_FIXTURES, load_fixture, rand_poly
+from conftest import ALL_FIXTURES, load_fixture, parse_polynomial, rand_poly
 from holoclosure.arith import GaussianRational, gq
 from holoclosure.poly import (
     Polynomial,
@@ -16,7 +16,6 @@ from holoclosure.syntax import (
     ParseError,
     parse,
     parse_point,
-    parse_polynomial,
     print_document,
 )
 
