@@ -187,14 +187,14 @@ def inverse_numerator(a: int, b: int) -> tuple:
 
 
 def power(base, e: int, one):
-    """``base`` to the power ``e`` >= 0 by square-and-multiply; ``one`` is the ring's unit."""
-    result = one
+    """``base`` to the power ``e`` >= 0 by square-and-multiply; no product is by the unit ``one``."""
+    result = None
     while e:
         if e & 1:
-            result = result * base
+            result = base if result is None else result * base
         base = base * base if e > 1 else base
         e >>= 1
-    return result
+    return one if result is None else result
 
 
 def gq(x) -> GaussianRational:

@@ -38,7 +38,6 @@ from holoclosure.poly import (
     MonomialOrder,
     Polynomial,
     VariableContext,
-    monomial_degree,
     monomial_lcm,
 )
 
@@ -108,7 +107,7 @@ class GroebnerBasis(NamedTuple):
         supports = sorted((s for s in supports if not s & powers), key=len)
         containing = {k: [s for s in supports if k in s] for k in variables}
         chosen = set()
-        best = [-1, None]
+        best = (-1, None)
 
         def upper_bound(pos: int) -> int:
             # every support whose decided variables are all chosen loses one of
@@ -123,21 +122,25 @@ class GroebnerBasis(NamedTuple):
                         lost += 1
             return len(chosen) + len(variables) - pos - lost
 
-        def search(pos: int):
+        # an explicit stack, as one recursion level per variable would pass the
+        # interpreter's limit on wide inputs; (pos, True) resumes pos after its in-branch
+        stack = [(0, False)]
+        while stack:
+            pos, resumed = stack.pop()
+            if resumed:
+                chosen.discard(variables[pos])
+                pos += 1
             if upper_bound(pos) <= best[0]:
-                return
+                continue
             if pos == len(variables):
-                best[:] = [len(chosen), frozenset(chosen)]
-                return
+                best = (len(chosen), frozenset(chosen))
+                continue
             v = variables[pos]
             chosen.add(v)
+            stack.append((pos, True))
             if not any(s <= chosen for s in containing[v]):
-                search(pos + 1)
-            chosen.discard(v)
-            search(pos + 1)
-
-        search(0)
-        return tuple(best)
+                stack.append((pos + 1, False))
+        return best
 
     def elimination(self, count: int) -> "GroebnerBasis":
         """The elements free of the first ``count`` groups of a block order.
@@ -337,7 +340,7 @@ def buchberger(I: Ideal, order: MonomialOrder, config: GroebnerConfig = DEFAULT_
     guard = packing.guard
     packed = [g.packed_terms(order).lead_pack for g in G]
     lead = [packing.unpack(p) for p in packed]
-    degree = [monomial_degree(m) for m in lead]
+    degree = [sum(m) for m in lead]
 
     heap = []
     pending = set()
@@ -345,7 +348,7 @@ def buchberger(I: Ideal, order: MonomialOrder, config: GroebnerConfig = DEFAULT_
     def push_pairs(j):
         for i in range(j):
             lcm = monomial_lcm(lead[i], lead[j])
-            d = monomial_degree(lcm)
+            d = sum(lcm)
             s = max(sugar[i] + d - degree[i], sugar[j] + d - degree[j])
             heapq.heappush(heap, (s, d, i, j, packing.pack(lcm)))
             pending.add((i, j))
@@ -389,7 +392,7 @@ def buchberger(I: Ideal, order: MonomialOrder, config: GroebnerConfig = DEFAULT_
         sugar.append(s)
         packed.append(h.packed_terms(order).lead_pack)
         lead.append(packing.unpack(packed[-1]))
-        degree.append(monomial_degree(lead[-1]))
+        degree.append(sum(lead[-1]))
         push_pairs(len(G) - 1)
 
     return GroebnerBasis(I.context, order, _reduce_basis(G, order))

@@ -150,9 +150,6 @@ def param_context(names: Sequence[str]) -> VariableContext:
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
-def monomial_degree(m: Monomial) -> int:
-    return sum(m)
-
 
 # -- monomial orders --------------------------------------------------------
 
@@ -318,7 +315,7 @@ LEX = Lex()
 # -- polynomials ------------------------------------------------------------
 
 
-def _packed_numerators(terms: Mapping, shifts: range) -> tuple:
+def _packed_numerators(terms: Mapping, shifts: Sequence) -> tuple:
     """The terms as (packed exponents, a, b) over one denominator D, and D.
 
     D is the lcm of the coefficients' denominators, a term's coefficient is
@@ -355,13 +352,14 @@ class PackedRows(NamedTuple):
 class Polynomial:
     """Immutable multivariate polynomial over Q(i).
 
-    ``terms`` maps exponent tuples to nonzero coefficients.  A sorted term
-    view is needed only for rendering and for leading terms, and a packed
-    view (``PackedRows``) only for division; both are cached per monomial
-    order object, since one polynomial is read under several orders.
+    ``terms`` maps exponent tuples to nonzero coefficients.  The one view
+    kept per monomial order object, since a polynomial is read under several
+    orders, is ``PackedRows``: leading terms and ``monic`` read it.
+    ``sorted_terms``, which rendering uses, sorts the term map and builds no
+    view.
     """
 
-    __slots__ = ("context", "terms", "_sorted", "_packed")
+    __slots__ = ("context", "terms", "_packed")
 
     def __init__(self, context: VariableContext, terms: Mapping[Monomial, GaussianRational]):
         pruned = {}
@@ -371,7 +369,6 @@ class Polynomial:
                 pruned[m] = c
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "terms", pruned)
-        object.__setattr__(self, "_sorted", {})
         object.__setattr__(self, "_packed", {})
 
     def __setattr__(self, name, value):
@@ -410,7 +407,6 @@ class Polynomial:
                 scale //= g
         f = object.__new__(_RowsPolynomial)
         object.__setattr__(f, "context", context)
-        object.__setattr__(f, "_sorted", {})
         object.__setattr__(f, "_packed", {order: PackedRows(*rows[0], rows[1:], scale)})
         return f
 
@@ -435,16 +431,9 @@ class Polynomial:
         return used
 
     def sorted_terms(self, order: MonomialOrder) -> list:
-        """Terms as (monomial, coeff), descending in the active order."""
-        cached = self._sorted.get(order)
-        if cached is None:
-            terms = self.terms  # for a polynomial built from rows, fills their order's view
-            cached = self._sorted.get(order)
-            if cached is None:
-                key = order.packing(self.context.size).key
-                cached = sorted(terms.items(), key=lambda t: key(t[0]), reverse=True)
-                self._sorted[order] = cached
-        return cached
+        """Terms as (monomial, coeff), descending in ``order``; builds no view."""
+        key = order.packing(self.context.size).key
+        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
 
     def packed_terms(self, order: MonomialOrder) -> PackedRows | None:
         """The ``PackedRows`` view under ``order``; None for the zero polynomial."""
@@ -453,18 +442,19 @@ class Polynomial:
             if self.is_zero:
                 return None
             packing = order.packing(self.context.size)
-            pack, key = packing.pack, packing.key
-            d = lcm(*[c._d for c in self.terms.values()])
-            rows = [(pack(m), key(m), c._a * (d // c._d), c._b * (d // c._d)) for m, c in self.terms.items()]
+            xs, d = _packed_numerators(self.terms, packing.shifts)
+            rows = [(p, packing.key(m), a, b) for m, (p, a, b) in zip(self.terms, xs)]
             rows.sort(key=itemgetter(1), reverse=True)
             cached = PackedRows(*rows[0], rows[1:], d)
             self._packed[order] = cached
         return cached
 
     def leading(self, order: MonomialOrder) -> tuple:
-        if not self.terms:
+        view = self.packed_terms(order)
+        if view is None:
             raise ValueError("zero polynomial has no leading term")
-        return self.sorted_terms(order)[0]
+        monomial = order.packing(self.context.size).unpack(view.lead_pack)
+        return monomial, _reduced(view.lead_a, view.lead_b, view.denominator)
 
     # -- ring operations ----------------------------------------------------
 
@@ -542,17 +532,9 @@ class Polynomial:
         return Polynomial(self.context, {m: k * c for m, k in self.terms.items()})
 
     def monic(self, order: MonomialOrder) -> "Polynomial":
-        """Scaled to leading coefficient 1; returned as it is if monic or zero.
-
-        Rows under ``order``, which the engine's polynomials have, are scaled
-        row by row, and a term map without them term by term, so neither is
-        converted into the other.
-        """
-        view = self._packed.get(order)
-        if view is None:
-            c = self.leading(order)[1] if self.terms else ONE
-            return self if c == ONE else self.scale(ONE / c)
-        if not view.lead_b and view.lead_a == view.denominator:
+        """Scaled to leading coefficient 1 row by row under ``order``; itself if monic or zero."""
+        view = self.packed_terms(order)
+        if view is None or (not view.lead_b and view.lead_a == view.denominator):
             return self
         ua, ub, n = inverse_numerator(view.lead_a, view.lead_b)
         rows = [(p, k, a * ua - b * ub, a * ub + b * ua) for p, k, a, b in view.rows()]
@@ -678,9 +660,10 @@ def compose(f: Polynomial, images: Sequence, constant):
 
 
 class _RowsPolynomial(Polynomial):
-    """A nonzero polynomial built ``from_rows``, whose term map is built when first read.
+    """A nonzero polynomial built ``from_rows``, whose term map is unpacked when first read.
 
-    The engine reads most of them only through their rows.  A subclass keeps
+    The engine reads most of them only through their rows; until ``terms`` is
+    read, they have only the view they were built with.  A subclass keeps
     the ``__getattr__`` hook, which slows every attribute read, off term-built
     polynomials.
     """
@@ -694,9 +677,7 @@ class _RowsPolynomial(Polynomial):
             raise AttributeError(name)
         (order, view), = self._packed.items()
         unpack, d = order.packing(self.context.size).unpack, view.denominator
-        items = [(unpack(p), _reduced(a, b, d)) for p, _, a, b in view.rows()]
-        object.__setattr__(self, "terms", dict(items))
-        self._sorted[order] = items
+        object.__setattr__(self, "terms", {unpack(p): _reduced(a, b, d) for p, _, a, b in view.rows()})
         return self.terms
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import holoclosure
 from conftest import reference_gq_text
-from holoclosure.arith import GaussianRational, gq, gq_to_text
+from holoclosure.arith import GaussianRational, gq, gq_to_text, power
 from holoclosure.syntax import parse_point
 
 fractions = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
@@ -222,6 +222,34 @@ def test_mixed_operands_and_powers_match_the_model(x, e, q):
     assert_matches(gx ** e, expected)
     if any(x):
         assert_matches(gx ** -e, ref_div((Fraction(1), Fraction(0)), expected))
+
+
+class _Counted:
+    """An integer whose products are counted."""
+
+    products = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __mul__(self, other):
+        _Counted.products += 1
+        return _Counted(self.value * other.value)
+
+
+def test_power_never_multiplies_by_one():
+    # e.bit_length() - 1 squarings, and one product per further set bit
+    for e in [*range(1, 34), 64, 255, 256, 1000]:
+        _Counted.products = 0
+        assert power(_Counted(3), e, _Counted(1)).value == 3 ** e
+        assert _Counted.products == e.bit_length() + bin(e).count("1") - 2, e
+
+
+def test_power_zero_is_the_unit_itself():
+    one = _Counted(1)
+    _Counted.products = 0
+    assert power(_Counted(3), 0, one) is one
+    assert _Counted.products == 0
 
 
 @given(pairs)

@@ -300,6 +300,20 @@ def test_realdim_of_a_point_in_c12_answers_in_a_child():
     assert json.loads(out)["results"]["real_dimension"] == 0
 
 
+@pytest.mark.parametrize("command, answers", [
+    ("realdim", {"real_dimension": 999}),
+    ("hcdim", {"real_dimension": 999, "hc_dimension": 500}),
+])
+def test_a_hypersurface_over_1000_ring_variables_answers_in_a_child(command, answers):
+    # the staircase search keeps its own stack: one recursion level per
+    # variable would pass the interpreter's limit here and end in exit 1
+    names = " ".join(f"z{j}" for j in range(1, 501))
+    code, out, err = run_cli_child([command, "-", "--json"], f"vars {names}\neq z1*conj(z1) - 1\n", 60)
+    assert code == EXIT_OK and "Traceback" not in err
+    results = json.loads(out)["results"]
+    assert {key: results[key] for key in answers} == answers
+
+
 def test_realdim_of_products_of_pairs_answers_in_a_child():
     # leading monomials z1*z2, z3*z4, ...: no variable is a pure power, so the
     # staircase search must cut branches instead of walking the subsets

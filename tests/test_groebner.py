@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -41,6 +41,7 @@ from holoclosure.poly import (
     Polynomial,
     VariableContext,
     monomial_lcm,
+    polynomial_to_text,
     zw_context,
 )
 
@@ -461,10 +462,49 @@ def test_normal_form_sorts_each_reducer_once_at_most(monkeypatch):
     monkeypatch.setattr(
         Polynomial, "sorted_terms", lambda self, order: sorts.append(self) or original(self, order)
     )
-    # fresh copies, so no sort is cached from the reference run
-    r = normal_form(Polynomial(XYZ, f.terms), [Polynomial(XYZ, g.terms) for g in G], GREVLEX)
+    builds = []
+    original_packed = Polynomial.packed_terms
+
+    def packed_terms(self, order):
+        if order not in self._packed:
+            builds.append(self)
+        return original_packed(self, order)
+
+    monkeypatch.setattr(Polynomial, "packed_terms", packed_terms)
+    # fresh copies, so no view is cached from the reference run; the second
+    # division reuses the reducers' views
+    reducers = [Polynomial(XYZ, g.terms) for g in G]
+    r = normal_form(Polynomial(XYZ, f.terms), reducers, GREVLEX)
     assert r == expected
+    assert normal_form(Polynomial(XYZ, f.terms), reducers, GREVLEX) == expected
     assert len(sorts) <= len(G)
+    assert all(sum(b is g for b in builds) <= 1 for g in reducers)
+
+
+ORDERED_READS = {
+    "sorted_terms": lambda f, order: f.sorted_terms(order),
+    "leading": lambda f, order: f.leading(order),
+    "monic": lambda f, order: f.monic(order),
+    "text": lambda f, order: polynomial_to_text(f, order),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(DIVISION_ORDERS), st.sampled_from(DIVISION_ORDERS), polys4(8),
+    st.lists(polys4(4), max_size=3), st.permutations(sorted(ORDERED_READS)),
+)
+def test_a_remainder_read_under_another_order_matches_its_term_map(order, other, f, G, reads):
+    # a nonzero remainder holds rows under ``order`` alone, and its term map
+    # is unpacked from them only when first read; here the first read is
+    # under ``other``, whichever of the reads comes first
+    r = normal_form(f, G, order)
+    assume(not r.is_zero)
+    with pytest.raises(AttributeError):
+        Polynomial.terms.__get__(r)
+    got = {name: ORDERED_READS[name](r, other) for name in reads}
+    fresh = Polynomial(r.context, r.terms)
+    assert got == {name: ORDERED_READS[name](fresh, other) for name in reads}
 
 
 # -- S-polynomials merged on packed views, and the views results carry ------
