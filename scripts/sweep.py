@@ -9,10 +9,12 @@ Two commits are compared by sweeping each and diffing the directories:
 The sweep runs every fixture under every command (the commands a fixture's
 kind does not take end in their error report), the hard-tier inputs under
 ``bench/inputs`` under hcdim, realdim and groebner in both orders, inputs
-read from stdin, and the error paths: unreadable and malformed input, a
-command line argparse rejects (a bad flag value, an unknown flag, an
-unknown command or none), each budget, semantic failures and a sampler
-that finds no rational point, and the top-level and a subcommand's help.
+read from stdin, and the error paths: unreadable and malformed input
+(each rule a document kind sets on its statements and on ``i``, ``conj``
+and ``exp``), a command line argparse rejects (a bad flag value, an
+unknown flag, an unknown command or none), each budget, semantic
+failures and a sampler that finds no rational point, and the top-level
+and a subcommand's help.
 Each invocation runs in this process through ``holoclosure.cli.run``, once
 as text and once with ``--json``.  A file holds ``exit <code>``, then what
 went to stdout (the report, or argparse's help), then what went to stderr,
@@ -82,6 +84,15 @@ ERROR_CASES = {
     "error-off-the-set": (["crdim", "fixtures/sphere.sys", "--point", "2, 0"], b""),
     "error-empty-set": (["hcdim", "-"], b"vars z1\neq 1\n"),
     "error-no-rational-point": (["ranks", "-"], b"mapvars u v\nmap u\nmap v\neq u^2 - 2\n"),
+    "error-real-imaginary-unit": (["hcdim", "-"], b"realvars x y\neq i*x\n"),
+    "error-jet-imaginary-unit": (["probe", "-", "--jets", "3", "--maxdeg", "2"], b"params t\njet i*t\n"),
+    "error-map-conj": (["ranks", "-"], b"mapvars u v\nmap conj(u)\nmap v\n"),
+    "error-zeta-exp": (["hcdim", "-"], b"vars z1\neq exp(z1)\n"),
+    "error-jet-undeclared-exp": (["probe", "-", "--jets", "3", "--maxdeg", "2"], b"params t\njet exp(s)\n"),
+    "error-zeta-map": (["hcdim", "-"], b"vars z1\nmap z1\n"),
+    "error-parametrization-eq": (["param-hcdim", "-"], b"params t\nmap t\neq t\n"),
+    "error-params-map-and-jet": (["param-hcdim", "-"], b"params t\nmap t\njet t\n"),
+    "error-realvars-odd": (["hcdim", "-"], b"realvars x1 y1 x2\neq x1\n"),
     "error-unknown-flag": (["hcdim", "fixtures/sphere.sys", "--bogus"], b""),
     "error-unknown-command": (["bogus"], b""),
     "error-no-command": ([], b""),

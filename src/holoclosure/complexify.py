@@ -33,9 +33,11 @@ from holoclosure.poly import (
     zeta_context,
     zw_context,
 )
+from holoclosure.syntax import KIND_SYSTEM_REAL, KIND_SYSTEM_ZETA
 
 ZETA_FORM = "zeta"
 REAL_FORM = "real"
+_FORM_OF_KIND = {KIND_SYSTEM_ZETA: ZETA_FORM, KIND_SYSTEM_REAL: REAL_FORM}
 
 
 class System:
@@ -89,11 +91,10 @@ class System:
     @classmethod
     def from_document(cls, doc) -> "System":
         """Build from a parsed input document of a system kind."""
-        if doc.kind == "system-zeta":
-            return cls(doc.context, ZETA_FORM, doc.equations)
-        if doc.kind == "system-real":
-            return cls(doc.context, REAL_FORM, doc.equations)
-        raise ValueError(f"document kind {doc.kind!r} is not a system")
+        form = _FORM_OF_KIND.get(doc.kind)
+        if form is None:
+            raise ValueError(f"document kind {doc.kind!r} is not a system")
+        return cls(doc.context, form, doc.equations)
 
 
 def real_to_zeta(system: System) -> System:

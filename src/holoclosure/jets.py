@@ -66,10 +66,6 @@ class Jet:
         raise AttributeError("Jet is immutable")
 
     @classmethod
-    def zero(cls, context: VariableContext, order: int) -> "Jet":
-        return _truncated(Polynomial.zero(context), order)
-
-    @classmethod
     def constant(cls, context: VariableContext, order: int, c) -> "Jet":
         return cls(context, order, Polynomial.constant(context, c).terms)
 
@@ -85,10 +81,6 @@ class Jet:
     def coeffs(self) -> dict:
         """The term map monomial -> nonzero coefficient."""
         return self.poly.terms
-
-    @property
-    def is_zero(self) -> bool:
-        return self.poly.is_zero
 
     def _require_compatible(self, other: "Jet"):
         if self.context != other.context or self.order != other.order:

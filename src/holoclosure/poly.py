@@ -178,12 +178,17 @@ class Packing:
     def __init__(self, rows: tuple, size: int):
         self.shifts = tuple(range(0, FIELD_BITS * size, FIELD_BITS))
         self.guard = sum(1 << (s + FIELD_BITS - 1) for s in self.shifts)
+        # Variable k is in the rows first[k]..last[k], one run, so its weight,
+        # the sum of 2^(width*(top-1-r)) over those rows, is a geometric sum.
         width = FIELD_BITS + size.bit_length()
-        weights = [0] * size
-        for r, row in enumerate(rows):
-            for k in row:
-                weights[k] += 1 << (width * (len(rows) - 1 - r))
-        self.key_weights = tuple(weights)
+        top = len(rows)
+        last = {k: r for r, row in enumerate(rows) for k in row}
+        first = {k: r for r in reversed(range(top)) for k in rows[r]}
+        self.key_weights = tuple(
+            ((1 << width * (top - first[k])) - (1 << width * (top - 1 - last[k])))
+            // ((1 << width) - 1)
+            for k in range(size)
+        )
 
     def _check(self, m: Monomial):
         if max(m, default=0) > MAX_EXPONENT:
@@ -214,9 +219,10 @@ class MonomialOrder:
 
     ``weight_rows(n)`` lists, most significant first, the index tuples whose
     exponent sums are compared in turn; the rows are independent, so the
-    order is total.  ``key`` packs those sums into one int that grows with
-    the monomial and adds under multiplication.  An order without parameters
-    equals every instance of its class and hashes by its class.
+    order is total, and the rows holding one variable are consecutive, as
+    ``Packing`` requires.  ``key`` packs those sums into one int that grows
+    with the monomial and adds under multiplication.  An order without
+    parameters equals every instance of its class and hashes by its class.
     """
 
     __slots__ = ()

@@ -1,14 +1,15 @@
 """Input grammar and canonical printer for systems, maps, and jet components.
 
 Documents are line-oriented.  ``#`` starts a comment.  The first content
-line declares variables (``vars z1 z2``, ``realvars x1 y1 x2 y2``,
-``mapvars v t``, or ``params t1 t2``) and every following line is a
-statement: ``eq <expr>``, ``map <expr>``, or ``jet <expr>``.  Expressions
-are built from rational literals ``p/q``, the imaginary unit ``i``,
-declared identifiers, ``conj(...)`` (zeta form only), ``exp(var)`` (jet
-components only), and the operators ``+ - * ^`` with explicit
-multiplication; ``^`` takes a non-negative integer literal.  Precedence is
-``^`` over unary minus over ``*`` over binary ``+ -``.
+line declares variables and every following line is a statement: ``eq
+<expr>``, ``map <expr>``, or ``jet <expr>``.  ``_KINDS`` holds one row per
+document kind: its declaration (``vars z1 z2``, ``realvars x1 y1 x2 y2``,
+``mapvars v t``, or ``params t1 t2``), the statements it admits, its
+variable context, and whether its expressions admit the imaginary unit
+``i``, ``conj(...)`` and ``exp(var)``.  Expressions are built from those,
+rational literals ``p/q``, declared identifiers, and the operators ``+ - *
+^`` with explicit multiplication; ``^`` takes a non-negative integer
+literal.  Precedence is ``^`` over unary minus over ``*`` over binary ``+ -``.
 
 The printer emits canonical polynomial text (terms descending in grevlex),
 and parsing a printed document reproduces the document exactly.
@@ -17,7 +18,7 @@ and parsing a printed document reproduces the document exactly.
 from __future__ import annotations
 
 from math import comb
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from holoclosure.arith import I as IMAG, GaussianRational, gq
 from holoclosure.errors import ResourceLimitError
@@ -43,15 +44,45 @@ MAX_NESTING = 100
 MAX_INPUT_TERMS = 1000
 MAX_INPUT_DEGREE = 1000
 
-_DECLARATIONS = ("vars", "realvars", "mapvars", "params")
-_STATEMENTS = ("eq", "map", "jet")
-_RESERVED = set(_DECLARATIONS) | set(_STATEMENTS) | {"i", "conj", "exp"}
-
 KIND_SYSTEM_ZETA = "system-zeta"
 KIND_SYSTEM_REAL = "system-real"
 KIND_MAP = "map"
 KIND_PARAMETRIZATION = "parametrization"
 KIND_JETS = "jet-components"
+
+
+class _Kind(NamedTuple):
+    declaration: str  # the keyword that declares the variables
+    statements: tuple  # the statement keywords admitted, the required one first
+    context: Callable  # declared names -> VariableContext
+    i_error: str | None  # the message refusing ``i``; None admits it
+    conj: bool  # whether ``conj(...)`` is admitted
+    exp: bool  # whether ``exp(<declared name>)`` is admitted
+
+
+def _jet_context(names: tuple) -> VariableContext:
+    """The parameters, then one EXP variable ``exp(v)`` per parameter v."""
+    blocks = (Block.PARAM,) * len(names) + (Block.EXP,) * len(names)
+    return VariableContext(names + tuple(f"exp({v})" for v in names), blocks)
+
+
+_REAL_I = "the imaginary unit is not allowed in real-form input"
+_JET_I = "jet components must have rational coefficients"
+_KINDS = {
+    KIND_SYSTEM_ZETA: _Kind("vars", ("eq",), zeta_context, None, True, False),
+    KIND_SYSTEM_REAL: _Kind("realvars", ("eq",), real_context, _REAL_I, False, False),
+    KIND_MAP: _Kind("mapvars", ("map", "eq"), param_context, None, False, False),
+    KIND_PARAMETRIZATION: _Kind("params", ("map",), param_context, None, False, False),
+    KIND_JETS: _Kind("params", ("jet",), _jet_context, _JET_I, False, True),
+}
+
+# declaration keyword -> the kinds it declares, in table order
+_KINDS_DECLARED_BY = {
+    row.declaration: [kind for kind, r in _KINDS.items() if r.declaration == row.declaration]
+    for row in _KINDS.values()
+}
+_STATEMENTS = {kw for row in _KINDS.values() for kw in row.statements}
+_RESERVED = set(_KINDS_DECLARED_BY) | _STATEMENTS | {"i", "conj", "exp"}
 
 
 class ParseError(Exception):
@@ -138,20 +169,15 @@ def _int_value(tok: Token) -> int:
         ) from None
 
 
-class _Env(NamedTuple):
-    context: VariableContext
-    declared: tuple
-    allow_i: bool
-    allow_conj: bool
-    allow_exp: bool
-    i_error: str = "the imaginary unit is not allowed here"
-
-
 class _ExprParser:
-    def __init__(self, tokens: list, env: _Env):
+    """One expression over ``context``, under the lexical rules of the kind ``row``."""
+
+    def __init__(self, tokens: list, row: _Kind, context: VariableContext, declared: tuple):
         self.tokens = tokens
         self.pos = 0
-        self.env = env
+        self.row = row
+        self.context = context
+        self.declared = declared
         self.depth = 0
 
     def peek(self) -> Token:
@@ -244,10 +270,10 @@ class _ExprParser:
         return value
 
     def _primary(self) -> Polynomial:
-        env = self.env
+        row = self.row
         tok = self.peek()
         if tok.kind == "int":
-            return Polynomial.constant(env.context, self._rational())
+            return Polynomial.constant(self.context, self._rational())
         if tok.kind == "op" and tok.text == "(":
             self.advance()
             inner = self._nested(tok, self._sum)
@@ -256,12 +282,12 @@ class _ExprParser:
         if tok.kind == "ident":
             name = tok.text
             if name == "i":
-                if not env.allow_i:
-                    raise ParseError(env.i_error, tok.line, tok.col)
+                if row.i_error is not None:
+                    raise ParseError(row.i_error, tok.line, tok.col)
                 self.advance()
-                return Polynomial.constant(env.context, IMAG)
+                return Polynomial.constant(self.context, IMAG)
             if name == "conj":
-                if not env.allow_conj:
+                if not row.conj:
                     raise ParseError(
                         "conj(...) is only allowed in zeta-form systems", tok.line, tok.col
                     )
@@ -271,23 +297,23 @@ class _ExprParser:
                 self.expect_op(")")
                 return inner.conjugate(ZETA_SWAP)
             if name == "exp":
-                if not env.allow_exp:
+                if not row.exp:
                     raise ParseError(
                         "exp(...) is only allowed in jet components", tok.line, tok.col
                     )
                 self.advance()
                 self.expect_op("(")
                 vtok = self.peek()
-                if vtok.kind != "ident" or vtok.text not in env.declared:
+                if vtok.kind != "ident" or vtok.text not in self.declared:
                     raise ParseError(
                         "exp(...) takes a declared parameter", vtok.line, vtok.col
                     )
                 self.advance()
                 self.expect_op(")")
-                return Polynomial.variable(env.context, f"exp({vtok.text})")
-            if name in env.declared:
+                return Polynomial.variable(self.context, f"exp({vtok.text})")
+            if name in self.declared:
                 self.advance()
-                return Polynomial.variable(env.context, name)
+                return Polynomial.variable(self.context, name)
             raise ParseError(f"unknown identifier {name!r}", tok.line, tok.col)
         raise ParseError("expected an expression", tok.line, tok.col)
 
@@ -311,22 +337,6 @@ class InputDocument(NamedTuple):
         return tuple(p for kw, p in self.statements if kw == "jet")
 
 
-def _make_env(kind: str, context: VariableContext, declared: tuple) -> _Env:
-    if kind == KIND_SYSTEM_ZETA:
-        return _Env(context, declared, True, True, False)
-    if kind == KIND_SYSTEM_REAL:
-        return _Env(
-            context, declared, False, False, False,
-            i_error="the imaginary unit is not allowed in real-form input",
-        )
-    if kind in (KIND_MAP, KIND_PARAMETRIZATION):
-        return _Env(context, declared, True, False, False)
-    return _Env(
-        context, declared, False, False, True,
-        i_error="jet components must have rational coefficients",
-    )
-
-
 def parse(text: str) -> InputDocument:
     """Parse a full input document; diagnostics carry line and column."""
     decl_kw = None
@@ -341,7 +351,7 @@ def parse(text: str) -> InputDocument:
         head = tokens[0]
         if head.kind != "ident":
             raise ParseError("expected a keyword", head.line, head.col)
-        if head.text in _DECLARATIONS:
+        if head.text in _KINDS_DECLARED_BY:
             if decl_kw is not None:
                 raise ParseError("duplicate declaration", head.line, head.col)
             if raw_statements:
@@ -369,65 +379,35 @@ def parse(text: str) -> InputDocument:
     if decl_kw is None:
         raise ParseError("missing variable declaration", 1, 1)
     if not raw_statements:
-        raise ParseError("document has no statements", decl_pos[0], decl_pos[1])
+        raise ParseError("document has no statements", *decl_pos)
+    if decl_kw == "realvars" and len(declared) % 2 != 0:
+        raise ParseError("realvars needs an even number of variables (x,y pairs)", *decl_pos)
 
+    # of the kinds a keyword declares (params), the document is the one whose statements it uses
     used = {kw for kw, _, _, _ in raw_statements}
-    if decl_kw == "vars":
-        kind, allowed = KIND_SYSTEM_ZETA, {"eq"}
-        context = zeta_context(declared)
-    elif decl_kw == "realvars":
-        if len(declared) % 2 != 0:
-            raise ParseError(
-                "realvars needs an even number of variables (x,y pairs)",
-                decl_pos[0], decl_pos[1],
-            )
-        kind, allowed = KIND_SYSTEM_REAL, {"eq"}
-        context = real_context(declared)
-    elif decl_kw == "mapvars":
-        kind, allowed = KIND_MAP, {"map", "eq"}
-        context = param_context(declared)
-    else:  # params
-        if "jet" in used and "map" in used:
-            raise ParseError(
-                "a params document takes either map or jet statements, not both",
-                decl_pos[0], decl_pos[1],
-            )
-        if "jet" in used:
-            kind, allowed = KIND_JETS, {"jet"}
-            context = VariableContext(
-                declared + tuple(f"exp({v})" for v in declared),
-                (Block.PARAM,) * len(declared) + (Block.EXP,) * len(declared),
-            )
-        else:
-            kind, allowed = KIND_PARAMETRIZATION, {"map"}
-            context = param_context(declared)
-
-    env = _make_env(kind, context, declared)
+    kinds = _KINDS_DECLARED_BY[decl_kw]
+    chosen = [kind for kind in kinds if used.intersection(_KINDS[kind].statements)]
+    if len(chosen) > 1:
+        either = " or ".join(_KINDS[kind].statements[0] for kind in chosen)
+        message = f"a {decl_kw} document takes either {either} statements, not both"
+        raise ParseError(message, *decl_pos)
+    kind = (chosen or kinds)[0]
+    row = _KINDS[kind]
+    context = row.context(declared)
     statements = []
     for kw, tokens, line, col in raw_statements:
-        if kw not in allowed:
-            raise ParseError(
-                f"{kw!r} statement not allowed in a {kind} document", line, col
-            )
-        statements.append((kw, _ExprParser(tokens, env).parse()))
-    if kind == KIND_MAP and not any(kw == "map" for kw, _ in statements):
-        raise ParseError("a map document needs at least one map statement",
-                         decl_pos[0], decl_pos[1])
+        if kw not in row.statements:
+            raise ParseError(f"{kw!r} statement not allowed in a {kind} document", line, col)
+        statements.append((kw, _ExprParser(tokens, row, context, declared).parse()))
+    required = row.statements[0]
+    if required not in used:
+        raise ParseError(f"a {kind} document needs at least one {required} statement", *decl_pos)
     return InputDocument(kind, context, declared, tuple(statements))
-
-
-_DECL_FOR_KIND = {
-    KIND_SYSTEM_ZETA: "vars",
-    KIND_SYSTEM_REAL: "realvars",
-    KIND_MAP: "mapvars",
-    KIND_PARAMETRIZATION: "params",
-    KIND_JETS: "params",
-}
 
 
 def print_document(doc: InputDocument) -> str:
     """Canonical text form; parse(print_document(doc)) == doc."""
-    lines = [f"{_DECL_FOR_KIND[doc.kind]} {' '.join(doc.declared)}"]
+    lines = [f"{_KINDS[doc.kind].declaration} {' '.join(doc.declared)}"]
     for kw, poly in doc.statements:
         lines.append(f"{kw} {polynomial_to_text(poly)}")
     return "\n".join(lines) + "\n"
@@ -435,9 +415,9 @@ def print_document(doc: InputDocument) -> str:
 
 def parse_point(text: str, n: int | None = None) -> tuple:
     """Comma-separated Gaussian rational coordinates, e.g. ``"1/2+i, 0"``."""
-    empty = VariableContext((), ())
-    env = _Env(empty, (), allow_i=True, allow_conj=False, allow_exp=False)
-    parser = _ExprParser(_tokenize(text, 1), env)
+    # a coordinate is a constant under a parametrization's rules: i, no conj or exp
+    row = _KINDS[KIND_PARAMETRIZATION]
+    parser = _ExprParser(_tokenize(text, 1), row, row.context(()), ())
     coords = []
     while True:
         value = parser._sum()

@@ -164,7 +164,7 @@ def test_ac6_osgood_probe():
         for k in range(3, 9)
     )
     witnesses_recompose = all(
-        jet_compose(r.witness, osgood_components(r.jet_order), r.jet_order).is_zero
+        jet_compose(r.witness, osgood_components(r.jet_order), r.jet_order).poly.is_zero
         for r in results
         if r.witness is not None
     )

@@ -314,6 +314,20 @@ def test_a_hypersurface_over_1000_ring_variables_answers_in_a_child(command, ans
     assert {key: results[key] for key in answers} == answers
 
 
+@pytest.mark.parametrize("command, answers", [
+    ("realdim", {"real_dimension": 1999}),
+    ("hcdim", {"real_dimension": 1999, "hc_dimension": 1000, "hc_ideal": []}),
+])
+def test_a_hypersurface_over_2000_ring_variables_answers_within_5_seconds(command, answers):
+    # each order's key weights take time quadratic in the variable count; added
+    # bit by bit they took about 8 s of hcdim on a 2-vCPU x86-64 VM, now under 1 s
+    names = " ".join(f"z{j}" for j in range(1, 1001))
+    code, out, err = run_cli_child([command, "-", "--json"], f"vars {names}\neq z1*conj(z1) - 1\n", 5)
+    assert code == EXIT_OK and "Traceback" not in err
+    results = json.loads(out)["results"]
+    assert {key: results[key] for key in answers} == answers
+
+
 def test_realdim_of_products_of_pairs_answers_in_a_child():
     # leading monomials z1*z2, z3*z4, ...: no variable is a pure power, so the
     # staircase search must cut branches instead of walking the subsets

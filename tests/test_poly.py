@@ -13,9 +13,11 @@ from holoclosure.arith import GaussianRational, gq
 from holoclosure.poly import (
     Block,
     BlockElimination,
+    FIELD_BITS,
     GREVLEX,
     LEX,
     MAX_EXPONENT,
+    Packing,
     Polynomial,
     VariableContext,
     ZETA_SWAP,
@@ -154,6 +156,30 @@ def test_guard_bit_divisibility_matches_the_tuple_definition(order_ref, a, c, mu
     assert bool(product & packing.guard) == overflow
     if not overflow:
         assert product == packing.pack(monomial_mul(a, c))
+
+
+def _reference_key_weights(rows, size):
+    """The key weights bit by bit: one shifted bit per row a variable is in."""
+    width = FIELD_BITS + size.bit_length()
+    weights = [0] * size
+    for r, row in enumerate(rows):
+        for k in row:
+            weights[k] += 1 << (width * (len(rows) - 1 - r))
+    return tuple(weights)
+
+
+@pytest.mark.parametrize("order, sizes", [
+    (LEX, (1, 2, 5, 33, 200)),
+    (GREVLEX, (1, 2, 5, 33, 200)),
+    (BlockElimination(((1, 3), (0, 2, 4))), (5,)),
+    (BlockElimination(((1, 3), (0,), (2, 4))), (5,)),
+    (BlockElimination.of_blocks(zw_context(40), Block.W), (80,)),
+    (BlockElimination((tuple(range(0, 60, 3)), tuple(range(1, 60, 3)), tuple(range(2, 60, 3)))), (60,)),
+])
+def test_key_weights_equal_the_bit_by_bit_sum(order, sizes):
+    for size in sizes:
+        rows = order.weight_rows(size)
+        assert Packing(rows, size).key_weights == _reference_key_weights(rows, size)
 
 
 @given(orders, exponents3)

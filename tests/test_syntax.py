@@ -72,6 +72,96 @@ def test_diagnostics_carry_positions(text, fragment, line, col):
     assert (err.value.line, err.value.col) == (line, col)
 
 
+# One valid document of each kind over the names z and t, and the keyword of
+# its own statements.
+KIND_BASES = {
+    "system-zeta": ("vars z t\neq z", "eq"),
+    "system-real": ("realvars z t\neq z", "eq"),
+    "map": ("mapvars z t\nmap z", "map"),
+    "parametrization": ("params z t\nmap z", "map"),
+    "jet-components": ("params z t\njet z", "jet"),
+}
+
+_NOT_BOTH = ("a params document takes either map or jet statements, not both", 1, 1)
+_CONJ = "conj(...) is only allowed in zeta-form systems"
+_EXP = "exp(...) is only allowed in jet components"
+
+# (kind, third line) -> the kind parsed, or (message, line, column)
+KIND_RULES = {
+    ("system-zeta", "eq z"): "system-zeta",
+    ("system-zeta", "map z"): ("'map' statement not allowed in a system-zeta document", 3, 1),
+    ("system-zeta", "jet z"): ("'jet' statement not allowed in a system-zeta document", 3, 1),
+    ("system-zeta", "eq i"): "system-zeta",
+    ("system-zeta", "eq conj(z)"): "system-zeta",
+    ("system-zeta", "eq exp(t)"): (_EXP, 3, 4),
+    ("system-zeta", "eq exp(s)"): (_EXP, 3, 4),
+    ("system-real", "eq z"): "system-real",
+    ("system-real", "map z"): ("'map' statement not allowed in a system-real document", 3, 1),
+    ("system-real", "jet z"): ("'jet' statement not allowed in a system-real document", 3, 1),
+    ("system-real", "eq i"): ("the imaginary unit is not allowed in real-form input", 3, 4),
+    ("system-real", "eq conj(z)"): (_CONJ, 3, 4),
+    ("system-real", "eq exp(t)"): (_EXP, 3, 4),
+    ("system-real", "eq exp(s)"): (_EXP, 3, 4),
+    ("map", "eq z"): "map",
+    ("map", "map z"): "map",
+    ("map", "jet z"): ("'jet' statement not allowed in a map document", 3, 1),
+    ("map", "map i"): "map",
+    ("map", "map conj(z)"): (_CONJ, 3, 5),
+    ("map", "map exp(t)"): (_EXP, 3, 5),
+    ("map", "map exp(s)"): (_EXP, 3, 5),
+    ("parametrization", "eq z"): ("'eq' statement not allowed in a parametrization document", 3, 1),
+    ("parametrization", "map z"): "parametrization",
+    ("parametrization", "jet z"): _NOT_BOTH,
+    ("parametrization", "map i"): "parametrization",
+    ("parametrization", "map conj(z)"): (_CONJ, 3, 5),
+    ("parametrization", "map exp(t)"): (_EXP, 3, 5),
+    ("parametrization", "map exp(s)"): (_EXP, 3, 5),
+    ("jet-components", "eq z"): ("'eq' statement not allowed in a jet-components document", 3, 1),
+    ("jet-components", "map z"): _NOT_BOTH,
+    ("jet-components", "jet z"): "jet-components",
+    ("jet-components", "jet i"): ("jet components must have rational coefficients", 3, 5),
+    ("jet-components", "jet conj(z)"): (_CONJ, 3, 5),
+    ("jet-components", "jet exp(t)"): "jet-components",
+    ("jet-components", "jet exp(s)"): ("exp(...) takes a declared parameter", 3, 9),
+}
+
+
+# each kind under each statement keyword, and under i, conj(z), exp(t) and
+# an undeclared exp(s) in a statement of its own keyword
+KIND_PROBES = [(kind, f"{kw} z") for kind in KIND_BASES for kw in ("eq", "map", "jet")] + [
+    (kind, f"{kw} {expr}") for kind, (_, kw) in KIND_BASES.items()
+    for expr in ("i", "conj(z)", "exp(t)", "exp(s)")
+]
+
+
+@pytest.mark.parametrize("kind, line", KIND_PROBES)
+def test_each_kind_admits_or_rejects_each_rule_at_its_position(kind, line):
+    text = f"{KIND_BASES[kind][0]}\n{line}\n"
+    expected = KIND_RULES[kind, line]
+    if isinstance(expected, str):
+        assert parse(text).kind == expected
+        return
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.message, err.value.line, err.value.col) == expected
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("conj(1)", (_CONJ, 1, 1)),
+    ("exp(t)", (_EXP, 1, 1)),
+    ("1, exp(1)", (_EXP, 1, 4)),
+    ("t", ("unknown identifier 't'", 1, 1)),
+])
+def test_parse_point_rejects_conj_exp_and_names_at_their_position(text, expected):
+    with pytest.raises(ParseError) as err:
+        parse_point(text)
+    assert (err.value.message, err.value.line, err.value.col) == expected
+
+
+def test_parse_point_admits_the_imaginary_unit():
+    assert parse_point("i, -i") == (GaussianRational(0, 1), GaussianRational(0, -1))
+
+
 def test_parse_never_panics_on_malformed_input():
     bad = ["", "vars", "eq", "vars z1\neq *", "vars z1\neq z1 z1", "foo bar"]
     for text in bad:
