@@ -9,12 +9,14 @@ Two commits are compared by sweeping each and diffing the directories:
 The sweep runs every fixture under every command (the commands a fixture's
 kind does not take end in their error report), the hard-tier inputs under
 ``bench/inputs`` under hcdim, realdim and groebner in both orders, inputs
-read from stdin, and the error paths: unreadable and malformed input
-(each rule a document kind sets on its statements and on ``i``, ``conj``
-and ``exp``), a command line argparse rejects (a bad flag value, an
-unknown flag, an unknown command or none), each budget, semantic
-failures and a sampler that finds no rational point, and the top-level
-and a subcommand's help.
+read from stdin (among them the wide cases ``stdin-wide-hcdim`` and
+``stdin-wide-groebner-lex``: 200 declared variables, so 400 ring
+variables under grevlex, lex and a two-group block order), and the error
+paths: unreadable and malformed input (each rule a document kind sets on
+its statements and on ``i``, ``conj`` and ``exp``), a command line
+argparse rejects (a bad flag value, an unknown flag, an unknown command or
+none), each budget, semantic failures and a sampler that finds no
+rational point, and the top-level and a subcommand's help.
 Each invocation runs in this process through ``holoclosure.cli.run``, once
 as text and once with ``--json``.  A file holds ``exit <code>``, then what
 went to stdout (the report, or argparse's help), then what went to stderr,
@@ -58,12 +60,17 @@ POINTS = {
 
 HARD_COMMANDS = [["hcdim"], ["realdim"], ["groebner"], ["groebner", "--order", "lex"]]
 
+# one equation over 200 declared variables, so 400 ring variables
+WIDE = ("vars " + " ".join(f"z{j}" for j in range(1, 201)) + "\neq z1*conj(z1) - 1\n").encode()
+
 STDIN_CASES = {
     "stdin-sphere": (["hcdim", "-"], (ROOT / "fixtures" / "sphere.sys").read_bytes()),
     "stdin-groebner": (["groebner", "-"], b"vars z1 z2\neq z1^2+z2-1\neq z1*z2-1\n"),
     "stdin-empty": (["hcdim", "-"], b""),
     "stdin-probe": (["probe", "-", "--jets", "4,6", "--maxdeg", "3"],
                     b"params v w\njet 1/2*v*exp(w)^3 - w\njet v^2*exp(v)\njet v*w\n"),
+    "stdin-wide-hcdim": (["hcdim", "-"], WIDE),
+    "stdin-wide-groebner-lex": (["groebner", "-", "--order", "lex"], WIDE),
 }
 
 ERROR_CASES = {

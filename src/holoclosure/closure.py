@@ -348,8 +348,8 @@ def sample_point_on_variety(
     Random rational values are assigned to ``indep``, a maximal independent
     set of the nonempty variety from ``dimension_and_witness``, and the rest
     solved triangularly; only rational (linear) or rational-root solvable
-    slices succeed, so after the retry budget the caller is asked for an
-    explicit witness point.
+    slices succeed, so after SAMPLE_RETRIES slices without one the sampler
+    gives up with a SamplingError.
     """
     ctx = source.context
     if source.is_zero:
@@ -380,7 +380,7 @@ def sample_point_on_variety(
         if all(not g.evaluate(check) for g in source.generators):
             return point
     raise SamplingError(
-        "no rational point found on the source variety; supply a witness point"
+        f"no rational point found on the source variety in {SAMPLE_RETRIES} random slices"
     )
 
 

@@ -143,13 +143,14 @@ class GroebnerBasis(NamedTuple):
         return best
 
     def elimination(self, count: int) -> "GroebnerBasis":
-        """The elements free of the first ``count`` groups of a block order.
+        """The elements free of the first ``count`` ranked groups of the order.
 
-        They move to the context without those variables.  For a reduced
-        basis this is the reduced basis of the elimination ideal, under the
-        order of the remaining groups.
+        They move to the context without those variables, under the
+        remaining groups renumbered from 0 (grevlex if one is left).  For a
+        reduced basis this is the reduced basis of the elimination ideal.
         """
-        dropped = {k for g in self.order.groups[:count] for k in g}
+        groups = self.order.ranked_groups(self.context.size)
+        dropped = {k for g in groups[:count] for k in g}
         kept = [k for k in range(self.context.size) if k not in dropped]
         target = self.context.subcontext(kept)
         new_index = {old: new for new, old in enumerate(kept)}
@@ -157,7 +158,8 @@ class GroebnerBasis(NamedTuple):
         part = tuple(
             g.rename(target, index_map) for g in self.basis if not g.used_indices() & dropped
         )
-        return GroebnerBasis(target, self.order.after(count), part)
+        rest = tuple(tuple(new_index[k] for k in g) for g in groups[count:])
+        return GroebnerBasis(target, GREVLEX if len(rest) == 1 else BlockElimination(rest), part)
 
 
 def normal_form(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:

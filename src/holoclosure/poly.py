@@ -12,14 +12,16 @@ conjugation swap pairs the zeta/zetabar (or z/w) blocks positionally, and
 elimination orders rank every monomial touching an eliminated block above
 all monomials free of it.
 
-Every monomial order here (lex, grevlex, block elimination) is a list of 0/1
-weight rows, so it is one additive int key: the row sums packed side by
-side, first row most significant.  Division works on that key, on the
-exponents packed into guarded int fields (``Packing``) and on
-Gaussian-integer numerators (``PackedRows``).  Multiplication
-packs each product's exponents afresh, into unguarded fields just wide
-enough for it, over Gaussian-integer numerators.  Only the term maps keep
-exponent tuples, which the parser, the renderer and the jets share.
+Every monomial order here is a list of ranked variable groups with grevlex
+inside each: lex is one group per variable, grevlex one group of all, and a
+block elimination order its blocks.  So it is one additive int key: each
+group's grevlex exponent sums, packed side by side, first most significant.
+Division works on that key, on the exponents packed into guarded int fields
+(``Packing``) and on Gaussian-integer numerators (``PackedRows``).
+Multiplication packs each product's exponents afresh, into unguarded fields
+just wide enough for it, over Gaussian-integer numerators.  Only the term
+maps keep exponent tuples, which the parser, the renderer and the jets
+share.
 """
 
 from __future__ import annotations
@@ -166,8 +168,11 @@ class Packing:
     ``pack`` gives the exponent vector with one guarded field per variable,
     so a product is the sum of the packs and a divides b exactly when
     ``(pack(b) - pack(a)) & guard == 0`` (Monagan and Pearce, JSC 46, 2011).
-    ``key`` gives the order's weight-row sums in one int, first row most
-    significant, so comparing keys is the order and key(a*b) = key(a) +
+    ``key`` gives the order in one int, built from its ranked groups, which
+    must partition the variables: each group of g variables contributes g
+    grevlex rows, the exponent sums over its first g, g-1, ..., 1 variables,
+    and the ``size`` row sums are packed side by side, first row most
+    significant.  So comparing keys is the order and key(a*b) = key(a) +
     key(b).  A key field is FIELD_BITS + size.bit_length() bits wide, so even
     the product of two packable monomials cannot overflow one.  A monomial
     with an exponent above MAX_EXPONENT is refused with a ResourceLimitError.
@@ -175,20 +180,24 @@ class Packing:
 
     __slots__ = ("shifts", "guard", "key_weights")
 
-    def __init__(self, rows: tuple, size: int):
+    def __init__(self, groups: tuple, size: int):
+        if sorted(chain.from_iterable(groups)) != list(range(size)):
+            raise ValueError(f"the ranked groups do not partition the {size} variables")
         self.shifts = tuple(range(0, FIELD_BITS * size, FIELD_BITS))
         self.guard = sum(1 << (s + FIELD_BITS - 1) for s in self.shifts)
-        # Variable k is in the rows first[k]..last[k], one run, so its weight,
-        # the sum of 2^(width*(top-1-r)) over those rows, is a geometric sum.
+        # ``top`` counts the rows from a group's first one to the last row.
+        # The variable at position j of a group g is in its first len(g) - j
+        # rows, so its weight, the sum of 2^(width*(size-1-row)) over them,
+        # is a geometric sum.
         width = FIELD_BITS + size.bit_length()
-        top = len(rows)
-        last = {k: r for r, row in enumerate(rows) for k in row}
-        first = {k: r for r in reversed(range(top)) for k in rows[r]}
-        self.key_weights = tuple(
-            ((1 << width * (top - first[k])) - (1 << width * (top - 1 - last[k])))
-            // ((1 << width) - 1)
-            for k in range(size)
-        )
+        ratio = (1 << width) - 1
+        weights = [0] * size
+        top = size
+        for g in groups:
+            for j, k in enumerate(g):
+                weights[k] = ((1 << width * top) - (1 << width * (top - len(g) + j))) // ratio
+            top -= len(g)
+        self.key_weights = tuple(weights)
 
     def _check(self, m: Monomial):
         if max(m, default=0) > MAX_EXPONENT:
@@ -211,18 +220,18 @@ class Packing:
 
 @lru_cache(maxsize=256)
 def _packing(order: "MonomialOrder", size: int) -> Packing:
-    return Packing(order.weight_rows(size), size)
+    return Packing(order.ranked_groups(size), size)
 
 
 class MonomialOrder:
-    """Total, multiplicative well-order on monomials, given by 0/1 weight rows.
+    """Total, multiplicative well-order on monomials, given by ranked variable groups.
 
-    ``weight_rows(n)`` lists, most significant first, the index tuples whose
-    exponent sums are compared in turn; the rows are independent, so the
-    order is total, and the rows holding one variable are consecutive, as
-    ``Packing`` requires.  ``key`` packs those sums into one int that grows
-    with the monomial and adds under multiplication.  An order without
-    parameters equals every instance of its class and hashes by its class.
+    ``ranked_groups(n)`` partitions the n variable indices into ascending
+    tuples, most significant first: a monomial is compared by its grevlex
+    order on the first group, then on the second, and so on.  ``key``
+    packs that comparison into one int that grows with the monomial and
+    adds under multiplication.  An order without parameters equals every
+    instance of its class and hashes by its class.
     """
 
     __slots__ = ()
@@ -239,7 +248,7 @@ class MonomialOrder:
     def __repr__(self):
         return f"{type(self).__name__}()"
 
-    def weight_rows(self, n: int) -> tuple:
+    def ranked_groups(self, n: int) -> tuple:
         raise NotImplementedError
 
     def packing(self, n: int) -> Packing:
@@ -250,28 +259,30 @@ class MonomialOrder:
 
 
 class Lex(MonomialOrder):
+    """One group per variable: the exponents e1, ..., en compared in turn."""
+
     __slots__ = ()
 
-    def weight_rows(self, n: int) -> tuple:
+    def ranked_groups(self, n: int) -> tuple:
         return tuple((k,) for k in range(n))
 
 
 class Grevlex(MonomialOrder):
-    """Degree, then the smaller last exponent: the prefix sums e1+...+en, ..., e1."""
+    """One group of every variable: degree, then the smaller last exponent."""
 
     __slots__ = ()
 
-    def weight_rows(self, n: int) -> tuple:
-        return tuple(tuple(range(k)) for k in range(n, 0, -1))
+    def ranked_groups(self, n: int) -> tuple:
+        return (tuple(range(n)),)
 
 
 class BlockElimination(MonomialOrder):
-    """Index groups ranked in order, each dominating all later ones; grevlex inside each.
+    """The ranked groups given, each dominating all later ones; grevlex inside each.
 
-    ``groups`` is a tuple of ascending index tuples partitioning the variables;
-    the weight rows are each group's grevlex rows, in group rank order.  The
-    hash of the groups is taken once: every cached view of a polynomial is
-    looked up by its order.
+    ``groups`` is a tuple of ascending index tuples partitioning the
+    variables, and is what ``ranked_groups`` returns.  The hash of the
+    groups is taken once: every cached view of a polynomial is looked up by
+    its order.
     """
 
     __slots__ = ("groups", "_hash")
@@ -303,15 +314,8 @@ class BlockElimination(MonomialOrder):
         groups.append(tuple(k for k in range(context.size) if k not in ranked))
         return cls(tuple(groups))
 
-    def after(self, count: int) -> MonomialOrder:
-        """The groups after the first ``count``, renumbered from 0; grevlex if one is left."""
-        kept = sorted(k for g in self.groups[count:] for k in g)
-        new_index = {old: new for new, old in enumerate(kept)}
-        groups = tuple(tuple(new_index[k] for k in g) for g in self.groups[count:])
-        return GREVLEX if len(groups) == 1 else BlockElimination(groups)
-
-    def weight_rows(self, n: int) -> tuple:
-        return tuple(g[:k] for g in self.groups for k in range(len(g), 0, -1))
+    def ranked_groups(self, n: int) -> tuple:
+        return self.groups
 
 
 GREVLEX = Grevlex()
@@ -594,18 +598,10 @@ class Polynomial:
 
     def conjugate(self, swap: Mapping[Block, Block] | None = None) -> "Polynomial":
         """Coefficient conjugation composed with a positional block swap."""
-        if swap:
-            perm = self.context.swap_permutation(swap)
-        else:
-            perm = tuple(range(self.context.size))
-        res = {}
-        for m, c in self.terms.items():
-            e = [0] * len(m)
-            for k, exp in enumerate(m):
-                if exp:
-                    e[perm[k]] = exp
-            res[tuple(e)] = c.conjugate()
-        return Polynomial(self.context, res)
+        conjugated = Polynomial(self.context, {m: c.conjugate() for m, c in self.terms.items()})
+        if not swap:
+            return conjugated
+        return conjugated.rename(self.context, self.context.swap_permutation(swap))
 
     def derivative(self, name: str) -> "Polynomial":
         k = self.context.index(name)

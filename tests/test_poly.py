@@ -168,18 +168,37 @@ def _reference_key_weights(rows, size):
     return tuple(weights)
 
 
+def _grevlex_rows(groups):
+    """The 0/1 weight rows of ranked groups: each group's rows g[:len(g)], ..., g[:1], in rank order."""
+    return tuple(g[:k] for g in groups for k in range(len(g), 0, -1))
+
+
 @pytest.mark.parametrize("order, sizes", [
     (LEX, (1, 2, 5, 33, 200)),
     (GREVLEX, (1, 2, 5, 33, 200)),
+    (BlockElimination(((0,),)), (1,)),
     (BlockElimination(((1, 3), (0, 2, 4))), (5,)),
     (BlockElimination(((1, 3), (0,), (2, 4))), (5,)),
     (BlockElimination.of_blocks(zw_context(40), Block.W), (80,)),
+    (BlockElimination.of_blocks(param_context(["s", "t"]).concat(zw_context(3)), Block.PARAM, Block.W), (8,)),
     (BlockElimination((tuple(range(0, 60, 3)), tuple(range(1, 60, 3)), tuple(range(2, 60, 3)))), (60,)),
 ])
 def test_key_weights_equal_the_bit_by_bit_sum(order, sizes):
     for size in sizes:
-        rows = order.weight_rows(size)
-        assert Packing(rows, size).key_weights == _reference_key_weights(rows, size)
+        groups = order.ranked_groups(size)
+        expected = _reference_key_weights(_grevlex_rows(groups), size)
+        assert Packing(groups, size).key_weights == expected
+
+
+@pytest.mark.parametrize("groups, size", [
+    (((1,), (0,)), 3),     # variable 2 left out
+    (((0, 1), (1,)), 2),   # variable 1 twice, none missing from the union
+    (((0, 1, 2),), 2),     # an index past the variables
+    (((0, -1),), 2),       # a negative index
+])
+def test_packing_refuses_groups_that_do_not_partition_the_variables(groups, size):
+    with pytest.raises(ValueError, match="do not partition the"):
+        Packing(groups, size)
 
 
 @given(orders, exponents3)
@@ -372,6 +391,16 @@ def test_conjugate_fixes_real_symmetric_combinations():
     # and moves polynomials that define non-real conditions
     f = var(ZETA2, "z1")
     assert f.conjugate(ZETA_SWAP) != f
+
+
+def test_conjugate_without_swap_keeps_exponents_and_conjugates_coefficients():
+    f = P(ZETA2, {(2, 0, 1, 0): GaussianRational(1, 2), (0, 1, 0, 0): GaussianRational(-3, 0),
+                  (0, 0, 0, 0): GaussianRational(0, Fraction(1, 5))})
+    expected = P(ZETA2, {(2, 0, 1, 0): GaussianRational(1, -2), (0, 1, 0, 0): GaussianRational(-3, 0),
+                         (0, 0, 0, 0): GaussianRational(0, Fraction(-1, 5))})
+    assert f.conjugate() == expected
+    assert f.conjugate({}) == expected
+    assert f.conjugate().context is ZETA2
 
 
 def test_conjugate_block_size_mismatch():

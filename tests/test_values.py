@@ -21,7 +21,7 @@ from holoclosure.cli import Report
 from holoclosure.closure import gabrielov_r1, holomorphic_closure
 from holoclosure.complexify import System, zeta_to_real
 from holoclosure.crgeom import cr_dimension_at, tangent_space, verify_d_minus_m
-from holoclosure.groebner import GroebnerConfig, Ideal, buchberger
+from holoclosure.groebner import GroebnerBasis, GroebnerConfig, Ideal, buchberger
 from holoclosure.jets import osgood_probe
 from holoclosure.poly import (
     GREVLEX,
@@ -76,11 +76,12 @@ def test_orders_without_parameters_equal_by_class():
 
 def test_block_orders_equal_by_groups():
     order = BlockElimination(((4, 5), (0, 2), (1, 3)))
-    after = order.after(1)
+    basis = GroebnerBasis(param_context(["a", "b", "c", "d", "e", "f"]), order, ())
+    after = basis.elimination(1).order
     fresh = BlockElimination(((0, 2), (1, 3)))
     assert after == fresh and hash(after) == hash(fresh)
     assert {fresh: "view"}[after] == "view"
-    assert order.after(2) == GREVLEX
+    assert basis.elimination(2).order == GREVLEX
     assert fresh != BlockElimination(((1, 3), (0, 2)))
     assert fresh != GREVLEX and GREVLEX != fresh
 
