@@ -13,13 +13,14 @@ read from stdin (among them the wide cases ``stdin-wide-hcdim`` and
 ``stdin-wide-groebner-lex``: 200 declared variables, so 400 ring
 variables under grevlex, lex and a two-group block order), and the error
 paths: unreadable and malformed input (each rule a document kind sets on
-its statements and on ``i``, ``conj`` and ``exp``), a command line
-argparse rejects (a bad flag value, an unknown flag, an unknown command or
-none), each budget, semantic failures and a sampler that finds no
-rational point, and the top-level and a subcommand's help.
+its statements and on ``i``, ``conj`` and ``exp``), a refused command
+line (a bad flag value, an unknown flag, an unknown command or none), each
+budget, semantic failures and a sampler that finds no rational point, the
+top-level and a subcommand's help, and command lines in argparse's less
+common forms (abbreviated and ``=`` flags, ``--``, a negative point).
 Each invocation runs in this process through ``holoclosure.cli.run``, once
 as text and once with ``--json``.  A file holds ``exit <code>``, then what
-went to stdout (the report, or argparse's help), then what went to stderr,
+went to stdout (the report, or the help), then what went to stderr,
 if anything, after a ``stderr:`` line.  Help and usage are wrapped at 80
 columns whatever the terminal.
 Paths are given relative to the repository root, so the reports of two
@@ -105,6 +106,17 @@ ERROR_CASES = {
     "error-no-command": ([], b""),
 }
 
+# command lines read as argparse reads them: accepted, or refused with its message
+COMMAND_LINE_CASES = {
+    "line-abbreviated-flag": (["hcdim", "fixtures/sphere.sys", "--js"], b""),
+    "line-equals-value": (["hcdim", "fixtures/sphere.sys", "--seed=3"], b""),
+    "line-double-dash": (["hcdim", "--", "fixtures/sphere.sys"], b""),
+    "line-equals-on-a-switch": (["hcdim", "fixtures/sphere.sys", "--json=1"], b""),
+    "line-ambiguous-prefix": (["hcdim", "fixtures/sphere.sys", "--max", "3"], b""),
+    "line-missing-value": (["crdim", "fixtures/sphere.sys", "--point"], b""),
+    "line-negative-point": (["crdim", "fixtures/sphere.sys", "--point", "-1, 0"], b""),
+}
+
 HELP_CASES = {
     "help-top": (["-h"], b""),
     "help-groebner": (["groebner", "-h"], b""),
@@ -126,7 +138,7 @@ def invocations():
         cases += [(f"bench-{path.name}__" + "_".join(cmd), cmd[:1] + [f"bench/inputs/{path.name}"] + cmd[1:], b"")
                   for cmd in HARD_COMMANDS]
     cases.append(("probe-osgood", ["probe-osgood", "--jets", "3,5", "--maxdeg", "2"], b""))
-    cases += [(name, argv, stdin) for name, (argv, stdin) in {**STDIN_CASES, **ERROR_CASES, **HELP_CASES}.items()]
+    cases += [(name, argv, stdin) for name, (argv, stdin) in {**STDIN_CASES, **ERROR_CASES, **COMMAND_LINE_CASES, **HELP_CASES}.items()]
     return [(re.sub(r"[^A-Za-z0-9.,_+-]", "_", name), argv, stdin) for name, argv, stdin in cases]
 
 
@@ -134,11 +146,11 @@ def invoke(argv, stdin: bytes):
     """(exit code, stdout, stderr) of one in-process CLI run reading ``stdin``."""
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin, sys.stdout, sys.stderr
-    # argparse writes help to sys.stdout, not to the report's stream
+    # help goes to sys.stdout, not to the report's stream
     sys.stdin, sys.stdout, sys.stderr = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8"), out, err
     try:
         code = run(argv, stdout=out)
-    except SystemExit as exc:  # argparse's exit on -h or a bad command line
+    except SystemExit as exc:  # the exit on -h or a refused command line
         code = exc.code
     finally:
         sys.stdin, sys.stdout, sys.stderr = saved
@@ -153,7 +165,7 @@ def main(argv=None):
         raise SystemExit(f"{out} is not empty")
     out.mkdir(parents=True, exist_ok=True)
     os.chdir(ROOT)
-    os.environ["COLUMNS"] = "80"  # argparse wraps help and usage to the terminal's width
+    os.environ["COLUMNS"] = "80"  # help and usage wrap to the terminal's width
     written = 0
     for stem, argv, stdin in invocations():
         for suffix, extra in (("txt", []), ("json", ["--json"])):

@@ -1,5 +1,6 @@
 """Shared fixtures and seeded random generators for the test suite."""
 
+import argparse
 import os
 import resource
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import strategies as st
 
 import holoclosure
+from holoclosure import cli
 from holoclosure.arith import GaussianRational
 from holoclosure.complexify import ZETA_FORM, System
 from holoclosure.groebner import ideal_membership
@@ -57,6 +59,48 @@ def run_cli_child(argv, stdin, timeout):
         text=True, timeout=timeout, env=dict(os.environ, PYTHONPATH=str(src)), preexec_fn=cap_memory,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def _reference_budget(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _reference_jet_orders(text):
+    orders = [_reference_budget(part) for part in text.split(",") if part.strip()]
+    if not orders:
+        raise argparse.ArgumentTypeError(f"expects a comma-separated list of orders, got {text!r}")
+    return orders
+
+
+def reference_parse_args(argv):
+    """The namespace argparse gives ``argv`` with the CLI's table, for ``cli._parse_args``.
+
+    The top-level parser holds every subparser, or only the one ``argv[0]``
+    names, as the CLI built them when argparse read its command lines.
+    """
+    command = argv[0] if argv and argv[0] in cli._COMMANDS else None
+    parser = argparse.ArgumentParser(
+        prog="holoclosure",
+        description="holomorphic closure dimension, CR strata, and Gabrielov ranks "
+                    "for real algebraic subsets of C^n",
+    )
+    metavar = None if command is None else "{" + ",".join(cli._COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    types = {cli._budget: _reference_budget, cli._jet_orders: _reference_jet_orders}
+    for name in cli._COMMANDS if command is None else (command,):
+        _, help_text, arguments = cli._COMMANDS[name]
+        sp = sub.add_parser(name, help=help_text)
+        for flag, keywords in cli._COMMON + arguments:
+            if "type" in keywords:
+                keywords = dict(keywords, type=types.get(keywords["type"], keywords["type"]))
+            sp.add_argument(flag, **keywords)
+    return parser.parse_args(argv)
 
 
 def load_fixture(name):

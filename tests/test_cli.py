@@ -102,14 +102,25 @@ def _constant_relation(monkeypatch):
 class ExitCase:
     argv: tuple
     code: int
-    diagnostic: str  # a fragment of one report diagnostic
+    diagnostic: str  # a fragment of one report diagnostic, or of the report when it exits 0
     stdin: str | bytes = ""  # read as the "-" input
     patch: Callable | None = None  # monkeypatches a defect into the toolkit
     bounded: bool = False  # run in a child process under PROBE_SECONDS and a memory cap
-    usage: bool = False  # argparse rejects the command line: usage on stderr, no report
+    usage: bool = False  # the command line is refused: usage on stderr, no report
 
 
 EXIT_CASES = [
+    # command lines read as argparse reads them
+    ExitCase(("hcdim", SPHERE, "--js"), EXIT_OK, '"hc_dimension": 2'),
+    ExitCase(("hcdim", SPHERE, "--seed=3"), EXIT_OK, '"hc_dimension": 2'),
+    ExitCase(("hcdim", "--", SPHERE), EXIT_OK, '"hc_dimension": 2'),
+    ExitCase(("crdim", SPHERE, "--point", "-1, 0"), EXIT_OK, '"smooth": true'),
+    ExitCase(("hcdim", SPHERE, "--json=1"), EXIT_PARSE_ERROR,
+             "argument --json: ignored explicit argument '1'", usage=True),
+    ExitCase(("hcdim", SPHERE, "--max", "3"), EXIT_PARSE_ERROR,
+             "ambiguous option: --max could match --max-pairs, --max-degree", usage=True),
+    ExitCase(("crdim", SPHERE, "--point"), EXIT_PARSE_ERROR,
+             "argument --point: expected one argument", usage=True),
     ExitCase(("hcdim", "-"), EXIT_PARSE_ERROR, "unknown identifier", "vars z1\neq z9\n"),
     ExitCase(("hcdim", "-"), EXIT_PARSE_ERROR, "nested deeper",
              "vars z1\neq " + "(" * 3000 + "z1" + ")" * 3000 + "\n"),
@@ -236,7 +247,7 @@ def _check_cases(monkeypatch, cases):
     """Each case returns its exit code and diagnostic, without a traceback."""
     assert cases
     for case in cases:
-        argv = [*case.argv, "--json"]
+        argv = [case.argv[0], "--json", *case.argv[1:]]  # before any "--"
         if case.bounded:
             got, out, err = _run_bounded(argv, case.stdin)
         else:
@@ -248,7 +259,7 @@ def _check_cases(monkeypatch, cases):
                     case.patch(m)
                 try:
                     got, out = invoke(argv)
-                except SystemExit as exc:  # argparse's exit on a bad command line
+                except SystemExit as exc:  # the exit on a refused command line
                     got, out = exc.code, ""
             err = stderr.getvalue()
         assert got == case.code, case.argv
@@ -256,9 +267,16 @@ def _check_cases(monkeypatch, cases):
         if case.usage:
             assert out == "" and err.startswith("usage: ") and case.diagnostic in err, err
             continue
+        if case.code == EXIT_OK:
+            assert case.diagnostic in out, (case.argv, out)
+            continue
         diagnostics = json.loads(out)["diagnostics"]
         assert any(d.startswith(DIAGNOSTIC_PREFIX[case.code]) and case.diagnostic in d
                    for d in diagnostics), (case.argv, diagnostics)
+
+
+def test_accepted_command_lines_exit_0(monkeypatch):
+    _check_exit_codes(monkeypatch, EXIT_OK)
 
 
 def test_parse_error_exit_code(monkeypatch):
@@ -637,7 +655,24 @@ def test_a_command_line_builds_only_its_own_subparser(monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     assert invoke(["realdim", str(FIXTURES / "sphere.sys")])[0] == EXIT_OK
-    assert len(built) == 2
+    assert len(built) == 0
     built.clear()
     assert _argparse_surface(["-h"])[0] == 0
     assert len(built) == 12
+
+
+def test_a_valid_command_loads_neither_argparse_nor_gettext_nor_locale():
+    # the modules the import and one command add, so the test holds whatever site loaded before it
+    argv = ["realdim", str(FIXTURES / "sphere.sys")]
+    code = (
+        "import io, sys; before = set(sys.modules); import holoclosure.cli; "
+        f"holoclosure.cli.run({argv!r}, stdout=io.StringIO()); "
+        "print(' '.join(sorted({'argparse', 'gettext', 'locale'} & (set(sys.modules) - before))))"
+    )
+    src = Path(holoclosure.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

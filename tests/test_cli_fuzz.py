@@ -2,16 +2,19 @@
 
 Most cases run in this process; a few run as ``python -m holoclosure.cli`` in
 a child process with a timeout, so a hang fails the suite instead of stalling it.
+Generated command lines are also read as argparse reads them.
 """
 
 import io
+import os
 import sys
 from unittest import mock
 
-from hypothesis import HealthCheck, Phase, given, settings
+import pytest
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import run_cli_child
+from conftest import reference_parse_args, run_cli_child
 from holoclosure import cli
 
 EXIT_CODES = {0, 2, 3, 4, 5}
@@ -82,7 +85,7 @@ def test_cli_ends_in_a_documented_exit_code(document, command, data):
             mock.patch.object(sys, "stderr", err):
         try:
             code = cli.run(argv, stdout=out)
-        except SystemExit as exc:  # argparse's exit on a bad command line
+        except SystemExit as exc:  # the exit on a refused command line
             code = exc.code
     assert code in EXIT_CODES, (argv, document)
     assert "Traceback" not in out.getvalue() + err.getvalue()
@@ -98,3 +101,90 @@ def test_cli_child_process_ends_in_time(document, command, data):
     assert code in EXIT_CODES, (argv, document)
     assert "Traceback" not in out + err
 
+
+ROWS = [row for _, _, arguments in cli._COMMANDS.values() for row in cli._COMMON + arguments]
+FLAGS = sorted({name for name, _ in ROWS if name[0] == "-"} | {"-h", "--help"})
+# a flag as written: in full, or cut to a prefix (unique or ambiguous)
+FLAG_FORMS = st.sampled_from(FLAGS).flatmap(
+    lambda flag: st.sampled_from([flag[:n] for n in range(min(3, len(flag)), len(flag) + 1)]))
+VALUES = ["3", "0", "-1", "-2.5", "1e3", "1, 0", "-1, 0", "lex", "grevlex", "3,5", "3,x", "x", "",
+          "-", "h", "fixtures/sphere.sys"]
+ODD_WORDS = ["--", "-h", "-hh", "-hx", "-hhx", "-h=", "-h=h", "--help=", "--he=1", "-i", "---",
+             "--bogus", "--=1", "-5", "--max", "--m", "--j", "HCDIM", *cli._COMMANDS]
+# "--flag=--" is left out: its value is "--" here, where argparse 3.11 stores []
+# (test_an_explicit_double_dash_is_the_value)
+WORDS = st.one_of(
+    FLAG_FORMS, st.sampled_from(VALUES), st.sampled_from(ODD_WORDS),
+    st.builds("{}={}".format, FLAG_FORMS, st.sampled_from(VALUES)),
+)
+
+
+@st.composite
+def command_lines(draw):
+    """A command line with each of its command's arguments given or left out, then stray words
+    inserted anywhere, before the command too."""
+    command = draw(st.sampled_from([*cli._COMMANDS, "bogus", None]))
+    line = [] if command is None else [command]
+    for name, keywords in cli._COMMON + cli._COMMANDS.get(command, (None, None, ()))[2]:
+        if draw(st.integers(0, 3)) == 0:
+            continue
+        # mostly a value the flag takes, so that some lines are accepted
+        value = draw(st.sampled_from(keywords.get("choices", ["3"]) if draw(st.integers(0, 3))
+                                     else VALUES))
+        if name[0] != "-":  # the input, with a "--" before or after it at times
+            line += draw(st.sampled_from([[value], ["--", value], [value, "--"]]))
+        elif keywords.get("action") == "store_true":
+            line.append(draw(st.sampled_from([name, name[:4]])))
+        elif draw(st.booleans()):
+            line += [name, value]
+        else:
+            line.append(f"{draw(st.sampled_from([name, name[:-1]]))}={value}")
+    for _ in range(draw(st.integers(0, 3))):
+        line.insert(draw(st.integers(0, len(line))), draw(WORDS))
+    return line
+
+
+def _parsed(parse, argv):
+    """(values, exit code, stdout, stderr) of reading one command line; values None on exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdout", out), mock.patch.object(sys, "stderr", err):
+        try:
+            values, code = vars(parse(argv)), None
+        except SystemExit as exc:
+            values, code = None, exc.code
+    return values, code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(command_lines())
+@example([])
+@example(["--"])
+@example(["--json", "--"])
+@example(["--", "hcdim"])
+@example(["hcdim", "--", "x"])
+@example(["hcdim", "x", "--"])
+@example(["hcdim", "x", "--", "--json"])
+@example(["hcdim", "-hhx", "x"])
+@example(["verify-dm", "x", "--point", "1, 0", "--po=-1, 0"])
+def test_command_lines_read_as_argparse_reads_them(argv):
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        ours = _parsed(cli._parse_args, argv)
+        reference = _parsed(reference_parse_args, argv)
+    assert ours[:2] == reference[:2], argv
+    # argparse's wording and wrapping change between Python minor versions
+    if sys.version_info[:2] == (3, 11):
+        assert ours[2:] == reference[2:], argv
+
+
+@pytest.mark.parametrize("argv, outcome", [
+    (["crdim", "x", "--point=--"], {"point": "--"}),
+    (["strata", "x", "--k=--"], "argument --k: invalid int value: '--'"),
+    (["groebner", "x", "--order=--"], "argument --order: invalid choice: '--'"),
+])
+def test_an_explicit_double_dash_is_the_value(argv, outcome):
+    # argparse 3.11 stores [] for it, which ended strata in a traceback
+    values, code, _, err = _parsed(cli._parse_args, argv)
+    if isinstance(outcome, dict):
+        assert code is None and outcome.items() <= values.items()
+    else:
+        assert code == 2 and outcome in err
