@@ -1,31 +1,43 @@
 """Exact linear algebra over Q(i): linear relations among columns, rank, nullspace.
 
 One elimination serves every caller.  ``relations`` reduces sparse columns,
-``{row: GaussianRational}`` maps of the nonzero entries under any comparable row
-labels, one at a time against the independent columns kept so far, so a
-caller can feed columns lazily and stop at the first relation, as the jet
-relation probe does.  A relation is the reduced row echelon kernel vector of
-its column, so the answers are those of Gauss-Jordan without building the
+``{row: entry}`` maps of the nonzero entries under any comparable row labels,
+one at a time against the independent columns kept so far, so a caller can
+feed columns lazily and stop at the first relation, as the jet relation
+probe does.  It is fraction-free over Z[i]: a column and its combination of
+input columns are maps to ``[a, b]`` numerators of a + b*i, and each kept
+column has a positive integer pivot.  ``GaussianRational`` appears only at
+entry and exit.  A relation is the reduced row echelon kernel vector of its
+column, so the answers are those of Gauss-Jordan without building the
 echelon form.  ``nullspace`` and ``rank`` adapt it to dense row lists.
 """
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping
 
-from holoclosure.arith import ONE, ZERO, GaussianRational
+from holoclosure.arith import ZERO, _reduced, gq, inverse_numerator
 
 
-def _sub_scaled(target: dict, f: GaussianRational, other: dict):
-    """target -= f * other in place, deleting the entries that cancel."""
-    for k, x in other.items():
-        y = target.get(k)
-        if y is None:
-            target[k] = -f * x
+def _combine(target: dict, m: int, fa: int, fb: int, other: dict):
+    """target = m * target - (fa + fb*i) * other in place, deleting the entries that cancel."""
+    if m != 1:
+        for t in target.values():
+            t[0] *= m
+            t[1] *= m
+    for k, (a, b) in other.items():
+        da = fa * a - fb * b
+        db = fa * b + fb * a
+        t = target.get(k)
+        if t is None:
+            target[k] = [-da, -db]
         else:
-            y -= f * x
-            if y:
-                target[k] = y
+            x = t[0] - da
+            y = t[1] - db
+            if x or y:
+                t[0] = x
+                t[1] = y
             else:
                 del target[k]
 
@@ -37,30 +49,48 @@ def relations(columns: Iterable[Mapping]) -> Iterator[tuple]:
     coordinates, supported on column j and earlier independent columns, with
     sum(relation[i] * column i) = 0 and its first (lowest index) coordinate
     equal to 1: the reduced row echelon kernel vector of the free column j.
-    Each kept column is stored reduced against the kept columns before it,
-    scaled to 1 at its pivot row (its lowest row label), together with its
-    combination of input columns.  The input maps are left unchanged.
+    Entries may be ints, Fractions or GaussianRationals; each is coerced
+    once, and column j enters as its numerators over the lcm D of its
+    denominators, with combination {j: D}.  Against each kept column (pivot
+    row p, pivot N, reduced column R, combination C), with f = v[p] and
+    g = gcd(f, N), v becomes (N/g)*v - (f/g)*R and its combination likewise
+    with C.  A column kept at its pivot row, its lowest row label, is
+    multiplied with its combination by the conjugate (or the sign) of the
+    pivot, making N a positive integer, and both are divided by their joint
+    integer content.  A dependent column yields its combination divided by
+    its first coordinate, which scaling does not change, so the answers are
+    the Q(i) ones.  The input maps are left unchanged.
     """
-    kept = []  # (pivot row, reduced column, its combination of input columns)
+    kept = []  # (pivot row, pivot N > 0, reduced column, its combination of input columns)
     for j, column in enumerate(columns):
-        v = {r: x for r, x in column.items() if x}
-        combination = {j: ONE}
-        for p, reduced, combo in kept:
+        entries = [(r, gq(x)) for r, x in column.items() if x]
+        D = lcm(*[x._d for _, x in entries])
+        v = {r: [x._a * (D // x._d), x._b * (D // x._d)] for r, x in entries}
+        combination = {j: [D, 0]}
+        for p, N, reduced, combo in kept:
             f = v.get(p)
             if f is not None:
-                _sub_scaled(v, f, reduced)
-                _sub_scaled(combination, f, combo)
+                g = gcd(*f, N)
+                m, fa, fb = N // g, f[0] // g, f[1] // g
+                _combine(v, m, fa, fb, reduced)
+                _combine(combination, m, fa, fb, combo)
         if v:
             p = min(v)
-            pv = v[p]
-            kept.append((
-                p,
-                {r: x / pv for r, x in v.items()},
-                {i: x / pv for i, x in combination.items()},
-            ))
+            ua, ub, _ = inverse_numerator(*v[p])
+            pairs = [*v.values(), *combination.values()]
+            for t in pairs:
+                t[0], t[1] = t[0] * ua - t[1] * ub, t[0] * ub + t[1] * ua
+            g = gcd(*[x for t in pairs for x in t])
+            for t in pairs:
+                t[0] //= g
+                t[1] //= g
+            kept.append((p, v[p][0], v, combination))
         else:
-            first = combination[min(combination)]
-            yield j, {i: x / first for i, x in combination.items()}
+            ua, ub, n = inverse_numerator(*combination[min(combination)])
+            yield j, {
+                i: _reduced(a * ua - b * ub, a * ub + b * ua, n)
+                for i, (a, b) in combination.items()
+            }
 
 
 def _columns(rows: list, ncols: int) -> list:

@@ -283,6 +283,14 @@ def test_osgood_fixed_degree_eventually_excluded():
     assert res.min_relation_degree is None
 
 
+def test_osgood_probe_at_order_40():
+    # the minimal degree at a size where the elimination's numerators grow large
+    comps = osgood_components(40)
+    res = relation_probe(comps, 40, 12)
+    assert res.min_relation_degree == 7
+    assert jet_compose(res.witness, comps, 40).poly.is_zero
+
+
 def test_osgood_probe_empty_range():
     assert osgood_probe([], 3) == []
 

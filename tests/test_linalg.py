@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -141,3 +142,58 @@ def test_relations_take_any_comparable_row_labels_and_stop_early():
     j, relation = next(linalg.relations(columns()))
     assert (j, relation) == (2, {0: gq(1), 1: gq(1), 2: gq(-1)})
     assert len(fed) == 3
+
+
+def _as(kind, x):
+    """The entry x of Q(i) as an int or Fraction where it is one, else as given."""
+    if kind is GaussianRational or not x.is_real():
+        return x
+    return x.re.numerator if kind is int and x.re.denominator == 1 else x.re
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(), st.lists(st.sampled_from([int, Fraction, GaussianRational]), min_size=1))
+def test_int_fraction_and_gaussian_entries_give_the_same_answers(matrix, kinds):
+    rows, ncols = matrix
+    # each cell as an int, a Fraction or a GaussianRational, mixed within one matrix
+    mixed = [[_as(kinds[(i + c) % len(kinds)], x) for c, x in enumerate(row)] for i, row in enumerate(rows)]
+    assert linalg.rank(mixed) == linalg.rank(rows)
+    kernel = linalg.nullspace(mixed, ncols)
+    assert kernel == linalg.nullspace(rows, ncols)
+    assert all(type(x) is GaussianRational for v in kernel for x in v)
+    cols = columns_of(mixed, ncols)
+    found = list(linalg.relations(cols))
+    assert found == list(linalg.relations(columns_of(rows, ncols)))
+    assert all(type(x) is GaussianRational for _, r in found for x in r.values())
+
+
+PIVOT_CASES = {
+    # the first column's pivot, at row 0, is negative, purely imaginary or of norm 25
+    "negative real pivot": [[-3, 1, 2], [1, 2, -1]],
+    "imaginary pivot": [[GaussianRational(0, -2), 1, 2], [1, GaussianRational(0, 1), 3]],
+    "gaussian pivot": [[GaussianRational(3, 4), GaussianRational(1, -2), 1],
+                       [GaussianRational(0, 1), 2, GaussianRational(-5, 7)]],
+    "coprime denominators": [[Fraction(1, 2**61 - 1), Fraction(1, 3**40), 1],
+                             [Fraction(2, 3**40), Fraction(5, 2**61 - 1), Fraction(1, 7)]],
+    # column 3 is column 0 plus 1/3 of column 1: it cancels before kept column 2 is applied
+    "cancels part-way": [[1, 0, 0, 1], [2, 3, 0, 3], [0, Fraction(3, 5), 1, Fraction(1, 5)],
+                         [GaussianRational(0, 1), 6, 0, GaussianRational(2, 1)]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIVOT_CASES))
+def test_pivot_cases_match_the_dense_model(name):
+    rows = [[gq(x) for x in row] for row in PIVOT_CASES[name]]
+    rows += [[x * 2 for x in rows[0]]]  # a dependent row
+    wide = [row + [row[0] + row[1]] for row in rows]  # a dependent column
+    for matrix in (rows, wide):
+        ncols = len(matrix[0])
+        cols = columns_of(matrix, ncols)
+        copy = [dict(c) for c in cols]
+        found = list(linalg.relations(cols))
+        assert cols == copy
+        expected = dense_nullspace(matrix, ncols)
+        assert [r for _, r in found] == [{i: x for i, x in enumerate(v) if x} for v in expected]
+        for _, relation in found:
+            assert relation[min(relation)] == 1
+        assert linalg.rank(matrix) == len(dense_row_echelon(matrix)[1])
