@@ -11,8 +11,12 @@ order's additive int key, so a divisibility test is one subtraction and one
 mask and a product is two additions (Monagan and Pearce, JSC 46, 2011).
 Division is fraction-free over Z[i], as in Singular, in one mutable term map
 whose keys sit once in a min-heap, so no step re-sorts a polynomial (a heap
-where Yan's geobuckets, JSC 26, 1998, keep buckets).  S-polynomials and
-remainders are built from rows; their terms are canonicalized only if read.
+where Yan's geobuckets, JSC 26, 1998, keep buckets).  A Buchberger run's
+normal forms share one reducer table, its basis's rows and a memo of each
+monomial's first divisor, so a monomial that recurs in a later S-pair is not
+searched again (where Singular filters with short exponent vectors, Bachmann
+and Schoenemann, ISSAC 1998).  S-polynomials and remainders are built from
+rows; their terms are canonicalized only if read.
 Dimension is the combinatorial one, read off the leading-term staircase of
 a basis in any term order: R/I and R/in(I) have the same Krull dimension
 (Kredel and Weispfenning, JSC 6, 1988), and it agrees with the dimension of
@@ -162,7 +166,7 @@ class GroebnerBasis(NamedTuple):
         return GroebnerBasis(target, GREVLEX if len(rest) == 1 else BlockElimination(rest), part)
 
 
-def normal_form(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:
+def normal_form(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder, table: tuple | None = None) -> Polynomial:
     """Remainder of multivariate division of f by G.
 
     No term of the result is divisible by any leading monomial of G, and
@@ -172,9 +176,15 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder) ->
     numerator over one ``scale``, and a min-heap holds each key once,
     negated.  The popped monomial is reduced by the first reducer whose
     leading monomial divides it (``(e - lm) & guard`` is 0), so the result
-    is deterministic.  With popped numerator c and lead numerator L (if L
-    is not a positive integer, c is first multiplied by the numerator of
-    1/L and L becomes its denominator) and g = gcd(c, L), the dividend and
+    is deterministic.  That reducer is found in a table ``(rows, memo)``:
+    G's nonzero ``PackedRows``, and a map from a packed monomial to the
+    index of its first divisor in ``rows``, or to ``~n`` when none of the
+    first n rows divides it (a missing entry reads as ``~0``).
+    ``buchberger`` passes one table for its run and only appends rows, so
+    an index stays valid and a ``~n`` resumes at row n; other calls get a
+    fresh table.  With popped numerator c and lead numerator L (if L is
+    not a positive integer, c is first multiplied by the numerator of 1/L
+    and L becomes its denominator) and g = gcd(c, L), the dividend and
     ``scale`` are multiplied by L/g and (c/g) times the quotient monomial
     times the reducer's tail is subtracted.  A product exponent that sets a
     guard bit raises ResourceLimitError.  Scaling changes neither the terms
@@ -184,7 +194,7 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder) ->
     if f.is_zero:
         return f
     guard = order.packing(f.context.size).guard
-    reducers = [r for g in G if (r := g.packed_terms(order))]
+    rows, memo = table or ([r for g in G if (r := g.packed_terms(order))], {})
     view = f.packed_terms(order)
     scale = view.denominator
     live = {k: [p, a, b] for p, k, a, b in view.rows()}
@@ -197,14 +207,18 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder) ->
         p, a, b = live.pop(k)
         if not (a or b):
             continue
-        for r in reducers:
-            q = p - r[0]
-            if not q & guard:
-                break
-        else:
-            remainder.append((p, k, a, b, scale))
-            continue
-        _, lk, La, Lb, tail, _ = r
+        i = memo.get(p, -1)
+        if i < 0:
+            for i in range(~i, len(rows)):
+                if not (p - rows[i][0]) & guard:
+                    break
+            else:
+                memo[p] = ~len(rows)
+                remainder.append((p, k, a, b, scale))
+                continue
+            memo[p] = i
+        lp, lk, La, Lb, tail, _ = rows[i]
+        q = p - lp
         if Lb or La < 0:
             ua, ub, L = inverse_numerator(La, Lb)
             a, b = a * ua - b * ub, a * ub + b * ua
@@ -337,10 +351,12 @@ def buchberger(I: Ideal, order: MonomialOrder, config: GroebnerConfig = DEFAULT_
         return GroebnerBasis(I.context, order, ())
     G = [g.monic(order) for g in gens]
     sugar = [g.total_degree() for g in G]
-    # the leads packed, for the coprime and chain tests, and unpacked
+    rows = [g.packed_terms(order) for g in G]
+    table = (rows, {})  # G's reducer table, which every normal form of the run shares
+    # the leads packed, for the lcms and the criteria, and unpacked, for degrees
     packing = order.packing(I.context.size)
     guard = packing.guard
-    packed = [g.packed_terms(order).lead_pack for g in G]
+    packed = [r.lead_pack for r in rows]
     lead = [packing.unpack(p) for p in packed]
     degree = [sum(m) for m in lead]
 
@@ -348,11 +364,11 @@ def buchberger(I: Ideal, order: MonomialOrder, config: GroebnerConfig = DEFAULT_
     pending = set()
 
     def push_pairs(j):
+        lp, lm = packed[j], lead[j]
         for i in range(j):
-            lcm = monomial_lcm(lead[i], lead[j])
-            d = sum(lcm)
+            d = sum(map(max, lead[i], lm))
             s = max(sugar[i] + d - degree[i], sugar[j] + d - degree[j])
-            heapq.heappush(heap, (s, d, i, j, packing.pack(lcm)))
+            heapq.heappush(heap, (s, d, i, j, packing.lcm(packed[i], lp)))
             pending.add((i, j))
 
     for j in range(len(G)):
@@ -382,7 +398,7 @@ def buchberger(I: Ideal, order: MonomialOrder, config: GroebnerConfig = DEFAULT_
                     break
         if skip:
             continue
-        h = normal_form(s_polynomial(G[i], G[j], order), G, order)
+        h = normal_form(s_polynomial(G[i], G[j], order), G, order, table)
         if h.is_zero:
             continue
         h = h.monic(order)
@@ -392,7 +408,8 @@ def buchberger(I: Ideal, order: MonomialOrder, config: GroebnerConfig = DEFAULT_
             )
         G.append(h)
         sugar.append(s)
-        packed.append(h.packed_terms(order).lead_pack)
+        rows.append(h.packed_terms(order))
+        packed.append(rows[-1].lead_pack)
         lead.append(packing.unpack(packed[-1]))
         degree.append(sum(lead[-1]))
         push_pairs(len(G) - 1)

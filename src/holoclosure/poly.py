@@ -217,6 +217,13 @@ class Packing:
         mask = (1 << FIELD_BITS) - 1
         return tuple([(p >> s) & mask for s in self.shifts])
 
+    def lcm(self, a: int, b: int) -> int:
+        """The pack of the lcm of packed monomials a and b.  A field of d, 2^15 + a_k - b_k,
+        borrows from no other and keeps its guard bit exactly when a_k >= b_k."""
+        d = (a | self.guard) - b
+        m = d & self.guard
+        return b + (d & (m - (m >> (FIELD_BITS - 1))))
+
 
 @lru_cache(maxsize=256)
 def _packing(order: "MonomialOrder", size: int) -> Packing:

@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -60,6 +60,13 @@ def test_normal_form_single_step():
     assert r == pp(XY, "y^2")
 
 
+def test_normal_form_by_no_reducers_is_the_dividend():
+    f = pp(XYZ, "3*x^3*y - y*z^2 + 5")
+    for order in (GREVLEX, LEX, BlockElimination(((2,), (0, 1)))):
+        assert normal_form(f, [], order) == f
+        assert normal_form(f, [Polynomial(XYZ, {})], order) == f
+
+
 def test_normal_form_of_member_is_zero():
     G = [pp(XY, "x^2 - y"), pp(XY, "x*y - 1")]
     for g in G:
@@ -86,9 +93,12 @@ def test_buchberger_coprime_leading_terms():
 
 
 def test_buchberger_principal_ideal():
-    f = pp(XY, "2*x^2 - 4*y")
-    gb = buchberger(Ideal.from_polys(XY, [f]), GREVLEX)
-    assert gb.basis == (f.monic(GREVLEX),)
+    # one generator: inter-reduction divides it by an empty reducer list
+    for text in ("2*x^2 - 4*y", "3*x^3*y - x*y^2 + 7*y - 1"):
+        f = pp(XY, text)
+        for order in (GREVLEX, LEX):
+            gb = buchberger(Ideal.from_polys(XY, [f]), order)
+            assert gb.basis == (f.monic(order),)
 
 
 def test_buchberger_zero_ideal():
@@ -427,6 +437,23 @@ def test_normal_form_matches_textbook_division_under_awkward_leads(order, f, sca
     G = [g.scale(c / g.leading(order)[1]) for g, c in scaled]
     assert [g.leading(order)[1] for g in G] == [c for _, c in scaled]
     assert normal_form(f, G, order) == reference_normal_form(f, G, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(DIVISION_ORDERS), st.lists(polys4(8), min_size=1, max_size=4),
+       st.lists(nonzero_polys4, min_size=1, max_size=4))
+# a*b meets no divisor among [c], then b arrives: the memo's "none among the
+# first 1" must resume at row 1
+@example(GREVLEX, [pp(X4, "a*b")], [pp(X4, "c"), pp(X4, "b")])
+def test_a_reducer_table_shared_across_a_growing_basis_gives_fresh_remainders(order, fs, gs):
+    # as buchberger shares one table: G grows at its end, its rows are appended
+    G, table = [], ([], {})
+    for g in gs:
+        G.append(g)
+        table[0].append(g.packed_terms(order))
+        for f in fs:
+            assert normal_form(f, G, order, table) == normal_form(f, G, order)
+    assert table[1] or all(f.is_zero for f in fs)
 
 
 @settings(max_examples=60, deadline=None)

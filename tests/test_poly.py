@@ -21,6 +21,7 @@ from holoclosure.poly import (
     Polynomial,
     VariableContext,
     ZETA_SWAP,
+    monomial_lcm,
     param_context,
     polynomial_to_text,
     zeta_context,
@@ -156,6 +157,28 @@ def test_guard_bit_divisibility_matches_the_tuple_definition(order_ref, a, c, mu
     assert bool(product & packing.guard) == overflow
     if not overflow:
         assert product == packing.pack(monomial_mul(a, c))
+
+
+# sizes 1 to 12, fields often at 0 or MAX_EXPONENT
+edge_monomial_pairs = st.integers(1, 12).flatmap(lambda n: st.tuples(*(
+    st.lists(st.sampled_from([0, MAX_EXPONENT]) | st.integers(0, MAX_EXPONENT), min_size=n, max_size=n)
+    .map(tuple) for _ in range(2)
+)))
+
+
+@given(st.sampled_from([LEX, GREVLEX]), edge_monomial_pairs)
+@example(GREVLEX, ((MAX_EXPONENT,) * 12, (0,) * 12))
+@example(GREVLEX, ((0, MAX_EXPONENT) * 6, (MAX_EXPONENT, 0) * 6))
+@example(LEX, ((MAX_EXPONENT,), (MAX_EXPONENT,)))
+def test_packed_lcm_and_its_degree_match_the_tuple_definition(order, pair):
+    a, b = pair
+    packing = order.packing(len(a))
+    lcm = packing.lcm(packing.pack(a), packing.pack(b))
+    assert lcm == packing.pack(monomial_lcm(a, b))
+    assert packing.lcm(packing.pack(b), packing.pack(a)) == lcm
+    # buchberger reads a pair's degree off the tuples, exact past 2^16 (12
+    # fields at MAX_EXPONENT), where summing the packed fields would carry
+    assert sum(map(max, a, b)) == sum(monomial_lcm(a, b)) == sum(packing.unpack(lcm))
 
 
 def _reference_key_weights(rows, size):
