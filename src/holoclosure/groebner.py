@@ -1,7 +1,8 @@
 """Buchberger's algorithm, normal forms, elimination ideals, Krull dimension.
 
 The engine is deliberately plain: the sugar pair-selection strategy plus the
-coprime and chain criteria, full inter-reduction at the end, and two budgets:
+coprime and chain criteria, inter-reduction at the end in one pass by
+ascending leading monomial, and two budgets:
 ``max_pairs`` bounds the S-pairs popped, ``max_degree`` the total degree of
 an element added to the basis.  Neither bounds the time of one normal form,
 so an input can run for minutes without tripping either.  The engine reads
@@ -15,8 +16,9 @@ where Yan's geobuckets, JSC 26, 1998, keep buckets).  A Buchberger run's
 normal forms share one reducer table, its basis's rows and a memo of each
 monomial's first divisor, so a monomial that recurs in a later S-pair is not
 searched again (where Singular filters with short exponent vectors, Bachmann
-and Schoenemann, ISSAC 1998).  S-polynomials and remainders are built from
-rows; their terms are canonicalized only if read.
+and Schoenemann, ISSAC 1998); inter-reduction shares one table the same way.
+S-polynomials and remainders are built from rows; their terms are
+canonicalized only if read.
 Dimension is the combinatorial one, read off the leading-term staircase of
 a basis in any term order: R/I and R/in(I) have the same Krull dimension
 (Kredel and Weispfenning, JSC 6, 1988), and it agrees with the dimension of
@@ -42,7 +44,6 @@ from holoclosure.poly import (
     MonomialOrder,
     Polynomial,
     VariableContext,
-    monomial_lcm,
 )
 
 
@@ -180,11 +181,12 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder, ta
     G's nonzero ``PackedRows``, and a map from a packed monomial to the
     index of its first divisor in ``rows``, or to ``~n`` when none of the
     first n rows divides it (a missing entry reads as ``~0``).
-    ``buchberger`` passes one table for its run and only appends rows, so
-    an index stays valid and a ``~n`` resumes at row n; other calls get a
-    fresh table.  With popped numerator c and lead numerator L (if L is
-    not a positive integer, c is first multiplied by the numerator of 1/L
-    and L becomes its denominator) and g = gcd(c, L), the dividend and
+    ``buchberger`` and ``_reduce_basis`` each pass one table for their run
+    and only append rows, so an index stays valid and a ``~n`` resumes at
+    row n; other calls get a fresh table.  With popped numerator c and lead
+    numerator L (if L is not a positive integer, c is first multiplied by
+    the numerator of 1/L and L becomes its denominator) and g = gcd(c, L),
+    the dividend and
     ``scale`` are multiplied by L/g and (c/g) times the quotient monomial
     times the reducer's tail is subtracted.  A product exponent that sets a
     guard bit raises ResourceLimitError.  Scaling changes neither the terms
@@ -278,8 +280,8 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     """
     packing = order.packing(f.context.size)
     F, G = f.packed_terms(order), g.packed_terms(order)
-    m = monomial_lcm(packing.unpack(F.lead_pack), packing.unpack(G.lead_pack))
-    lp, lk = packing.pack(m), packing.key(m)
+    lp = packing.lcm(F.lead_pack, G.lead_pack)
+    lk = packing.key(packing.unpack(lp))
     fa, fb, nf = inverse_numerator(F.lead_a, F.lead_b)
     ga, gb, ng = inverse_numerator(G.lead_a, G.lead_b)
     n = lcm(nf, ng)
@@ -312,24 +314,24 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
 
 
 def _reduce_basis(G: list, order: MonomialOrder) -> tuple:
-    """Minimalize then fully inter-reduce; output monic, sorted by ascending LM."""
+    """The reduced basis of a Groebner basis G: monic, by ascending leading monomial.
+
+    One pass by ascending lead drops an element whose lead a kept lead
+    divides (an equal one too) and divides any other by the reduced ones
+    before it, through one reducer table that grows as in ``buchberger``.
+    Only a smaller lead divides a term below an element's own, so each
+    remainder is fully reduced.
+    """
     guard = order.packing(G[0].context.size).guard
-
-    def lead(g):
-        return g.packed_terms(order)
-
-    G = sorted((g for g in G if not g.is_zero), key=lambda g: lead(g).lead_key)
-    minimal = []
-    for g in G:
-        lp = lead(g).lead_pack
-        if all((lp - lead(h).lead_pack) & guard for h in minimal):
-            minimal.append(g)
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        r = normal_form(g, others, order)
-        reduced.append(r.monic(order))
-    reduced.sort(key=lambda g: lead(g).lead_key)
+    reduced, rows = [], []
+    table = (rows, {})
+    for g in sorted(G, key=lambda g: g.packed_terms(order).lead_key):
+        lp = g.packed_terms(order).lead_pack
+        if any(not (lp - r.lead_pack) & guard for r in rows):
+            continue
+        r = normal_form(g, reduced, order, table).monic(order)
+        reduced.append(r)
+        rows.append(r.packed_terms(order))
     return tuple(reduced)
 
 
@@ -344,31 +346,30 @@ def buchberger(I: Ideal, order: MonomialOrder, config: GroebnerConfig = DEFAULT_
     ``(sugar, deg lcm, i, j)``.  Sugar is the degree the S-polynomial
     would have were the input homogenized, so under lex and block orders,
     where a leading monomial's degree can lie far below its polynomial's,
-    pairs still come in nearly ascending degree.
+    pairs still come in nearly ascending degree.  Leads are kept packed,
+    and sugar as ``excess``, so a pair's is ``deg lcm + max(excess_i, excess_j)``.
     """
     gens = [g for g in I.generators if not g.is_zero]
     if not gens:
         return GroebnerBasis(I.context, order, ())
     G = [g.monic(order) for g in gens]
-    sugar = [g.total_degree() for g in G]
     rows = [g.packed_terms(order) for g in G]
     table = (rows, {})  # G's reducer table, which every normal form of the run shares
-    # the leads packed, for the lcms and the criteria, and unpacked, for degrees
     packing = order.packing(I.context.size)
     guard = packing.guard
     packed = [r.lead_pack for r in rows]
-    lead = [packing.unpack(p) for p in packed]
-    degree = [sum(m) for m in lead]
+    # an element's sugar minus its lead's degree; an input generator's sugar is its degree
+    excess = [g.total_degree() - sum(packing.unpack(p)) for g, p in zip(G, packed)]
 
     heap = []
     pending = set()
 
     def push_pairs(j):
-        lp, lm = packed[j], lead[j]
+        lp, e = packed[j], excess[j]
         for i in range(j):
-            d = sum(map(max, lead[i], lm))
-            s = max(sugar[i] + d - degree[i], sugar[j] + d - degree[j])
-            heapq.heappush(heap, (s, d, i, j, packing.lcm(packed[i], lp)))
+            lcm = packing.lcm(packed[i], lp)
+            d = sum(packing.unpack(lcm))
+            heapq.heappush(heap, (d + max(excess[i], e), d, i, j, lcm))
             pending.add((i, j))
 
     for j in range(len(G)):
@@ -407,11 +408,9 @@ def buchberger(I: Ideal, order: MonomialOrder, config: GroebnerConfig = DEFAULT_
                 f"intermediate degree {h.total_degree()} exceeds budget {config.max_degree}"
             )
         G.append(h)
-        sugar.append(s)
         rows.append(h.packed_terms(order))
         packed.append(rows[-1].lead_pack)
-        lead.append(packing.unpack(packed[-1]))
-        degree.append(sum(lead[-1]))
+        excess.append(s - sum(packing.unpack(packed[-1])))
         push_pairs(len(G) - 1)
 
     return GroebnerBasis(I.context, order, _reduce_basis(G, order))

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain
 from math import gcd, lcm
 from operator import add, itemgetter, lshift, mul
 from typing import Mapping, NamedTuple, Sequence
@@ -146,13 +146,6 @@ def param_context(names: Sequence[str]) -> VariableContext:
     return VariableContext(tuple(names), (Block.PARAM,) * len(names))
 
 
-# -- monomial helpers -------------------------------------------------------
-
-
-def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 # -- monomial orders --------------------------------------------------------
 
 # A packed exponent vector holds one FIELD_BITS-wide field per variable,
@@ -165,9 +158,10 @@ MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
 class Packing:
     """Monomials in ``size`` variables as ints, under one monomial order.
 
-    ``pack`` gives the exponent vector with one guarded field per variable,
-    so a product is the sum of the packs and a divides b exactly when
-    ``(pack(b) - pack(a)) & guard == 0`` (Monagan and Pearce, JSC 46, 2011).
+    A monomial's pack is its exponent vector with one guarded field per
+    variable, exponent k shifted by ``shifts[k]``, so a product is the sum
+    of the packs and a divides b exactly when ``(pack(b) - pack(a)) & guard
+    == 0`` (Monagan and Pearce, JSC 46, 2011).
     ``key`` gives the order in one int, built from its ranked groups, which
     must partition the variables: each group of g variables contributes g
     grevlex rows, the exponent sums over its first g, g-1, ..., 1 variables,
@@ -199,19 +193,12 @@ class Packing:
             top -= len(g)
         self.key_weights = tuple(weights)
 
-    def _check(self, m: Monomial):
+    def key(self, m: Monomial) -> int:
         if max(m, default=0) > MAX_EXPONENT:
             raise ResourceLimitError(
                 f"exponent {max(m)} exceeds the packed exponent limit of {MAX_EXPONENT}"
             )
-
-    def key(self, m: Monomial) -> int:
-        self._check(m)
         return sum(map(mul, m, self.key_weights))
-
-    def pack(self, m: Monomial) -> int:
-        self._check(m)
-        return sum(map(lshift, m, self.shifts))
 
     def unpack(self, p: int) -> Monomial:
         mask = (1 << FIELD_BITS) - 1
@@ -448,9 +435,21 @@ class Polynomial:
         return used
 
     def sorted_terms(self, order: MonomialOrder) -> list:
-        """Terms as (monomial, coeff), descending in ``order``; builds no view."""
-        key = order.packing(self.context.size).key
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
+        """Terms as (monomial, coeff), descending in ``order``; builds no view and no ``Packing``.
+
+        With the groups laid end to end, a monomial's key holds its running
+        exponent sums, each group's longest first: the rows ``Packing.key``
+        packs, each plus the earlier groups' sum, equal once earlier rows tie.
+        """
+        groups = order.ranked_groups(self.context.size)
+        flat = [k for g in groups for k in g]
+        rows, end = [0], 0  # the empty sum first, so itemgetter gets an index with no variables too
+        for g in groups:
+            end += len(g)
+            rows += range(end, end - len(g), -1)
+        sums = itemgetter(*rows)
+        return sorted(self.terms.items(), reverse=True,
+                      key=lambda t: sums(list(accumulate(map(t[0].__getitem__, flat), initial=0))))
 
     def packed_terms(self, order: MonomialOrder) -> PackedRows | None:
         """The ``PackedRows`` view under ``order``; None for the zero polynomial."""

@@ -415,12 +415,17 @@ HARD_TIER = {
 }
 
 
-def _bench_check():
-    """bench/check.py, which compares polynomials with a parser of its own."""
-    spec = importlib.util.spec_from_file_location("bench_check", BENCH / "check.py")
+def _bench_module(name):
+    """The module ``bench/<name>.py``, loaded by path, as the benchmark runs it."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _bench_check():
+    """bench/check.py, which compares polynomials with a parser of its own."""
+    return _bench_module("check")
 
 
 def permute_equations(text: str, seed: int) -> str:
@@ -489,6 +494,26 @@ def test_katsura3_lex_reduces_28_s_pairs(monkeypatch):
     # the sugar strategy's count, in file order; the normal strategy reduced 34
     argv = ["groebner", str(BENCH / "inputs" / "katsura3.sys"), "--order", "lex", "--json"]
     assert _s_pairs_and_zero_remainders(monkeypatch, argv) == (28, 16)
+
+
+def test_the_benchmark_tracer_binds_the_engine_and_changes_no_report():
+    # bench/spans.py wraps engine functions by name, so a rename in src
+    # would break the benchmark's traced run without this
+    argv = ["groebner", str(BENCH / "inputs" / "katsura3.sys"), "--order", "lex", "--json"]
+    code, untraced = invoke(argv)
+    assert code == EXIT_OK
+    normal_form = groebner.normal_form
+    tracer = _bench_module("spans").Tracer()
+    tracer.install()
+    try:
+        code, traced = invoke(argv)
+    finally:
+        tracer.uninstall()
+    assert groebner.normal_form is normal_form
+    assert code == EXIT_OK and traced == untraced
+    counts = tracer.counts
+    assert counts["groebner.spairs_reduced"] == 28
+    assert (counts["groebner.zero_reductions"], counts["groebner.nonzero_remainders"]) == (16, 12)
 
 
 # the pair trajectory in file order, as before the reducer memo: a memo that

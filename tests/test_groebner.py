@@ -16,9 +16,11 @@ from conftest import (
     param_ctx,
     parse_polynomial,
     rand_exponents,
+    rand_gq,
     rand_nonzero_poly,
     staircase_dimension_brute_force,
 )
+from holoclosure import groebner
 from holoclosure.arith import GaussianRational, gq
 from holoclosure.errors import ResourceLimitError
 from holoclosure.groebner import (
@@ -40,7 +42,6 @@ from holoclosure.poly import (
     MAX_EXPONENT,
     Polynomial,
     VariableContext,
-    monomial_lcm,
     polynomial_to_text,
     zw_context,
 )
@@ -262,6 +263,52 @@ def test_block_bases_give_grevlex_dimension_and_elimination_ideals():
                 merged = tuple(sorted(k for g in order.groups[:count] for k in g))
                 two = buchberger(I, BlockElimination((merged, order.groups[-1])))
                 assert two.elimination(1).basis == part.basis
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, BlockElimination(((0,), (1, 2)))])
+def test_redundant_generators_give_the_same_basis(order):
+    # repeats, scalar multiples and monomial multiples of generators, shuffled,
+    # put duplicate and non-minimal leads into the basis inter-reduction reads
+    rng = random.Random(2323)
+    sizes = set()
+    for _ in range(12):
+        gens = []
+        for _ in range(rng.randint(2, 3)):
+            terms = {}
+            while len(terms) < 3:
+                m = rand_exponents(rng, 3, 3)
+                if any(m):
+                    terms[m] = rand_gq(rng)
+            gens.append(Polynomial(XYZ, terms))
+        expected = buchberger(Ideal.from_polys(XYZ, gens), order).basis
+        monomial = Polynomial(XYZ, {rand_exponents(rng, 3, 2): gq(1)})
+        scaled = gens[-1].scale(GaussianRational(Fraction(-3, 2), 1))
+        redundant = gens + [gens[0], scaled, gens[0] * monomial, gens[-1] * monomial]
+        rng.shuffle(redundant)
+        assert buchberger(Ideal.from_polys(XYZ, redundant), order).basis == expected
+        sizes.add(len(expected))
+    assert max(sizes) >= 4  # not only principal ideals and the unit ideal
+
+
+def test_inter_reduction_divides_each_kept_element_once_through_one_table(monkeypatch):
+    x, y = pp(XYZ, "x"), pp(XYZ, "y")
+    B = buchberger(Ideal.from_polys(XYZ, [pp(XYZ, "x^2 - y"), pp(XYZ, "x*y - z")]), GREVLEX).basis
+    assert len(B) >= 3
+    # each element past the first keeps its lead but has a tail term its predecessor's lead divides
+    unreduced = [B[i] + B[i - 1].scale(5) for i in range(1, len(B))]
+    kept = [B[0], *unreduced]
+    dropped = [B[0].scale(3), B[-1] * x, unreduced[0] * y, B[0]]
+    calls = []
+    original = groebner.normal_form
+    monkeypatch.setattr(
+        groebner, "normal_form",
+        lambda f, G, order, table=None: calls.append((f, table)) or original(f, G, order, table),
+    )
+    # the sort is stable, so of two equal leads the first listed is kept
+    assert groebner._reduce_basis([*kept[::-1], *dropped], GREVLEX) == B
+    assert len(calls) == len(kept)
+    assert all(f is g for (f, _), g in zip(calls, kept))
+    assert calls[0][1] is not None and all(table is calls[0][1] for _, table in calls)
 
 
 def test_pair_budget_exhaustion():
@@ -540,7 +587,7 @@ def test_a_remainder_read_under_another_order_matches_its_term_map(order, other,
 def reference_s_polynomial(f, g, order):
     """lcm/lt(f) * f - lcm/lt(g) * g by products and a difference over exponent tuples."""
     (mf, cf), (mg, cg) = f.leading(order), g.leading(order)
-    lcm = monomial_lcm(mf, mg)
+    lcm = tuple(map(max, mf, mg))
     a = Polynomial(f.context, {monomial_div(lcm, mf): gq(1) / cf}) * f
     b = Polynomial(g.context, {monomial_div(lcm, mg): gq(1) / cg}) * g
     return a - b

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from math import factorial
+from operator import lshift
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import monomial_divides, monomial_mul, param_ctx, rand_nonzero_poly, rand_poly, reference_gq_text
 from holoclosure.arith import GaussianRational, gq
+from holoclosure.errors import ResourceLimitError
 from holoclosure.poly import (
     Block,
     BlockElimination,
@@ -21,7 +23,6 @@ from holoclosure.poly import (
     Polynomial,
     VariableContext,
     ZETA_SWAP,
-    monomial_lcm,
     param_context,
     polynomial_to_text,
     zeta_context,
@@ -138,10 +139,23 @@ def test_key_sums_order_products_past_the_field_width(order_ref, a, b, c, d):
     assert (ka == kc) == (ab == cd)
 
 
+def pack(packing, m):
+    """The packed exponents of m, the fields ``PackedRows`` holds."""
+    return sum(map(lshift, m, packing.shifts))
+
+
 @given(packed_orders, exponents5)
 def test_pack_round_trips(order_ref, m):
     packing = order_ref[0].packing(5)
-    assert packing.unpack(packing.pack(m)) == m
+    assert packing.unpack(pack(packing, m)) == m
+
+
+@pytest.mark.parametrize("order", [LEX, GREVLEX, PACKED_ORDERS[2][0]])
+def test_key_refuses_an_exponent_past_the_packed_field(order):
+    packing = order.packing(5)
+    assert packing.key((0, 0, MAX_EXPONENT, 0, 0)) == order.key((0, 0, MAX_EXPONENT, 0, 0))
+    with pytest.raises(ResourceLimitError, match="exponent 32768 exceeds the packed exponent limit of 32767"):
+        packing.key((0, 0, MAX_EXPONENT + 1, 0, 0))
 
 
 @given(packed_orders, exponents5, exponents5, st.booleans())
@@ -149,14 +163,14 @@ def test_guard_bit_divisibility_matches_the_tuple_definition(order_ref, a, c, mu
     packing = order_ref[0].packing(5)
     # half the cases test a against a multiple of it, where the sum still packs
     b = tuple(min(x + y, MAX_EXPONENT) for x, y in zip(a, c)) if multiple else c
-    divides = not (packing.pack(b) - packing.pack(a)) & packing.guard
+    divides = not (pack(packing, b) - pack(packing, a)) & packing.guard
     assert divides == monomial_divides(a, b)
     # a product packs to the sum of the packs; a guard bit marks an overflow
-    product = packing.pack(a) + packing.pack(c)
+    product = pack(packing, a) + pack(packing, c)
     overflow = max(x + y for x, y in zip(a, c)) > MAX_EXPONENT
     assert bool(product & packing.guard) == overflow
     if not overflow:
-        assert product == packing.pack(monomial_mul(a, c))
+        assert product == pack(packing, monomial_mul(a, c))
 
 
 # sizes 1 to 12, fields often at 0 or MAX_EXPONENT
@@ -173,12 +187,42 @@ edge_monomial_pairs = st.integers(1, 12).flatmap(lambda n: st.tuples(*(
 def test_packed_lcm_and_its_degree_match_the_tuple_definition(order, pair):
     a, b = pair
     packing = order.packing(len(a))
-    lcm = packing.lcm(packing.pack(a), packing.pack(b))
-    assert lcm == packing.pack(monomial_lcm(a, b))
-    assert packing.lcm(packing.pack(b), packing.pack(a)) == lcm
-    # buchberger reads a pair's degree off the tuples, exact past 2^16 (12
+    lcm = packing.lcm(pack(packing, a), pack(packing, b))
+    assert lcm == pack(packing, tuple(map(max, a, b)))
+    assert packing.lcm(pack(packing, b), pack(packing, a)) == lcm
+    # buchberger sums a pair's degree off the unpacked lcm, exact past 2^16 (12
     # fields at MAX_EXPONENT), where summing the packed fields would carry
-    assert sum(map(max, a, b)) == sum(monomial_lcm(a, b)) == sum(packing.unpack(lcm))
+    assert sum(map(max, a, b)) == sum(packing.unpack(lcm))
+
+
+ctx5 = param_context(("a", "b", "c", "d", "e"))
+
+
+@given(packed_orders, st.dictionaries(exponents5, st.integers(1, 5), max_size=8))
+def test_sorted_terms_is_the_sort_by_the_order_key(order_ref, terms):
+    order = order_ref[0]
+    f = Polynomial(ctx5, terms)
+    assert [m for m, _ in f.sorted_terms(order)] == sorted(terms, key=order.key, reverse=True)
+
+
+def test_sorted_terms_over_no_variables():
+    f = Polynomial.constant(VariableContext((), ()), 3)
+    for order in (LEX, GREVLEX):
+        assert f.sorted_terms(order) == [((), gq(3))]
+
+
+def test_rendering_a_wide_polynomial_builds_no_packing(monkeypatch):
+    # 1,234 variables, a size nothing else packs, so a Packing would be built afresh
+    ctx = param_context([f"t{k}" for k in range(1234)])
+    built = []
+    original = Packing.__init__
+    monkeypatch.setattr(Packing, "__init__", lambda self, groups, size: built.append(size) or original(self, groups, size))
+    f = var(ctx, "t0") * var(ctx, "t1233") + var(ctx, "t5") ** 2 - Polynomial.constant(ctx, 3)
+    block = BlockElimination((tuple(range(617, 1234)), tuple(range(617))))
+    assert polynomial_to_text(f) == "t5^2 + t0*t1233 - 3"
+    assert polynomial_to_text(f, LEX) == "t0*t1233 + t5^2 - 3"
+    assert polynomial_to_text(f, block) == "t0*t1233 + t5^2 - 3"
+    assert built == []
 
 
 def _reference_key_weights(rows, size):
