@@ -11,7 +11,9 @@ kind does not take end in their error report), the hard-tier inputs under
 ``bench/inputs`` under hcdim, realdim and groebner in both orders, inputs
 read from stdin (among them the wide cases ``stdin-wide-hcdim`` and
 ``stdin-wide-groebner-lex``: 200 declared variables, so 400 ring
-variables under grevlex, lex and a two-group block order), and the error
+variables under grevlex, lex and a two-group block order; powers of
+Gaussian, binomial and dense bases; generators whose conjugate is and is
+not a scalar multiple of themselves), and the error
 paths: unreadable and malformed input (each rule a document kind sets on
 its statements and on ``i``, ``conj`` and ``exp``), a refused command
 line (a bad flag value, an unknown flag, an unknown command or none), each
@@ -72,6 +74,14 @@ STDIN_CASES = {
                     b"params v w\njet 1/2*v*exp(w)^3 - w\njet v^2*exp(v)\njet v*w\n"),
     "stdin-wide-hcdim": (["hcdim", "-"], WIDE),
     "stdin-wide-groebner-lex": (["groebner", "-", "--order", "lex"], WIDE),
+    # powers expanded by the multinomial theorem: Gaussian coefficients, a long
+    # binomial, and a dense base at the edge of the term budget
+    "stdin-gaussian-ladder": (["hcdim", "-"], b"vars z1 z2\neq ((1+2*i)*z1 - 3/5*conj(z2) + i)^40 - 1\n"),
+    "stdin-binomial-999": (["groebner", "-"], b"vars z1\neq (1+z1)^999\n"),
+    "stdin-dense-power": (["groebner", "-"], b"vars z1\neq (1+z1+z1^2+z1^3+z1^4)^9\n"),
+    # a generator whose conjugate is -i times itself, and one whose conjugate is new
+    "stdin-conjugate-multiple": (["hcdim", "-"], b"vars z1\neq z1 + i*conj(z1)\n"),
+    "stdin-conjugate-new": (["hcdim", "-"], b"vars z1 z2\neq z1 + conj(z2)\n"),
 }
 
 ERROR_CASES = {

@@ -289,12 +289,8 @@ def _scaled_roots(ints: tuple) -> frozenset:
 def _substitute_value(gens, ctx, index, value):
     """Plug a constant into one variable; generators move to the smaller context."""
     sub = ctx.subcontext([k for k in range(ctx.size) if k != index])
-    images = {}
-    for k, name in enumerate(ctx.names):
-        if k == index:
-            images[name] = Polynomial.constant(sub, value)
-        else:
-            images[name] = Polynomial.variable(sub, name)
+    images = {name: Polynomial.constant(sub, value) if k == index else Polynomial.variable(sub, name)
+              for k, name in enumerate(ctx.names)}
     return [g.substitute(sub, images) for g in gens], sub
 
 

@@ -123,9 +123,7 @@ def zeta_to_real(system: System) -> System:
     if system.form != ZETA_FORM:
         raise ValueError("zeta_to_real expects a zeta-form system")
     n = system.n
-    names = []
-    for j in range(1, n + 1):
-        names.extend([f"x{j}", f"y{j}"])
+    names = [v for j in range(1, n + 1) for v in (f"x{j}", f"y{j}")]
     rctx = real_context(names)
     images = {}
     for j in range(n):
@@ -149,16 +147,23 @@ def conjugation_closure(system: System) -> System:
 
     The ideal is I + conj(I) either way, so no membership test is needed.
     A self-conjugate generator, such as every output of ``real_to_zeta``,
-    is skipped before any scalar comparison.
+    is skipped before any scalar comparison, which reads no monomial order.
     """
     if system.form == REAL_FORM:
         return system
     gens = list(system.generators)
     for g in system.generators:
         gbar = g.conjugate(ZETA_SWAP)
-        if gbar != g and all(h.monic(GREVLEX) != gbar.monic(GREVLEX) for h in gens):
+        if gbar != g and not any(_is_multiple(h, gbar) for h in gens):
             gens.append(gbar)
     return System(system.context, ZETA_FORM, tuple(gens))
+
+
+def _is_multiple(h: Polynomial, g: Polynomial) -> bool:
+    """Whether h = c*g for a scalar c (g nonzero): one support, and h[m]*g[m0] = g[m]*h[m0] at every m."""
+    m0 = next(iter(g.terms))
+    return h.terms.keys() == g.terms.keys() and all(
+        h.terms[m] * g.terms[m0] == c * h.terms[m0] for m, c in g.terms.items())
 
 
 def complexify_ideal(system: System) -> Ideal:

@@ -37,6 +37,7 @@ from typing import Iterable, NamedTuple, Sequence
 from holoclosure.arith import inverse_numerator
 from holoclosure.errors import ResourceLimitError
 from holoclosure.poly import (
+    FIELD_BITS,
     MAX_EXPONENT,
     Block,
     BlockElimination,
@@ -160,9 +161,10 @@ class GroebnerBasis(NamedTuple):
         target = self.context.subcontext(kept)
         new_index = {old: new for new, old in enumerate(kept)}
         index_map = [new_index.get(k, 0) for k in range(self.context.size)]
-        part = tuple(
-            g.rename(target, index_map) for g in self.basis if not g.used_indices() & dropped
-        )
+        # the dropped variables' fields of a pack: read off rows, only kept elements build term maps
+        mask = sum(((1 << FIELD_BITS) - 1) << FIELD_BITS * k for k in dropped)
+        part = tuple(g.rename(target, index_map) for g in self.basis
+                     if not any(r[0] & mask for r in g.packed_terms(self.order).rows()))
         rest = tuple(tuple(new_index[k] for k in g) for g in groups[count:])
         return GroebnerBasis(target, GREVLEX if len(rest) == 1 else BlockElimination(rest), part)
 
@@ -348,6 +350,8 @@ def buchberger(I: Ideal, order: MonomialOrder, config: GroebnerConfig = DEFAULT_
     where a leading monomial's degree can lie far below its polynomial's,
     pairs still come in nearly ascending degree.  Leads are kept packed,
     and sugar as ``excess``, so a pair's is ``deg lcm + max(excess_i, excess_j)``.
+    Bit k of ``done[i]`` is set once the pair {i, k} is popped, so the chain
+    criterion tests only the k set in ``done[i] & done[j]``.
     """
     gens = [g for g in I.generators if not g.is_zero]
     if not gens:
@@ -362,7 +366,7 @@ def buchberger(I: Ideal, order: MonomialOrder, config: GroebnerConfig = DEFAULT_
     excess = [g.total_degree() - sum(packing.unpack(p)) for g, p in zip(G, packed)]
 
     heap = []
-    pending = set()
+    done = []  # bit k of done[i] is set once the pair {i, k} has been popped
 
     def push_pairs(j):
         lp, e = packed[j], excess[j]
@@ -370,7 +374,7 @@ def buchberger(I: Ideal, order: MonomialOrder, config: GroebnerConfig = DEFAULT_
             lcm = packing.lcm(packed[i], lp)
             d = sum(packing.unpack(lcm))
             heapq.heappush(heap, (d + max(excess[i], e), d, i, j, lcm))
-            pending.add((i, j))
+        done.append(0)
 
     for j in range(len(G)):
         push_pairs(j)
@@ -378,26 +382,23 @@ def buchberger(I: Ideal, order: MonomialOrder, config: GroebnerConfig = DEFAULT_
     processed = 0
     while heap:
         s, _, i, j, lcm = heapq.heappop(heap)
-        pending.discard((i, j))
+        done[i] |= 1 << j
+        done[j] |= 1 << i
         processed += 1
         if processed > config.max_pairs:
             raise ResourceLimitError(f"S-pair budget of {config.max_pairs} exceeded")
         # coprime leading terms reduce to zero
         if lcm == packed[i] + packed[j]:
             continue
-        # chain criterion: a third element dividing the lcm whose pairs with
-        # i and j are both settled makes this pair redundant
-        skip = False
-        for k in range(len(G)):
-            if k == i or k == j:
-                continue
+        # chain criterion: a third element k dividing the lcm whose pairs with
+        # i and j have both been popped makes this pair redundant
+        both = done[i] & done[j]
+        while both:
+            k = both.bit_length() - 1
             if not (lcm - packed[k]) & guard:
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik not in pending and pjk not in pending:
-                    skip = True
-                    break
-        if skip:
+                break
+            both ^= 1 << k
+        if both:
             continue
         h = normal_form(s_polynomial(G[i], G[j], order), G, order, table)
         if h.is_zero:

@@ -29,11 +29,11 @@ from __future__ import annotations
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate, chain
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import add, itemgetter, lshift, mul
 from typing import Mapping, NamedTuple, Sequence
 
-from holoclosure.arith import ONE, GaussianRational, _reduced, gq, gq_to_text, inverse_numerator, power
+from holoclosure.arith import ONE, GaussianRational, _reduced, gq, gq_to_text, inverse_numerator
 from holoclosure.errors import ResourceLimitError
 
 Monomial = tuple  # dense exponent tuple, one entry per context variable
@@ -427,12 +427,7 @@ class Polynomial:
         return max(sum(m) for m in self.terms)
 
     def used_indices(self) -> set:
-        used = set()
-        for m in self.terms:
-            for k, e in enumerate(m):
-                if e:
-                    used.add(k)
-        return used
+        return {k for m in self.terms for k, e in enumerate(m) if e}
 
     def sorted_terms(self, order: MonomialOrder) -> list:
         """Terms as (monomial, coeff), descending in ``order``; builds no view and no ``Packing``.
@@ -508,16 +503,10 @@ class Polynomial:
         unpacked.
         """
         self._require_same_context(other)
-        context = self.context
         if not self.terms or not other.terms:
-            return Polynomial.zero(context)
-        # no carry crosses a field; a product of constants still needs one
-        # field per variable, so the width is at least 1
-        width = (
-            max(chain.from_iterable(self.terms), default=0)
-            + max(chain.from_iterable(other.terms), default=0)
-        ).bit_length() or 1
-        shifts = range(0, width * context.size, width)
+            return Polynomial.zero(self.context)
+        shifts = _fields(self.context, max(chain.from_iterable(self.terms), default=0)
+                         + max(chain.from_iterable(other.terms), default=0))
         xs, d1 = _packed_numerators(self.terms, shifts)
         ys, d2 = _packed_numerators(other.terms, shifts)
         re, im = {}, {}
@@ -527,19 +516,47 @@ class Polynomial:
                 p = p1 + p2
                 re[p] = re_get(p, 0) + a1 * a2 - b1 * b2
                 im[p] = im_get(p, 0) + a1 * b2 + b1 * a2
-        d = d1 * d2
-        mask = (1 << width) - 1
-        terms = {}
-        for p, a in re.items():
-            b = im[p]
-            if a or b:
-                terms[tuple([(p >> s) & mask for s in shifts])] = _reduced(a, b, d)
-        return Polynomial(context, terms)
+        return _from_packed(self.context, shifts, re, im, d1 * d2)
 
     def __pow__(self, e: int) -> "Polynomial":
+        """``self ** e`` by the multinomial theorem, accumulated as in ``__mul__``.
+
+        A power of t terms c_j x^(m_j) sums e!/(k_1! ... k_t!) times the
+        product of the c_j^(k_j) x^(k_j m_j) over the compositions
+        k_1 + ... + k_t = e (Fateman, Stud. Appl. Math. 53, 1974).  They are
+        walked term by term on an explicit stack, so the depth does not grow
+        with t, each prefix carrying its binomial-weighted numerator and its
+        packed monomial, over each term's numerator powers tabled once.
+        """
         if e < 0:
             raise ValueError("negative polynomial power")
-        return power(self, e, Polynomial.constant(self.context, 1))
+        if not self.terms:
+            return Polynomial.constant(self.context, 1) if e == 0 else self
+        shifts = _fields(self.context, e * max(chain.from_iterable(self.terms), default=0))
+        xs, d = _packed_numerators(self.terms, shifts)
+        powers = []  # per term, its pack and the numerator pairs of its powers 0, ..., e
+        for p, a, b in xs:
+            row = [(1, 0)]
+            for _ in range(e):
+                x, y = row[-1]
+                row.append((x * a - y * b, x * b + y * a))
+            powers.append((p, row))
+        re, im = {}, {}
+        last = len(xs) - 1
+        stack = [(0, e, 1, 0, 0)]  # (term, exponent left, numerator a, b, pack) of a prefix
+        while stack:
+            j, r, a, b, p = stack.pop()
+            q, row = powers[j]
+            for k in range(r + 1) if j < last else (r,):
+                x, y = row[k]
+                c = comb(r, k)
+                na, nb, np = c * (a * x - b * y), c * (a * y + b * x), p + k * q
+                if k == r:  # the later terms take exponent 0
+                    re[np] = re.get(np, 0) + na
+                    im[np] = im.get(np, 0) + nb
+                else:
+                    stack.append((j + 1, r - k, na, nb, np))
+        return _from_packed(self.context, shifts, re, im, d ** e)
 
     def scale(self, c) -> "Polynomial":
         c = gq(c)
@@ -611,31 +628,18 @@ class Polynomial:
 
     def derivative(self, name: str) -> "Polynomial":
         k = self.context.index(name)
-        res = {}
-        for m, c in self.terms.items():
-            e = m[k]
-            if e:
-                dm = m[:k] + (e - 1,) + m[k + 1:]
-                prev = res.get(dm)
-                cc = c * gq(e)
-                res[dm] = cc if prev is None else prev + cc
-        return Polynomial(self.context, res)
+        # lowering exponent k is one to one on the terms that have it
+        return Polynomial(self.context, {m[:k] + (m[k] - 1,) + m[k + 1:]: c * gq(m[k])
+                                         for m, c in self.terms.items() if m[k]})
 
     def evaluate(self, values: Mapping[str, GaussianRational]) -> GaussianRational:
-        point = []
-        for k in range(self.context.size):
+        point = [None] * self.context.size
+        for k in self.used_indices():
             name = self.context.names[k]
-            point.append(gq(values[name]) if name in values else None)
-        total = gq(0)
-        for m, c in self.terms.items():
-            v = c
-            for k, e in enumerate(m):
-                if e:
-                    if point[k] is None:
-                        raise KeyError(f"no value for variable {self.context.names[k]!r}")
-                    v = v * point[k] ** e if e > 1 else v * point[k]
-            total = total + v
-        return total
+            if name not in values:
+                raise KeyError(f"no value for variable {name!r}")
+            point[k] = gq(values[name])
+        return compose(self, point, gq)
 
     # -- protocol ------------------------------------------------------------
 
@@ -651,18 +655,36 @@ class Polynomial:
         return f"<Polynomial {polynomial_to_text(self)}>"
 
 
+def _fields(context: VariableContext, top: int) -> range:
+    """Shifts of unguarded fields, one per variable, wide enough for exponents up to ``top``,
+    so no carry crosses a field; even a product of constants needs one field per variable."""
+    width = top.bit_length() or 1
+    return range(0, width * context.size, width)
+
+
+def _from_packed(context: VariableContext, shifts: range, re: dict, im: dict, d: int) -> Polynomial:
+    """The sum of (re[p] + im[p]*i)/d times the monomial packed as p; each term canonicalized once."""
+    mask = (1 << shifts.step) - 1
+    terms = {}
+    for p, a in re.items():
+        b = im[p]
+        if a or b:
+            terms[tuple([(p >> s) & mask for s in shifts])] = _reduced(a, b, d)
+    return Polynomial(context, terms)
+
+
 def compose(f: Polynomial, images: Sequence, constant):
     """The sum over the terms c*x^m of ``f`` of constant(c) * images[0]^m[0] * ...
 
     ``images`` holds a ring element per variable ``f`` uses, and ``constant``
-    maps a coefficient into that ring: substitution, and composition with jets.
+    maps a coefficient into that ring: substitution, evaluation and composition with jets.
     """
     result = constant(0)
     for m, c in f.terms.items():
         term = constant(c)
         for k, e in enumerate(m):
             if e:
-                term = term * images[k] ** e
+                term = term * (images[k] ** e if e > 1 else images[k])
         result = result + term
     return result
 

@@ -148,12 +148,12 @@ def _within_budget(value: Polynomial, tok: Token) -> Polynomial:
 
 
 def _power(base: Polynomial, e: int, tok: Token) -> Polynomial:
-    """``base ** e``, refused before expansion if it could exceed the input budget."""
+    """``base ** e``, refused before expansion if it could exceed the input budget, which bounds its work."""
     if e > MAX_INPUT_DEGREE or max(base.total_degree(), 0) * e > MAX_INPUT_DEGREE:
         raise _over_budget(f"power ^{e} exceeds the input degree budget of {MAX_INPUT_DEGREE}", tok)
     t = len(base.terms)
     if t > 1 and comb(e + t - 1, t - 1) > MAX_INPUT_TERMS:
-        # the expansion has at most one term per multiset of e of the t terms
+        # ``**`` walks one composition, and makes at most one term, per multiset of e of the t terms
         raise _over_budget(
             f"power ^{e} of {t} terms may exceed the input budget of {MAX_INPUT_TERMS} terms", tok
         )

@@ -14,6 +14,7 @@ from conftest import (
     system_fixture,
     system_from_text,
 )
+from holoclosure import poly
 from holoclosure.arith import GaussianRational, gq
 from holoclosure.complexify import (
     System,
@@ -73,6 +74,30 @@ def test_conjugation_closure_self_conjugate():
 def test_conjugation_closure_already_closed_pair():
     S = system_from_text("vars z1 z2\neq z2\neq conj(z2)\n")
     assert conjugation_closure(S).generators == S.generators
+
+
+def test_conjugation_closure_keeps_a_generator_whose_conjugate_is_a_multiple():
+    # the conjugate of z1 + i*conj(z1) is conj(z1) - i*z1, -i times itself
+    S = system_from_text("vars z1\neq z1 + i*conj(z1)\n")
+    assert conjugation_closure(S).generators == S.generators
+
+
+def test_conjugation_closure_adds_a_conjugate_on_a_new_support():
+    S = system_from_text("vars z1 z2\neq z1 + conj(z2)\n")
+    expected = parse_polynomial("conj(z1) + z2", S.context)
+    assert conjugation_closure(S).generators == (S.generators[0], expected)
+
+
+def test_conjugation_closure_of_a_wide_system_builds_no_packing(monkeypatch):
+    # 1,000 declared variables: a grevlex Packing would have 2,000 fields
+    names = " ".join(f"z{j}" for j in range(1, 1001))
+    S = system_from_text(f"vars {names}\neq z1*conj(z1)+z2-1\n")
+    requested = []
+    original = poly._packing
+    monkeypatch.setattr(poly, "_packing", lambda order, size: requested.append(size) or original(order, size))
+    out = conjugation_closure(S)
+    assert len(out.generators) == 2
+    assert requested == []
 
 
 def test_complexify_sphere():

@@ -4,6 +4,7 @@ import copy
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -19,9 +20,11 @@ from conftest import (
     rand_gq,
     rand_nonzero_poly,
     staircase_dimension_brute_force,
+    system_from_text,
 )
 from holoclosure import groebner
 from holoclosure.arith import GaussianRational, gq
+from holoclosure.complexify import complexify_ideal
 from holoclosure.errors import ResourceLimitError
 from holoclosure.groebner import (
     GroebnerBasis,
@@ -42,6 +45,7 @@ from holoclosure.poly import (
     MAX_EXPONENT,
     Polynomial,
     VariableContext,
+    _RowsPolynomial,
     polynomial_to_text,
     zw_context,
 )
@@ -629,3 +633,34 @@ def test_s_polynomial_exponent_past_the_packed_field_width_is_a_resource_limit()
     g = Polynomial(XY, {(1, 20000): gq(1), (0, 0): gq(1)})
     with pytest.raises(ResourceLimitError, match="S-polynomial: a product exponent exceeds"):
         s_polynomial(f, g, LEX)
+
+
+def _cubic_block_basis():
+    text = (Path(__file__).resolve().parent.parent / "bench" / "inputs" / "cubic.sys").read_text(encoding="utf-8")
+    ideal = complexify_ideal(system_from_text(text))
+    return buchberger(ideal, BlockElimination.of_blocks(ideal.context, Block.W))
+
+
+def test_elimination_builds_no_dropped_elements_term_map(monkeypatch):
+    gb = _cubic_block_basis()
+    unpacked = []
+    original = _RowsPolynomial.__getattr__
+    monkeypatch.setattr(_RowsPolynomial, "__getattr__", lambda self, name: unpacked.append(self) or original(self, name))
+    part = gb.elimination(1)
+    monkeypatch.undo()
+    dropped = [g for g in gb.basis if g.used_indices() & set(gb.order.groups[0])]
+    assert len(gb.basis) == 29 and len(part.basis) == 1 and len(dropped) == 28
+    assert unpacked and not any(g is d for g in unpacked for d in dropped)
+
+
+@pytest.mark.parametrize("order", [BlockElimination(((2, 3), (0, 1))), BlockElimination(((1,), (3,), (0, 2)))])
+def test_elimination_keeps_the_elements_free_of_the_leading_groups(order):
+    rng = random.Random(2424)
+    ctx = param_ctx(("a", "b", "c", "d"))
+    for _ in range(12):
+        gens = [rand_nonzero_poly(rng, ctx, max_deg=2) for _ in range(rng.randint(1, 3))]
+        gb = buchberger(Ideal.from_polys(ctx, gens), order)
+        for count in range(1, len(order.groups)):
+            dropped = {k for g in order.groups[:count] for k in g}
+            kept = [g for g in gb.basis if not g.used_indices() & dropped]
+            assert [g.embed(ctx) for g in gb.elimination(count).basis] == kept

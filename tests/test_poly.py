@@ -352,6 +352,42 @@ def test_power_matches_repeated_reference_products(f, e):
     assert (f ** e).terms == reference_power(f, e)
 
 
+# bases over 0 to 4 variables, and dense univariate ones whose partial products collide
+POWER_CONTEXTS = [param_context(tuple(f"t{k}" for k in range(n))) for n in range(5)]
+power_bases = st.one_of(
+    st.sampled_from(POWER_CONTEXTS).flatmap(lambda ctx: st.dictionaries(
+        st.tuples(*(st.integers(0, 3),) * ctx.size), kernel_coeffs, max_size=4
+    ).map(lambda terms: Polynomial(ctx, terms))),
+    st.lists(kernel_coeffs.filter(bool), min_size=5, max_size=5).map(
+        lambda cs: Polynomial(POWER_CONTEXTS[1], {(k,): c for k, c in enumerate(cs)})),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(power_bases, st.integers(0, 6))
+@example(Polynomial.zero(POWER_CONTEXTS[0]), 0)
+@example(Polynomial.zero(POWER_CONTEXTS[2]), 4)
+@example(Polynomial.constant(POWER_CONTEXTS[0], GaussianRational(Fraction(1, 2), -3)), 6)
+@example(Polynomial.constant(POWER_CONTEXTS[3], GaussianRational(0, Fraction(2, 3))), 5)
+@example(P(POWER_CONTEXTS[1], {(k,): 1 for k in range(5)}), 6)
+def test_power_equals_the_product_of_e_copies(f, e):
+    product = Polynomial.constant(f.context, 1)
+    for _ in range(e):
+        product = product * f
+    assert f ** e == product
+
+
+def test_powers_of_the_widest_legal_bases_need_no_recursion():
+    # both are inside the parser's term budget, comb(e + t - 1, t - 1) <= 1000:
+    # one composition per term of a 1,000-term base, and 990 of 2 over 44 terms
+    wide = "1 + " + " + ".join(f"z1^{k}" for k in range(1, 1000))
+    f, g = parse(f"vars z1\neq ({wide})^1\neq {wide}\n").equations
+    assert len(f.terms) == 1000 and f == g
+    base = " + ".join(f"{k + 1}*z1^{k}" for k in range(44))
+    f, g = parse(f"vars z1\neq ({base})^2\neq {base}\n").equations
+    assert f == g * g and len(f.terms) == 87
+
+
 def test_product_has_no_exponent_limit():
     z1 = var(ZW2, "z1")
     assert z1 ** 40000 * z1 ** 40000 == z1 ** 80000
