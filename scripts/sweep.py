@@ -8,7 +8,8 @@ Two commits are compared by sweeping each and diffing the directories:
 
 The sweep runs every fixture under every command (the commands a fixture's
 kind does not take end in their error report), the hard-tier inputs under
-``bench/inputs`` under hcdim, realdim and groebner in both orders, inputs
+``bench/inputs`` under hcdim, realdim and groebner in both orders, the
+relation probe at the sizes of the benchmark's jet workload, inputs
 read from stdin (among them the wide cases ``stdin-wide-hcdim`` and
 ``stdin-wide-groebner-lex``: 200 declared variables, so 400 ring
 variables under grevlex, lex and a two-group block order; powers of
@@ -62,6 +63,13 @@ POINTS = {
 }
 
 HARD_COMMANDS = [["hcdim"], ["realdim"], ["groebner"], ["groebner", "--order", "lex"]]
+
+# the relation probe at jet orders up to 24 and candidate degrees up to 10
+PROBE_CASES = {
+    "probe-osgood": ["probe-osgood", "--jets", "3,5", "--maxdeg", "2"],
+    "probe-osgood-20,24": ["probe-osgood", "--jets", "20,24", "--maxdeg", "10"],
+    "probe-osgood.jets-12,16": ["probe", "fixtures/osgood.jets", "--jets", "12,16", "--maxdeg", "5"],
+}
 
 # one equation over 200 declared variables, so 400 ring variables
 WIDE = ("vars " + " ".join(f"z{j}" for j in range(1, 201)) + "\neq z1*conj(z1) - 1\n").encode()
@@ -147,7 +155,7 @@ def invocations():
     for path in sorted((ROOT / "bench" / "inputs").glob("*.sys")):
         cases += [(f"bench-{path.name}__" + "_".join(cmd), cmd[:1] + [f"bench/inputs/{path.name}"] + cmd[1:], b"")
                   for cmd in HARD_COMMANDS]
-    cases.append(("probe-osgood", ["probe-osgood", "--jets", "3,5", "--maxdeg", "2"], b""))
+    cases += [(name, argv, b"") for name, argv in PROBE_CASES.items()]
     cases += [(name, argv, stdin) for name, (argv, stdin) in {**STDIN_CASES, **ERROR_CASES, **COMMAND_LINE_CASES, **HELP_CASES}.items()]
     return [(re.sub(r"[^A-Za-z0-9.,_+-]", "_", name), argv, stdin) for name, argv, stdin in cases]
 

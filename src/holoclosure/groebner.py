@@ -322,7 +322,7 @@ def _reduce_basis(G: list, order: MonomialOrder) -> tuple:
     divides (an equal one too) and divides any other by the reduced ones
     before it, through one reducer table that grows as in ``buchberger``.
     Only a smaller lead divides a term below an element's own, so each
-    remainder is fully reduced.
+    remainder is fully reduced, and the first element is kept as it is.
     """
     guard = order.packing(G[0].context.size).guard
     reduced, rows = [], []
@@ -331,7 +331,7 @@ def _reduce_basis(G: list, order: MonomialOrder) -> tuple:
         lp = g.packed_terms(order).lead_pack
         if any(not (lp - r.lead_pack) & guard for r in rows):
             continue
-        r = normal_form(g, reduced, order, table).monic(order)
+        r = (normal_form(g, reduced, order, table) if reduced else g).monic(order)
         reduced.append(r)
         rows.append(r.packed_terms(order))
     return tuple(reduced)

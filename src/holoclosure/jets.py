@@ -1,17 +1,23 @@
 """Truncated power series (jets) and the relation-degree probe.
 
-A jet is a power series truncated at a fixed total degree K: a
-``Polynomial`` of its terms of degree <= K.  Its sums, products and powers
-are ``Polynomial``'s arithmetic, truncated again at K, and composition
-F(components) is the loop ``poly.compose`` that substitution also runs.
+A jet is a power series truncated at a fixed total degree K: its terms of
+degree <= K as rows (pack, integer numerator) over one positive denominator
+with no common factor.  A pack holds the exponents in fields wide enough for
+K, the first variable's most significant, under a top field holding the
+degree, so the rows ascend by degree and a product's pack is a sum.  Sums,
+products and powers work on the rows: a product's inner loop stops at the
+first partner whose degree would pass K.  ``coeffs`` and ``poly`` are views,
+and composition F(components) is the loop ``poly.compose`` that
+substitution also runs.
 
 The relation probe looks for a nonzero polynomial F of bounded degree with
 F(components) = 0 up to degree K: the coefficients of F satisfy an exact
-linear system over Q, one column per candidate monomial of F.  The columns
-go to ``linalg.relations`` in ascending grevlex, lowest degree first, and
-the search stops at the first column that depends on earlier ones, so each
-column is eliminated once.  Each candidate is composed with one jet
-product, from a candidate of one degree less.  Applied to the truncations
+linear system over Q, one column per candidate monomial of F, the numerator
+rows of its jet.  The columns go to ``linalg.relations`` in ascending
+grevlex, lowest degree first, and the search stops at the first column that
+depends on earlier ones, so each column is eliminated once.  Each candidate
+is composed with one jet product, from a candidate of one degree less.
+Applied to the truncations
 of the map (v,w) -> (v, vw, vw*e^w), the probe exhibits how the minimal
 relation degree grows with K while any fixed degree is eventually excluded
 - one-sided evidence (not proof) that the components satisfy no analytic
@@ -23,11 +29,12 @@ coefficients does (take real or imaginary parts).
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, factorial, gcd, lcm
+from operator import lshift
 from typing import Mapping, NamedTuple, Sequence
 
 from holoclosure import linalg
-from holoclosure.arith import ONE, GaussianRational, power
+from holoclosure.arith import ONE, GaussianRational, _reduced, gq, power
 from holoclosure.errors import InvariantError, ResourceLimitError
 from holoclosure.poly import (
     Block,
@@ -43,44 +50,54 @@ from holoclosure.poly import (
 MAX_PROBE_ENTRIES = 2_000_000  # rows x cols bound for the relation system
 
 
-class Jet:
-    """Power series truncated at total degree ``order``: ``poly``, its terms of degree <= order.
+def _layout(size: int, order: int) -> tuple:
+    """(field width, the exponent fields' shifts, the degree field's shift) of a pack."""
+    width = order.bit_length() or 1
+    return width, range(width * (size - 1), -1, -width), width * size
 
-    Sums, products and powers are ``Polynomial``'s, truncated again at the
-    order.  The coefficients are real elements of Q(i), checked where they
-    enter, by ``Jet(...)`` and ``Jet.constant``; the ring operations keep
-    them real.
+
+class Jet:
+    """Power series truncated at total degree ``order``: ``rows`` over ``denominator``.
+
+    A row (pack, n) is the term n/denominator times the packed monomial.
+    The coefficients are real elements of Q(i), checked where they enter,
+    by ``Jet(...)`` and ``Jet.constant``; the ring operations keep them real.
     """
 
-    __slots__ = ("order", "poly")
+    __slots__ = ("context", "order", "rows", "denominator")
 
     def __init__(self, context: VariableContext, order: int, coeffs: Mapping[Monomial, GaussianRational]):
-        f = Polynomial(context, coeffs)
-        if not all(c.is_real() for c in f.terms.values()):
+        terms = {m: gq(c) for m, c in coeffs.items()}
+        if not all(c.is_real() for c in terms.values()):
             raise ValueError("jet coefficients must be rational (real)")
-        jet = _truncated(f, order)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "poly", jet.poly)
+        if order < 0:
+            raise ValueError("jet order must be non-negative")
+        _, shifts, top = _layout(context.size, order)
+        d = lcm(*[c._d for c in terms.values()])
+        _fill(self, context, order, {sum(map(lshift, m, shifts)) + (sum(m) << top): c._a * (d // c._d)
+                                     for m, c in terms.items() if sum(m) <= order}, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Jet is immutable")
 
     @classmethod
     def constant(cls, context: VariableContext, order: int, c) -> "Jet":
-        return cls(context, order, Polynomial.constant(context, c).terms)
+        return cls(context, order, {(0,) * context.size: c})
 
     @classmethod
     def variable(cls, context: VariableContext, order: int, name: str) -> "Jet":
-        return _truncated(Polynomial.variable(context, name), order)
-
-    @property
-    def context(self) -> VariableContext:
-        return self.poly.context
+        return cls(context, order, Polynomial.variable(context, name).terms)
 
     @property
     def coeffs(self) -> dict:
-        """The term map monomial -> nonzero coefficient."""
-        return self.poly.terms
+        """The term map monomial -> nonzero coefficient, in row order."""
+        width, shifts, _ = _layout(self.context.size, self.order)
+        mask, d = (1 << width) - 1, self.denominator
+        return {tuple([(p >> s) & mask for s in shifts]): _reduced(n, 0, d) for p, n in self.rows}
+
+    @property
+    def poly(self) -> Polynomial:
+        return Polynomial(self.context, self.coeffs)
 
     def _require_compatible(self, other: "Jet"):
         if self.context != other.context or self.order != other.order:
@@ -88,11 +105,25 @@ class Jet:
 
     def __add__(self, other: "Jet") -> "Jet":
         self._require_compatible(other)
-        return _truncated(self.poly + other.poly, self.order)
+        d1, d2 = self.denominator, other.denominator
+        acc = {p: n * d2 for p, n in self.rows}
+        for p, n in other.rows:
+            acc[p] = acc.get(p, 0) + n * d1
+        return _fill(object.__new__(Jet), self.context, self.order, acc, d1 * d2)
 
     def __mul__(self, other: "Jet") -> "Jet":
         self._require_compatible(other)
-        return _truncated(self.poly * other.poly, self.order)
+        limit = (self.order + 1) << _layout(self.context.size, self.order)[2]
+        acc = {}
+        get, ys = acc.get, other.rows
+        for p1, n1 in self.rows:
+            top = limit - p1  # a partner packed at top or above passes the order
+            for p2, n2 in ys:
+                if p2 >= top:
+                    break
+                p = p1 + p2
+                acc[p] = get(p, 0) + n1 * n2
+        return _fill(object.__new__(Jet), self.context, self.order, acc, self.denominator * other.denominator)
 
     def __pow__(self, e: int) -> "Jet":
         if e < 0:
@@ -103,43 +134,35 @@ class Jet:
         """The jet at a lower or equal order; a higher one is not known from this jet."""
         if order > self.order:
             raise ValueError(f"cannot raise a jet's order from {self.order} to {order}")
-        return _truncated(self.poly, order)
+        return self if order == self.order else Jet(self.context, order, self.coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Jet):
             return NotImplemented
-        return self.order == other.order and self.poly == other.poly
+        return (self.order, self.denominator, self.rows, self.context) == (
+            other.order, other.denominator, other.rows, other.context)
 
     def __hash__(self):
-        return hash((self.order, self.poly))
+        return hash((self.order, self.denominator, self.rows, self.context))
 
     def __repr__(self):
         return f"<Jet order={self.order} {sorted(self.coeffs.items())!r}>"
 
 
-def _truncated(f: Polynomial, order: int) -> Jet:
-    """The jet of the terms of ``f`` of total degree <= ``order``; f's coefficients are real."""
-    if order < 0:
-        raise ValueError("jet order must be non-negative")
-    kept = {m: c for m, c in f.terms.items() if sum(m) <= order}
-    jet = object.__new__(Jet)
-    object.__setattr__(jet, "order", order)
-    object.__setattr__(jet, "poly", f if len(kept) == len(f.terms) else Polynomial(f.context, kept))
+def _fill(jet: Jet, context: VariableContext, order: int, acc: dict, d: int) -> Jet:
+    """``jet`` set to the sum of acc[p]/d times the monomial packed as p, over no common factor."""
+    rows = sorted(t for t in acc.items() if t[1])
+    g = gcd(d, *[n for _, n in rows])
+    rows = tuple([(p, n // g) for p, n in rows] if g != 1 else rows)
+    for name, value in zip(Jet.__slots__, (context, order, rows, d // g)):
+        object.__setattr__(jet, name, value)
     return jet
 
 
 def jet_exp(context: VariableContext, name: str, order: int) -> Jet:
     """Truncation of e^t for the named variable: sum of t^j / j! for j <= K."""
-    idx = context.index(name)
-    coeffs = {}
-    factorial = 1
-    for j in range(order + 1):
-        if j:
-            factorial *= j
-        e = [0] * context.size
-        e[idx] = j
-        coeffs[tuple(e)] = ONE / factorial
-    return Jet(context, order, coeffs)
+    (m,) = Polynomial.variable(context, name).terms
+    return Jet(context, order, {tuple([j * e for e in m]): ONE / factorial(j) for j in range(order + 1)})
 
 
 def jet_compose(F: Polynomial, components: Sequence[Jet], order: int) -> Jet:
@@ -169,12 +192,9 @@ def jet_from_symbolic(f: Polynomial, order: int) -> Jet:
     """
     src = f.context
     ctx = param_context([src.names[k] for k in src.indices(Block.PARAM)])
-    images = []
-    for name, block in zip(src.names, src.blocks):
-        if block is Block.PARAM:
-            images.append(Jet.variable(ctx, order, name))
-        else:
-            images.append(jet_exp(ctx, name[4:-1], order))  # exp(<param>)
+    images = [Jet.variable(ctx, order, name) if block is Block.PARAM
+              else jet_exp(ctx, name[4:-1], order)  # exp(<param>)
+              for name, block in zip(src.names, src.blocks)]
     return jet_compose(f, images, order)
 
 
@@ -197,9 +217,7 @@ def _monomials_of_degree(nvars: int, degree: int) -> list:
 
 def _require_budget(equations: int, cols: int):
     if equations * cols > MAX_PROBE_ENTRIES:
-        raise ResourceLimitError(
-            f"relation system {equations}x{cols} exceeds the probe budget"
-        )
+        raise ResourceLimitError(f"relation system {equations}x{cols} exceeds the probe budget")
 
 
 def _check_probe_request(params: int, components: int, order: int, max_degree: int):
@@ -217,11 +235,11 @@ def relation_probe(components: Sequence[Jet], order: int, max_degree: int) -> Pr
 
     Unknowns are coefficients of F with deg F <= D; one linear equation per
     parameter monomial of total degree <= K in the composed jet.  Each
-    candidate monomial of F is one column, its composed jet's coefficient
-    map, built by one jet product from a candidate of one degree less and
+    candidate monomial of F is one column, its composed jet's numerator
+    rows, built by one jet product from a candidate of one degree less and
     fed to ``linalg.relations`` in ascending grevlex only as far as the
     search goes.  The first dependent column fixes the degree; its relation,
-    with first nonzero coefficient 1 in that order, is the witness.
+    scaled by the jets' denominators to a first coefficient 1, is the witness.
     """
     comps = _components_at(components, order)
     r = len(comps)
@@ -233,7 +251,7 @@ def relation_probe(components: Sequence[Jet], order: int, max_degree: int) -> Pr
     composed = {one: Jet.constant(ctx, order, 1)}
 
     def columns():
-        yield composed[one].coeffs
+        yield dict(composed[one].rows)
         for degree in range(1, max_degree + 1):
             _require_budget(equations, comb(degree + r, r))
             for alpha in _monomials_of_degree(r, degree):
@@ -242,11 +260,13 @@ def relation_probe(components: Sequence[Jet], order: int, max_degree: int) -> Pr
                 parent = alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:]
                 composed[alpha] = composed[parent] * comps[k]
                 candidates.append(alpha)
-                yield composed[alpha].coeffs
+                yield dict(composed[alpha].rows)
 
     for j, relation in linalg.relations(columns()):
         degree = sum(candidates[j])
-        witness = Polynomial(z_context(r), {candidates[i]: c for i, c in relation.items()})
+        # column i is jet i times its denominator d_i: scale by d_i over the first one
+        d = {i: composed[candidates[i]].denominator for i in relation}
+        witness = Polynomial(z_context(r), {candidates[i]: c * d[i] / d[min(d)] for i, c in relation.items()})
         if witness.total_degree() != degree:
             raise InvariantError("witness degree inconsistent with search level")
         return ProbeResult(order, max_degree, degree, witness)

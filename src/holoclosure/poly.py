@@ -20,8 +20,8 @@ Division works on that key, on the exponents packed into guarded int fields
 (``Packing``) and on Gaussian-integer numerators (``PackedRows``).
 Multiplication packs each product's exponents afresh, into unguarded fields
 just wide enough for it, over Gaussian-integer numerators.  Only the term
-maps keep exponent tuples, which the parser, the renderer and the jets
-share.
+maps keep exponent tuples, which the parser, the renderer and the jets'
+views share.
 """
 
 from __future__ import annotations
@@ -526,12 +526,16 @@ class Polynomial:
         k_1 + ... + k_t = e (Fateman, Stud. Appl. Math. 53, 1974).  They are
         walked term by term on an explicit stack, so the depth does not grow
         with t, each prefix carrying its binomial-weighted numerator and its
-        packed monomial, over each term's numerator powers tabled once.
+        packed monomial, over each term's numerator powers tabled once; a
+        one-term base raises its coefficient by square-and-multiply.
         """
         if e < 0:
             raise ValueError("negative polynomial power")
         if not self.terms:
             return Polynomial.constant(self.context, 1) if e == 0 else self
+        if len(self.terms) == 1:
+            (m, c), = self.terms.items()
+            return Polynomial(self.context, {tuple([e * k for k in m]): c ** e})
         shifts = _fields(self.context, e * max(chain.from_iterable(self.terms), default=0))
         xs, d = _packed_numerators(self.terms, shifts)
         powers = []  # per term, its pack and the numerator pairs of its powers 0, ..., e

@@ -6,18 +6,18 @@ import resource
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
 import holoclosure
-from holoclosure import cli
+from holoclosure import cli, linalg
 from holoclosure.arith import GaussianRational
 from holoclosure.complexify import ZETA_FORM, System
 from holoclosure.groebner import ideal_membership
-from holoclosure.poly import Block, Polynomial, VariableContext
+from holoclosure.poly import GREVLEX, Block, Polynomial, VariableContext, z_context
 from holoclosure.syntax import parse
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -232,3 +232,34 @@ def staircase_dimension_brute_force(monomials, nvars):
             if not any(sup <= s_set for sup in supports):
                 return size
     return None
+
+
+def reference_relation_probe(components, order, max_degree):
+    """(minimal relation degree, witness) of jets of ``order``, or (None, None), on term maps.
+
+    Each candidate monomial of F, in ascending grevlex, is composed by one
+    ``Polynomial`` product truncated at the order, from the candidate lowered
+    at its first nonzero exponent, and its term map of ``GaussianRational``
+    coefficients goes to ``linalg.relations`` as one column.
+    """
+    polys = [jet.poly for jet in components]
+    ctx, r = polys[0].context, len(polys)
+    candidates, composed = [], {}
+
+    def columns():
+        for degree in range(max_degree + 1):
+            alphas = (m for m in product(range(degree + 1), repeat=r) if sum(m) == degree)
+            for alpha in sorted(alphas, key=GREVLEX.key):
+                if degree:
+                    k = next(i for i, e in enumerate(alpha) if e)
+                    f = composed[alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:]] * polys[k]
+                    f = Polynomial(ctx, {m: c for m, c in f.terms.items() if sum(m) <= order})
+                else:
+                    f = Polynomial.constant(ctx, 1)
+                composed[alpha] = f
+                candidates.append(alpha)
+                yield f.terms
+
+    for j, relation in linalg.relations(columns()):
+        return sum(candidates[j]), Polynomial(z_context(r), {candidates[i]: c for i, c in relation.items()})
+    return None, None

@@ -496,24 +496,27 @@ def test_katsura3_lex_reduces_28_s_pairs(monkeypatch):
     assert _s_pairs_and_zero_remainders(monkeypatch, argv) == (28, 16)
 
 
-def test_the_benchmark_tracer_binds_the_engine_and_changes_no_report():
-    # bench/spans.py wraps engine functions by name, so a rename in src
-    # would break the benchmark's traced run without this
-    argv = ["groebner", str(BENCH / "inputs" / "katsura3.sys"), "--order", "lex", "--json"]
+@pytest.mark.parametrize("argv,counts", [
+    (["groebner", str(BENCH / "inputs" / "katsura3.sys"), "--order", "lex", "--json"],
+     {"groebner.spairs_reduced": 28, "groebner.zero_reductions": 16, "groebner.nonzero_remainders": 12}),
+    # one jet product per column past the constant, up to the first relation
+    (["probe-osgood", "--jets", "20", "--maxdeg", "6", "--json"], {"jets.jet_mul.calls": 53}),
+], ids=["katsura3-lex", "probe-osgood-20"])
+def test_the_benchmark_tracer_binds_the_engine_and_changes_no_report(argv, counts):
+    # bench/spans.py wraps engine functions and methods by name, so a rename
+    # in src would break the benchmark's traced run without this
     code, untraced = invoke(argv)
     assert code == EXIT_OK
-    normal_form = groebner.normal_form
+    normal_form, jet_mul = groebner.normal_form, jets.Jet.__dict__["__mul__"]
     tracer = _bench_module("spans").Tracer()
     tracer.install()
     try:
         code, traced = invoke(argv)
     finally:
         tracer.uninstall()
-    assert groebner.normal_form is normal_form
+    assert groebner.normal_form is normal_form and jets.Jet.__dict__["__mul__"] is jet_mul
     assert code == EXIT_OK and traced == untraced
-    counts = tracer.counts
-    assert counts["groebner.spairs_reduced"] == 28
-    assert (counts["groebner.zero_reductions"], counts["groebner.nonzero_remainders"]) == (16, 12)
+    assert {name: tracer.counts[name] for name in counts} == counts
 
 
 # the pair trajectory in file order, as before the reducer memo: a memo that

@@ -2,13 +2,13 @@
 
 import operator
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import parse_polynomial
+from conftest import FIXTURES, parse_polynomial, reference_relation_probe
 from holoclosure import jets, linalg
 from holoclosure.arith import ONE, ZERO, GaussianRational, gq
 from holoclosure.errors import ResourceLimitError
@@ -89,6 +89,24 @@ def test_jet_arithmetic_matches_the_truncated_model(case):
         assert got.order == order
         assert got.coeffs == want
         assert got == Jet(VW, order, want)
+        _assert_canonical(got)
+    _assert_canonical(a)
+    for low in range(order + 1):
+        got = (a * b).truncate(low)
+        assert got.order == low and got.coeffs == _model(_model_mul(ma, mb, order), low)
+        _assert_canonical(got)
+
+
+def _assert_canonical(jet):
+    """Nonzero rows, ascending by pack and by degree up to the order, over a positive
+    denominator that shares no factor with all of them; the view lists the rows' terms."""
+    d, packs, numerators = jet.denominator, [p for p, _ in jet.rows], [n for _, n in jet.rows]
+    assert d > 0 and gcd(d, *numerators) == 1 and all(numerators)
+    assert packs == sorted(set(packs))
+    terms = list(jet.coeffs.items())
+    assert [c * d for _, c in terms] == numerators
+    degrees = [sum(m) for m, _ in terms]
+    assert degrees == sorted(degrees) and all(k <= jet.order for k in degrees)
 
 
 def test_jet_operations_refuse_other_contexts_and_orders():
@@ -300,3 +318,18 @@ def test_jet_from_symbolic_matches_builtin_osgood():
     K = 5
     built = [jet_from_symbolic(f, K) for f in doc.jet_components]
     assert built == osgood_components(K)
+
+
+@pytest.mark.parametrize("K", range(2, 17))
+def test_relation_probe_matches_the_term_map_route_on_osgood(K):
+    comps = osgood_components(K)
+    res = relation_probe(comps, K, 8)
+    assert (res.min_relation_degree, res.witness) == reference_relation_probe(comps, K, 8)
+
+
+@pytest.mark.parametrize("K", range(3, 13))
+def test_relation_probe_matches_the_term_map_route_on_the_jets_fixture(K):
+    doc = parse((FIXTURES / "osgood.jets").read_text(encoding="utf-8"))
+    comps = [jet_from_symbolic(f, K) for f in doc.jet_components]
+    res = relation_probe(comps, K, 8)
+    assert (res.min_relation_degree, res.witness) == reference_relation_probe(comps, K, 8)

@@ -370,6 +370,8 @@ power_bases = st.one_of(
 @example(Polynomial.constant(POWER_CONTEXTS[0], GaussianRational(Fraction(1, 2), -3)), 6)
 @example(Polynomial.constant(POWER_CONTEXTS[3], GaussianRational(0, Fraction(2, 3))), 5)
 @example(P(POWER_CONTEXTS[1], {(k,): 1 for k in range(5)}), 6)
+@example(P(POWER_CONTEXTS[1], {(1,): GaussianRational(Fraction(3, 7), Fraction(4, 7))}), 999)
+@example(P(POWER_CONTEXTS[1], {(1,): Fraction(3, 7)}), 999)
 def test_power_equals_the_product_of_e_copies(f, e):
     product = Polynomial.constant(f.context, 1)
     for _ in range(e):
