@@ -104,6 +104,9 @@ ERROR_CASES = {
     "error-pair-budget": (["hcdim", "fixtures/paraboloid.sys", "--max-pairs", "1"], b""),
     "error-degree-budget": (["groebner", "-", "--max-degree", "1"],
                             b"vars z1 z2\neq z1^2+z2-1\neq z1*z2-1\n"),
+    # under lex the first element added has a degree-1 lead and total degree 3
+    "error-degree-budget-lex": (["groebner", "-", "--order", "lex", "--max-degree", "2"],
+                                b"vars z1 z2\neq z1*z2-z2^2-1\neq z1^2-z2\n"),
     "error-term-budget": (["hcdim", "-"], b"vars z1 z2\neq (z1+1)^40*(z2+1)^40\n"),
     "error-exponent-limit": (["groebner", "-", "--order", "lex", "--max-degree", "100000"],
                              b"vars z1 z2\neq z1-z2^1000\neq z1^33-1\n"),

@@ -13,20 +13,26 @@ denominator is 1); a sum over equal denominators skips the cross products,
 and negation and conjugation need no gcd at all.  ``real_part`` and
 ``imag_part`` are elements of Q(i) again.  ``fractions.Fraction`` appears
 only at the edges: the constructor accepts it, equality and hashing agree
-with it, and ``re`` and ``im`` are read-only ``Fraction`` views.
+with it, and ``re`` and ``im`` are read-only ``Fraction`` views, but the
+module loads without ``fractions``: it looks the class up only once loaded.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from math import gcd
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _is_fraction(x) -> bool:
+    return isinstance(x, getattr(sys.modules.get("fractions"), "Fraction", ()))
+
+
+def _ratio(x) -> tuple:
+    """(numerator, denominator) of an int or a ``Fraction``."""
     if isinstance(x, int):
-        return Fraction(x)
+        return x, 1
+    if _is_fraction(x):
+        return x.numerator, x.denominator
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
@@ -36,20 +42,20 @@ class GaussianRational:
     __slots__ = ("_a", "_b", "_d")
 
     def __new__(cls, re=0, im=0):
-        re = _as_fraction(re)
-        im = _as_fraction(im)
-        q, s = re.denominator, im.denominator
-        return _reduced(re.numerator * s, im.numerator * q, q * s)
+        (p, q), (r, s) = _ratio(re), _ratio(im)
+        return _reduced(p * s, r * q, q * s)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
     @property
-    def re(self) -> Fraction:
+    def re(self):
+        from fractions import Fraction
         return Fraction(self._a, self._d)
 
     @property
-    def im(self) -> Fraction:
+    def im(self):
+        from fractions import Fraction
         return Fraction(self._b, self._d)
 
     # -- field operations -------------------------------------------------
@@ -126,7 +132,7 @@ class GaussianRational:
         # a canonical real value (a, 0, d) has gcd(a, d) == 1, as a Fraction does
         if isinstance(other, int):
             return not self._b and self._d == 1 and self._a == other
-        if isinstance(other, Fraction):
+        if _is_fraction(other):
             return not self._b and self._a == other.numerator and self._d == other.denominator
         return NotImplemented
 
@@ -135,7 +141,10 @@ class GaussianRational:
             return hash((self._a, self._b, self._d))
         if self._d == 1:
             return hash(self._a)
-        return hash(Fraction(self._a, self._d))
+        # a Fraction's hash: |a|/d modulo the prime P, inf if P divides d, and -1 read as -2
+        a, P = self._a, sys.hash_info.modulus
+        h = hash(hash(abs(a)) * pow(self._d, -1, P)) if self._d % P else sys.hash_info.inf
+        return h if a >= 0 else -h if h != 1 else -2
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -170,9 +179,9 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
     return _canonical(a, b, d)
 
 
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
-I = GaussianRational(0, 1)
+ZERO = _canonical(0, 0, 1)
+ONE = _canonical(1, 0, 1)
+I = _canonical(0, 1, 1)
 HALF = _canonical(1, 0, 2)
 
 
@@ -201,11 +210,8 @@ def gq(x) -> GaussianRational:
     """Coerce an int, Fraction, or GaussianRational into Q(i)."""
     if isinstance(x, GaussianRational):
         return x
-    if isinstance(x, int):
-        return _canonical(int(x), 0, 1)
-    if isinstance(x, Fraction):
-        return _canonical(x.numerator, 0, x.denominator)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+    n, d = (int(x), 1) if isinstance(x, int) else _ratio(x)  # a Fraction is in lowest terms
+    return _canonical(n, 0, d)
 
 
 # -- textual form ----------------------------------------------------------

@@ -4,9 +4,10 @@ The engine is deliberately plain: the sugar pair-selection strategy plus the
 coprime and chain criteria, inter-reduction at the end in one pass by
 ascending leading monomial, and two budgets:
 ``max_pairs`` bounds the S-pairs popped, ``max_degree`` the total degree of
-an element added to the basis.  Neither bounds the time of one normal form,
-so an input can run for minutes without tripping either.  The engine reads
-each polynomial through its cached ``PackedRows`` view, built once:
+an element added to the basis, every term and not the lead alone.  Neither
+bounds the time of one normal form, so an input can run for minutes without
+tripping either.  The engine reads each polynomial through its cached
+``PackedRows`` view, built once:
 Gaussian-integer numerators over one denominator, exponents packed beside the
 order's additive int key, so a divisibility test is one subtraction and one
 mask and a product is two additions (Monagan and Pearce, JSC 46, 2011).
@@ -18,7 +19,8 @@ monomial's first divisor, so a monomial that recurs in a later S-pair is not
 searched again (where Singular filters with short exponent vectors, Bachmann
 and Schoenemann, ISSAC 1998); inter-reduction shares one table the same way.
 S-polynomials and remainders are built from rows; their terms are
-canonicalized only if read.
+canonicalized only if read.  Pair lcms, sugar, S-pair keys and the degree
+budget are read off packs too, so no element the run adds unpacks its terms.
 Dimension is the combinatorial one, read off the leading-term staircase of
 a basis in any term order: R/I and R/in(I) have the same Krull dimension
 (Kredel and Weispfenning, JSC 6, 1988), and it agrees with the dimension of
@@ -283,7 +285,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     packing = order.packing(f.context.size)
     F, G = f.packed_terms(order), g.packed_terms(order)
     lp = packing.lcm(F.lead_pack, G.lead_pack)
-    lk = packing.key(packing.unpack(lp))
+    lk = packing.pack_key(lp)
     fa, fb, nf = inverse_numerator(F.lead_a, F.lead_b)
     ga, gb, ng = inverse_numerator(G.lead_a, G.lead_b)
     n = lcm(nf, ng)
@@ -360,10 +362,10 @@ def buchberger(I: Ideal, order: MonomialOrder, config: GroebnerConfig = DEFAULT_
     rows = [g.packed_terms(order) for g in G]
     table = (rows, {})  # G's reducer table, which every normal form of the run shares
     packing = order.packing(I.context.size)
-    guard = packing.guard
+    guard, degree = packing.guard, packing.degree
     packed = [r.lead_pack for r in rows]
     # an element's sugar minus its lead's degree; an input generator's sugar is its degree
-    excess = [g.total_degree() - sum(packing.unpack(p)) for g, p in zip(G, packed)]
+    excess = [max([degree(t[0]) for t in r.rows()]) - degree(r.lead_pack) for r in rows]
 
     heap = []
     done = []  # bit k of done[i] is set once the pair {i, k} has been popped
@@ -372,7 +374,7 @@ def buchberger(I: Ideal, order: MonomialOrder, config: GroebnerConfig = DEFAULT_
         lp, e = packed[j], excess[j]
         for i in range(j):
             lcm = packing.lcm(packed[i], lp)
-            d = sum(packing.unpack(lcm))
+            d = degree(lcm)
             heapq.heappush(heap, (d + max(excess[i], e), d, i, j, lcm))
         done.append(0)
 
@@ -404,14 +406,13 @@ def buchberger(I: Ideal, order: MonomialOrder, config: GroebnerConfig = DEFAULT_
         if h.is_zero:
             continue
         h = h.monic(order)
-        if h.total_degree() > config.max_degree:
-            raise ResourceLimitError(
-                f"intermediate degree {h.total_degree()} exceeds budget {config.max_degree}"
-            )
+        view = h.packed_terms(order)
+        if (d := max([degree(t[0]) for t in view.rows()])) > config.max_degree:
+            raise ResourceLimitError(f"intermediate degree {d} exceeds budget {config.max_degree}")
         G.append(h)
-        rows.append(h.packed_terms(order))
-        packed.append(rows[-1].lead_pack)
-        excess.append(s - sum(packing.unpack(packed[-1])))
+        rows.append(view)
+        packed.append(view.lead_pack)
+        excess.append(s - degree(view.lead_pack))
         push_pairs(len(G) - 1)
 
     return GroebnerBasis(I.context, order, _reduce_basis(G, order))

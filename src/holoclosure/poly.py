@@ -20,12 +20,13 @@ Division works on that key, on the exponents packed into guarded int fields
 (``Packing``) and on Gaussian-integer numerators (``PackedRows``).
 Multiplication packs each product's exponents afresh, into unguarded fields
 just wide enough for it, over Gaussian-integer numerators.  Only the term
-maps keep exponent tuples, which the parser, the renderer and the jets'
-views share.
+maps keep exponent tuples, which the parser and the jets' views share; the
+renderer unpacks a cached view's rows instead where there is one.
 """
 
 from __future__ import annotations
 
+import sys
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate, chain
@@ -170,9 +171,10 @@ class Packing:
     key(b).  A key field is FIELD_BITS + size.bit_length() bits wide, so even
     the product of two packable monomials cannot overflow one.  A monomial
     with an exponent above MAX_EXPONENT is refused with a ResourceLimitError.
+    ``degree`` and ``pack_key`` read a pack's fields in C, unpacking nothing.
     """
 
-    __slots__ = ("shifts", "guard", "key_weights")
+    __slots__ = ("shifts", "guard", "key_weights", "_word_weights")
 
     def __init__(self, groups: tuple, size: int):
         if sorted(chain.from_iterable(groups)) != list(range(size)):
@@ -192,6 +194,7 @@ class Packing:
                 weights[k] = ((1 << width * top) - (1 << width * (top - len(g) + j))) // ratio
             top -= len(g)
         self.key_weights = tuple(weights)
+        self._word_weights = self.key_weights[::1 if sys.byteorder == "little" else -1]
 
     def key(self, m: Monomial) -> int:
         if max(m, default=0) > MAX_EXPONENT:
@@ -203,6 +206,15 @@ class Packing:
     def unpack(self, p: int) -> Monomial:
         mask = (1 << FIELD_BITS) - 1
         return tuple([(p >> s) & mask for s in self.shifts])
+
+    def degree(self, p: int) -> int:
+        """``sum(unpack(p))``: the 16-bit words of p's bytes are its fields, as no guard bit is set."""
+        return sum(memoryview(p.to_bytes(2 * len(self.shifts), sys.byteorder)).cast("H"))
+
+    def pack_key(self, p: int) -> int:
+        """``key(unpack(p))``, off the words ``degree`` sums: variable 0 last on a big-endian host."""
+        words = memoryview(p.to_bytes(2 * len(self.shifts), sys.byteorder)).cast("H")
+        return sum(map(mul, words, self._word_weights))
 
     def lcm(self, a: int, b: int) -> int:
         """The pack of the lcm of packed monomials a and b.  A field of d, 2^15 + a_k - b_k,
@@ -358,9 +370,9 @@ class Polynomial:
 
     ``terms`` maps exponent tuples to nonzero coefficients.  The one view
     kept per monomial order object, since a polynomial is read under several
-    orders, is ``PackedRows``: leading terms and ``monic`` read it.
-    ``sorted_terms``, which rendering uses, sorts the term map and builds no
-    view.
+    orders, is ``PackedRows``: leading terms, ``monic`` and ``sorted_terms``,
+    which rendering uses, read it.  ``sorted_terms`` builds no view: without
+    one under its order it sorts the term map.
     """
 
     __slots__ = ("context", "terms", "_packed")
@@ -430,12 +442,18 @@ class Polynomial:
         return {k for m in self.terms for k, e in enumerate(m) if e}
 
     def sorted_terms(self, order: MonomialOrder) -> list:
-        """Terms as (monomial, coeff), descending in ``order``; builds no view and no ``Packing``.
+        """Terms as (monomial, coeff), descending in ``order``; builds no view.
 
-        With the groups laid end to end, a monomial's key holds its running
-        exponent sums, each group's longest first: the rows ``Packing.key``
-        packs, each plus the earlier groups' sum, equal once earlier rows tie.
+        A cached view under ``order`` is read row by row.  Otherwise the term
+        map is sorted with no ``Packing``: with the groups laid end to end, a
+        monomial's key holds its running exponent sums, each group's longest
+        first: the rows ``Packing.key`` packs, each plus the earlier groups'
+        sum, equal once earlier rows tie.
         """
+        view = self._packed.get(order)
+        if view is not None:
+            unpack, d = order.packing(self.context.size).unpack, view.denominator
+            return [(unpack(p), _reduced(a, b, d)) for p, _, a, b in view.rows()]
         groups = order.ranked_groups(self.context.size)
         flat = [k for g in groups for k in g]
         rows, end = [0], 0  # the empty sum first, so itemgetter gets an index with no variables too

@@ -1,12 +1,15 @@
 """Field axioms and canonical form of the Gaussian rationals."""
 
 import ast
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import holoclosure
@@ -285,3 +288,50 @@ def test_only_arith_imports_fractions():
             if any(m.split(".")[0] == "fractions" for m in modules):
                 importers.add(path.name)
     assert importers == {"arith.py"}
+
+
+HASH_MODULUS = sys.hash_info.modulus
+
+
+@given(st.integers(-BIG, BIG),
+       st.one_of(st.integers(1, BIG), st.integers(1, 4).map(lambda k: k * HASH_MODULUS)))
+@example(1, HASH_MODULUS)
+@example(-3, 2 * HASH_MODULUS)
+@example(-(HASH_MODULUS + 2), 2)  # |a|/d is 1 modulo the prime: hash -1, which CPython makes -2
+@example(HASH_MODULUS + 1, 3)
+def test_a_real_hashes_as_its_fraction(n, d):
+    q = Fraction(n, d)
+    for z in (gq(q), GaussianRational(q), GaussianRational(q, 0)):
+        assert hash(z) == hash(q)
+
+
+def test_a_denominator_divisible_by_the_hash_prime_hashes_to_inf():
+    q = Fraction(1, HASH_MODULUS)
+    assert hash(gq(q)) == hash(q) == sys.hash_info.inf
+    assert hash(gq(-q)) == hash(-q) == -sys.hash_info.inf
+
+
+def test_fraction_input_and_views_keep_working():
+    z = GaussianRational(Fraction(1, 3), 2)
+    assert (z._a, z._b, z._d) == (1, 6, 3)
+    assert z.re == Fraction(1, 3) and z.im == 2 and type(z.re) is Fraction and type(z.im) is Fraction
+    assert gq(Fraction(4, 6)) == Fraction(2, 3) and Fraction(2, 3) == gq(Fraction(4, 6))
+    assert gq(Fraction(4, 6)) != Fraction(2, 5) and z != Fraction(1, 3)
+    assert repr(z) == "GaussianRational(Fraction(1, 3), Fraction(2, 1))"
+    with pytest.raises(TypeError, match="cannot interpret 0.5 as an exact rational"):
+        GaussianRational(0.5)
+
+
+def test_arith_loads_without_fractions_and_takes_a_fraction_imported_later():
+    code = (
+        "import sys; import holoclosure.arith as a; loaded = 'fractions' in sys.modules; "
+        "from fractions import Fraction; q = Fraction(1, 3); z = a.gq(q); "
+        "print(loaded, z == q, hash(z) == hash(q), a.GaussianRational(q, 1), z.re)"
+    )
+    src = Path(holoclosure.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "True", "1/3+i", "1/3"]

@@ -167,6 +167,10 @@ EXIT_CASES = [
              "S-pair budget of 1 exceeded"),
     ExitCase(("groebner", "-", "--max-degree", "1"), EXIT_RESOURCE_LIMIT,
              "intermediate degree 2 exceeds budget 1", "vars z1 z2\neq z1^2+z2-1\neq z1*z2-1\n"),
+    # the first element added, z1 + z2^3 - z2^2 + z2 under lex, has a degree-1 lead:
+    # the budget reads every term, where a lead-only check would trip later at degree 4
+    ExitCase(("groebner", "-", "--order", "lex", "--max-degree", "2"), EXIT_RESOURCE_LIMIT,
+             "intermediate degree 3 exceeds budget 2", "vars z1 z2\neq z1*z2-z2^2-1\neq z1^2-z2\n"),
     ExitCase(("hcdim", "-"), EXIT_RESOURCE_LIMIT,
              "line 2, column 19: power ^60 of 3 terms may exceed the input budget of 1000 terms",
              "vars z1 z2\neq (z1+conj(z2)+1)^60\n", bounded=True),
@@ -764,7 +768,8 @@ def test_a_valid_command_loads_neither_argparse_nor_gettext_nor_locale():
     code = (
         "import io, sys; before = set(sys.modules); import holoclosure.cli; "
         f"holoclosure.cli.run({argv!r}, stdout=io.StringIO()); "
-        "print(' '.join(sorted({'argparse', 'gettext', 'locale'} & (set(sys.modules) - before))))"
+        "forbidden = {'argparse', 'gettext', 'locale', 'fractions', 'decimal', 'numbers'}; "
+        "print(' '.join(sorted(forbidden & (set(sys.modules) - before))))"
     )
     src = Path(holoclosure.__file__).resolve().parent.parent
     proc = subprocess.run(

@@ -685,3 +685,20 @@ def test_elimination_keeps_the_elements_free_of_the_leading_groups(order):
             dropped = {k for g in order.groups[:count] for k in g}
             kept = [g for g in gb.basis if not g.used_indices() & dropped]
             assert [g.embed(ctx) for g in gb.elimination(count).basis] == kept
+
+
+def test_a_basis_run_and_its_rendering_unpack_no_term_map(monkeypatch):
+    text = (Path(__file__).resolve().parent.parent / "bench" / "inputs" / "katsura4.sys").read_text(encoding="utf-8")
+    ideal = system_from_text(text).ideal()
+    unpacked = []
+    original = _RowsPolynomial.__getattr__
+    monkeypatch.setattr(_RowsPolynomial, "__getattr__", lambda self, name: unpacked.append(self) or original(self, name))
+    gb = buchberger(ideal, GREVLEX)
+    added = [g for g in gb.basis if type(g) is _RowsPolynomial]
+    texts = [polynomial_to_text(g, GREVLEX) for g in gb.basis]
+    monkeypatch.undo()
+    # the degree budget, pair sugar and rendering read packs: no element the
+    # run adds and no rendered element builds its term map
+    assert len(gb.basis) == 13 and len(added) == 12
+    assert unpacked == []
+    assert texts == [polynomial_to_text(Polynomial(g.context, g.terms), GREVLEX) for g in gb.basis]

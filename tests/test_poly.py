@@ -190,9 +190,29 @@ def test_packed_lcm_and_its_degree_match_the_tuple_definition(order, pair):
     lcm = packing.lcm(pack(packing, a), pack(packing, b))
     assert lcm == pack(packing, tuple(map(max, a, b)))
     assert packing.lcm(pack(packing, b), pack(packing, a)) == lcm
-    # buchberger sums a pair's degree off the unpacked lcm, exact past 2^16 (12
-    # fields at MAX_EXPONENT), where summing the packed fields would carry
-    assert sum(map(max, a, b)) == sum(packing.unpack(lcm))
+    # buchberger reads a pair's degree off the packed lcm, field by field, so it
+    # is exact past 2^16 (12 fields at MAX_EXPONENT), where adding packed fields would carry
+    assert sum(map(max, a, b)) == sum(packing.unpack(lcm)) == packing.degree(lcm)
+
+
+sized_monomials = st.integers(1, 12).flatmap(
+    lambda n: st.lists(st.sampled_from([0, MAX_EXPONENT]) | st.integers(0, MAX_EXPONENT), min_size=n, max_size=n)
+    .map(tuple))
+
+
+@given(st.sampled_from(["grevlex", "lex", "block"]), sized_monomials)
+@example("block", (MAX_EXPONENT,) * 12)
+@example("lex", (MAX_EXPONENT,))
+@example("grevlex", (0,) * 7)
+def test_pack_degree_and_pack_key_read_the_unpacked_monomial(kind, m):
+    n = len(m)
+    # the block order ranks the odd-indexed variables above the even ones; one group if n is 1
+    block = BlockElimination(tuple(g for g in (tuple(range(1, n, 2)), tuple(range(0, n, 2))) if g))
+    packing = {"grevlex": GREVLEX, "lex": LEX, "block": block}[kind].packing(n)
+    p = pack(packing, m)
+    assert packing.unpack(p) == m
+    assert packing.degree(p) == sum(packing.unpack(p))
+    assert packing.pack_key(p) == packing.key(packing.unpack(p))
 
 
 ctx5 = param_context(("a", "b", "c", "d", "e"))
@@ -203,6 +223,22 @@ def test_sorted_terms_is_the_sort_by_the_order_key(order_ref, terms):
     order = order_ref[0]
     f = Polynomial(ctx5, terms)
     assert [m for m, _ in f.sorted_terms(order)] == sorted(terms, key=order.key, reverse=True)
+
+
+@given(packed_orders, st.dictionaries(exponents5, st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)),
+                                      max_size=8))
+def test_sorted_terms_reads_a_cached_view_as_the_sort_orders_the_terms(order_ref, terms):
+    order = order_ref[0]
+    f = Polynomial(ctx5, terms)
+    expected = f.sorted_terms(order)
+    if f.is_zero:
+        return
+    f.packed_terms(order)
+    assert f.sorted_terms(order) == expected
+    # and a polynomial built from rows is read off them
+    monic = f.monic(order)
+    lead = expected[0][1]
+    assert monic.sorted_terms(order) == [(m, c / lead) for m, c in expected]
 
 
 def test_sorted_terms_over_no_variables():
