@@ -21,6 +21,14 @@ line (a bad flag value, an unknown flag, an unknown command or none), each
 budget, semantic failures and a sampler that finds no rational point, the
 top-level and a subcommand's help, and command lines in argparse's less
 common forms (abbreviated and ``=`` flags, ``--``, a negative point).
+Among these, an explicit ``--flag=--``, written in full and as a prefix,
+and a repeated flag:
+
+    strata fixtures/sphere.sys --k=--
+    groebner fixtures/sphere.sys --max-p=--
+    crdim --poi=-- -- fixtures/sphere.sys
+    hcdim fixtures/sphere.sys --seed 1 --seed 2
+
 Each invocation runs in this process through ``holoclosure.cli.run``, once
 as text and once with ``--json``.  A file holds ``exit <code>``, then what
 went to stdout (the report, or the help), then what went to stderr,
@@ -136,6 +144,10 @@ COMMAND_LINE_CASES = {
     "line-ambiguous-prefix": (["hcdim", "fixtures/sphere.sys", "--max", "3"], b""),
     "line-missing-value": (["crdim", "fixtures/sphere.sys", "--point"], b""),
     "line-negative-point": (["crdim", "fixtures/sphere.sys", "--point", "-1, 0"], b""),
+    "line-explicit-double-dash": (["strata", "fixtures/sphere.sys", "--k=--"], b""),
+    "line-prefix-explicit-double-dash": (["groebner", "fixtures/sphere.sys", "--max-p=--"], b""),
+    "line-prefix-double-dash-point": (["crdim", "--poi=--", "--", "fixtures/sphere.sys"], b""),
+    "line-repeated-flag": (["hcdim", "fixtures/sphere.sys", "--seed", "1", "--seed", "2"], b""),
 }
 
 HELP_CASES = {

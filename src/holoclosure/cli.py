@@ -8,18 +8,21 @@ off the set, non-smooth point, ...), 5 internal invariant violated (a
 defect in the toolkit, not in the input).
 Errors are also echoed in the report diagnostics.
 
-Command lines are read from the ``_COMMANDS`` table by argparse's rules,
-without argparse, so a valid command imports neither argparse nor gettext.
-Help (-h, --help) and a refused command line import it to print what argparse
-prints, through the parser that argparse reports from: the top-level parser,
-which lists every command, or the command's own.
+Command lines are read from the ``_COMMANDS`` table.  A plain line (the
+command, its exact flags, each valued one followed by a value that does not
+start with "-" or written ``--flag=value``, the input, every required
+argument, values its rows accept) is read without argparse, so a valid
+command imports neither argparse nor gettext.  argparse reads every other
+line, with the parser ``build_arg_parser`` builds from the same table: help,
+abbreviated flags, ``--``, values that start with "-", and every refused
+line.  One departure from argparse 3.11: ``--flag=--`` gives the value
+``--``, where argparse stores an empty list.
 """
 
 from __future__ import annotations
 
 import gc
 import json
-import re
 import sys
 from types import SimpleNamespace
 
@@ -288,8 +291,11 @@ def _cmd_probe(args, doc, config, report):
     _report_probe(report, symbolic_probe(doc.jet_components, args.jets, args.maxdeg))
 
 
-class _BadValue(ValueError):
-    """A command-line value refused with its own message, as argparse's ArgumentTypeError is."""
+def _refuse(message: str):
+    """Refuse a command-line value with ``message``, as argparse reports it."""
+    from argparse import ArgumentTypeError
+
+    raise ArgumentTypeError(message)
 
 
 def _budget(text: str) -> int:
@@ -297,9 +303,9 @@ def _budget(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise _BadValue(f"invalid int value: {text!r}") from None
+        _refuse(f"invalid int value: {text!r}")
     if value < 1:
-        raise _BadValue(f"must be at least 1, got {value}")
+        _refuse(f"must be at least 1, got {value}")
     return value
 
 
@@ -307,13 +313,13 @@ def _jet_orders(text: str) -> list:
     """Truncation orders from the command line: a nonempty comma-separated list, each at least 1."""
     orders = [_budget(part) for part in text.split(",") if part.strip()]
     if not orders:
-        raise _BadValue(f"expects a comma-separated list of orders, got {text!r}")
+        _refuse(f"expects a comma-separated list of orders, got {text!r}")
     return orders
 
 
 # (name or flag, add_argument keywords): the flags every subcommand takes
 _COMMON = (
-    ("--json", {"action": "store_true", "help": "emit a JSON report"}),
+    ("--json", {"action": "store_true", "default": False, "help": "emit a JSON report"}),
     ("--seed", {"type": int, "default": 0, "help": "seed for random sampling"}),
     ("--max-pairs", {"type": _budget, "default": DEFAULT_CONFIG.max_pairs,
                      "help": "override the Groebner S-pair budget (at least 1)"}),
@@ -350,165 +356,97 @@ _COMMANDS = {
 }
 
 
-_HELP_FLAGS = dict.fromkeys(("-h", "--help"), {"action": "help"})  # every parser takes them
-
-
 def build_arg_parser(command: str | None = None):
-    """The argparse parser that prints ``command``'s help and usage, or the top-level one's.
+    """The argparse parser over the table, holding ``command``'s subparser only or every one.
 
-    It parses nothing: ``_parse_args`` reads every command line.  The top-level
-    parser lists every command, so it builds a subparser for each.
+    It reads each command line that is not plain, and prints help and usage.
     """
     import argparse
 
-    if command is not None:
-        parser = argparse.ArgumentParser(prog="holoclosure " + command)
-        for flag, keywords in _COMMON + _COMMANDS[command][2]:
-            parser.add_argument(flag, **keywords)
-        return parser
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        def _get_values(self, action, arg_strings):
+            # argparse 3.11 drops the value of "--flag=--" and stores []; it is "--"
+            if action.option_strings and arg_strings == ["--"]:
+                value = self._get_value(action, "--")
+                self._check_value(action, value)
+                return value
+            return super()._get_values(action, arg_strings)
+
+    parser = Parser(
         prog="holoclosure",
         description="holomorphic closure dimension, CR strata, and Gabrielov ranks "
                     "for real algebraic subsets of C^n",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, _) in _COMMANDS.items():
-        sub.add_parser(name, help=help_text)
+    # a lone subparser is listed under every command, as all of them are
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        _, help_text, arguments = _COMMANDS[name]
+        subparser = sub.add_parser(name, help=help_text)
+        for flag, keywords in _COMMON + arguments:
+            subparser.add_argument(flag, **keywords)
     return parser
-
-
-def _exit(command, message=None):
-    """Exit through ``command``'s parser (None: the top-level one): with its help
-    and status 0, or with its usage and ``message`` and status 2."""
-    parser = build_arg_parser(command)
-    if message is None:
-        parser.print_help()
-        parser.exit()
-    parser.error(message)
-
-
-def _option(arg, flags, command):
-    """How argparse reads one string before ``--``, given a parser's ``flags``.
-
-    None for a value, (None, None) for an unknown option, else the flag and
-    the value written into the same string (None if there is none).
-    """
-    if arg[:1] != "-" or arg == "-":
-        return None
-    if arg in flags:
-        return arg, None
-    head, eq, tail = arg.partition("=")
-    if eq and head in flags:
-        return head, tail
-    if arg[1] == "-":  # a long option may be abbreviated to a unique prefix
-        matches, explicit = [flag for flag in flags if flag.startswith(head)], tail if eq else None
-    else:  # the one short option, with text attached
-        matches, explicit = (["-h"], arg[2:]) if arg.startswith("-h") else ([], None)
-    if len(matches) > 1:
-        _exit(command, f"ambiguous option: {arg} could match {', '.join(matches)}")
-    if matches:
-        return matches[0], explicit
-    if " " in arg or re.match(r"-\d+$|-\d*\.\d+$", arg):  # a negative number or text
-        return None
-    return None, None
-
-
-def _help(command, flag, explicit):
-    """-h or --help: the help, unless text is attached (``-hh`` asks twice, ``-hx`` attaches x)."""
-    if explicit is not None and (flag != "-h" or not explicit or explicit.lstrip("h")):
-        rest = explicit.lstrip("h") if flag == "-h" else explicit
-        _exit(command, f"argument -h/--help: ignored explicit argument {rest!r}")
-    _exit(command)
 
 
 def _dest(name):
     return name.lstrip("-").replace("-", "_")
 
 
-def _check_choice(command, name, value, choices):
-    if value not in choices:
-        listed = ", ".join(map(repr, choices))
-        _exit(command, f"argument {name}: invalid choice: {value!r} (choose from {listed})")
+def _read_plain(argv):
+    """The namespace of a plain command line, or None.
+
+    A plain line is the command, then its exact flags, a valued one followed
+    by a value that does not start with "-" or written ``--flag=value``, and
+    the input at most once; it gives every required argument, and each value
+    converts by its row's ``type`` and is among its ``choices``.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    rows = _COMMON + _COMMANDS[argv[0]][2]
+    table = dict(rows)
+    values = {"command": argv[0], **{_dest(name): keywords.get("default") for name, keywords in rows}}
+    args = iter(argv[1:])
+    for arg in args:
+        if arg[:1] != "-" or arg == "-":
+            name, text = "input", arg
+            if name not in table or values[name] is not None:
+                return None
+        else:
+            name, eq, text = arg.partition("=")
+            if name not in table:
+                return None
+            if table[name].get("action") == "store_true":
+                if eq:
+                    return None
+                values[_dest(name)] = True
+                continue
+            if not eq:
+                text = next(args, "-")
+                if text[:1] == "-":
+                    return None
+        keywords = table[name]
+        # a value refused here is converted again by argparse, which reports a
+        # ValueError or an ArgumentTypeError and raises any other exception
+        try:
+            value = keywords.get("type", str)(text)
+        except Exception:
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        dest = _dest(name)
+        values[dest] = [*(values[dest] or ()), value] if keywords.get("action") == "append" else value
+    if any(values[_dest(name)] is None for name, keywords in rows
+           if name == "input" or keywords.get("required")):
+        return None
+    return SimpleNamespace(**values)
 
 
 def _parse_args(argv):
-    """The namespace argparse gives ``argv`` with the parsers of ``build_arg_parser``.
-
-    Read from the table by argparse's rules for it: exact long flags or unique
-    prefixes, ``--flag=value``, ``--`` ending the options, the last repeat
-    winning (an ``append`` flag collects), negative numbers and text holding
-    a space taken as values.  One difference: ``--flag=--`` gives the value
-    ``--``, where argparse 3.11 gives an empty list.  Help, and a refused
-    command line, leave through ``_exit``.
-    """
-    argv = list(argv)
-    extras = []  # unrecognized strings, which the top-level parser reports
-    at = 0
-    while at < len(argv) and argv[at] != "--" and (option := _option(argv[at], _HELP_FLAGS, None)):
-        if option[0]:
-            _help(None, *option)
-        extras.append(argv[at])
-        at += 1
-    if argv[at:] in ([], ["--"]):
-        _exit(None, "the following arguments are required: command")
-    command = argv[at]
-    _check_choice(None, "command", command, _COMMANDS)
-    rows = _COMMON + _COMMANDS[command][2]
-    flags = {**_HELP_FLAGS, **{name: keywords for name, keywords in rows if name[0] == "-"}}
-    values = {"command": command}
-    for name, keywords in rows:
-        default = False if keywords.get("action") == "store_true" else None
-        values[_dest(name)] = keywords.get("default", default)
-    args = argv[at + 1:]
-    end = args.index("--") if "--" in args else len(args)
-    # every option string is read before any is acted on, as argparse does
-    options = [_option(arg, flags, command) for arg in args[:end]] + [None] * (len(args) - end)
-    wanted = _INPUT in rows  # the input is the one positional argument
-    at = 0
-    while at < len(args):
-        arg, option = args[at], options[at]
-        at += 1
-        if option is None or option[0] is None:  # a value, or an unknown option
-            if option is None and wanted and (at - 1 != end or at < len(args)):
-                if at - 1 == end:  # the input after "--"
-                    arg, at = args[at], at + 1
-                values["input"], wanted = arg, False
-                at += at == end  # a "--" right after the input goes with it
-            else:
-                extras.append(arg)
-            continue
-        flag, explicit = option
-        keywords = flags[flag]
-        action = keywords.get("action")
-        if action == "help":
-            _help(command, flag, explicit)
-        if action == "store_true":
-            if explicit is not None:
-                _exit(command, f"argument {flag}: ignored explicit argument {explicit!r}")
-            value = True
-        else:
-            if explicit is None:
-                if at in (len(args), end) or options[at] is not None:
-                    _exit(command, f"argument {flag}: expected one argument")
-                explicit, at = args[at], at + 1
-            kind = keywords.get("type", str)
-            try:
-                value = kind(explicit)
-            except _BadValue as exc:
-                _exit(command, f"argument {flag}: {exc}")
-            except ValueError:
-                _exit(command, f"argument {flag}: invalid {kind.__name__} value: {explicit!r}")
-            if "choices" in keywords:
-                _check_choice(command, flag, value, keywords["choices"])
-        dest = _dest(flag)
-        values[dest] = [*(values[dest] or ()), value] if action == "append" else value
-    missing = [name for name, keywords in rows
-               if (name == "input" or keywords.get("required")) and values[_dest(name)] is None]
-    if missing:
-        _exit(command, "the following arguments are required: " + ", ".join(missing))
-    if extras:
-        _exit(None, "unrecognized arguments: " + " ".join(extras))
-    return SimpleNamespace(**values)
+    """The namespace of ``argv``: a plain line read from the table, any other by argparse."""
+    args = _read_plain(argv)
+    if args is None:
+        args = build_arg_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    return args
 
 
 def run(argv, stdout=None) -> int:

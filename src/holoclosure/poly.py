@@ -21,7 +21,7 @@ Division works on that key, on the exponents packed into guarded int fields
 Multiplication packs each product's exponents afresh, into unguarded fields
 just wide enough for it, over Gaussian-integer numerators.  Only the term
 maps keep exponent tuples, which the parser and the jets' views share; the
-renderer unpacks a cached view's rows instead where there is one.
+renderer unpacks the rows of a polynomial built from them instead.
 """
 
 from __future__ import annotations
@@ -370,9 +370,9 @@ class Polynomial:
 
     ``terms`` maps exponent tuples to nonzero coefficients.  The one view
     kept per monomial order object, since a polynomial is read under several
-    orders, is ``PackedRows``: leading terms, ``monic`` and ``sorted_terms``,
-    which rendering uses, read it.  ``sorted_terms`` builds no view: without
-    one under its order it sorts the term map.
+    orders, is ``PackedRows``: leading terms and ``monic`` read it, and so
+    does ``sorted_terms``, which rendering uses, on a polynomial built from
+    rows.  ``sorted_terms`` builds no view: otherwise it sorts the term map.
     """
 
     __slots__ = ("context", "terms", "_packed")
@@ -444,16 +444,11 @@ class Polynomial:
     def sorted_terms(self, order: MonomialOrder) -> list:
         """Terms as (monomial, coeff), descending in ``order``; builds no view.
 
-        A cached view under ``order`` is read row by row.  Otherwise the term
-        map is sorted with no ``Packing``: with the groups laid end to end, a
-        monomial's key holds its running exponent sums, each group's longest
-        first: the rows ``Packing.key`` packs, each plus the earlier groups'
-        sum, equal once earlier rows tie.
+        The term map is sorted with no ``Packing``: with the groups laid end
+        to end, a monomial's key holds its running exponent sums, each group's
+        longest first: the rows ``Packing.key`` packs, each plus the earlier
+        groups' sum, equal once earlier rows tie.
         """
-        view = self._packed.get(order)
-        if view is not None:
-            unpack, d = order.packing(self.context.size).unpack, view.denominator
-            return [(unpack(p), _reduced(a, b, d)) for p, _, a, b in view.rows()]
         groups = order.ranked_groups(self.context.size)
         flat = [k for g in groups for k in g]
         rows, end = [0], 0  # the empty sum first, so itemgetter gets an index with no variables too
@@ -727,10 +722,17 @@ class _RowsPolynomial(Polynomial):
         # only the unset terms slot lands here
         if name != "terms":
             raise AttributeError(name)
-        (order, view), = self._packed.items()
-        unpack, d = order.packing(self.context.size).unpack, view.denominator
-        object.__setattr__(self, "terms", {unpack(p): _reduced(a, b, d) for p, _, a, b in view.rows()})
+        (order, _), = self._packed.items()
+        object.__setattr__(self, "terms", dict(self.sorted_terms(order)))
         return self.terms
+
+    def sorted_terms(self, order: MonomialOrder) -> list:
+        """Read off the view under ``order`` when there is one, so the term map stays unbuilt."""
+        view = self._packed.get(order)
+        if view is None:
+            return super().sorted_terms(order)
+        unpack, d = order.packing(self.context.size).unpack, view.denominator
+        return [(unpack(p), _reduced(a, b, d)) for p, _, a, b in view.rows()]
 
 
 def _pow_text(name: str, e: int) -> str:

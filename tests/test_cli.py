@@ -746,6 +746,15 @@ def test_argparse_help_and_errors_replay_byte_for_byte(monkeypatch):
             assert (out, err) == (case["stdout"], case["stderr"]), case["argv"]
 
 
+BENCHMARK_LINES = [
+    ("mixed_graph.sys", ["crdim", "-", "--point", "1+2*i, 2", "--json", "--seed", "0"]),
+    ("sphere.sys", ["verify-dm", "-", "--point", "1, 0", "--point", "0, i", "--point", "3/5, 4/5*i"]),
+    ("osgood.jets", ["probe", "-", "--jets", "3,5,7", "--maxdeg", "2"]),
+    ("umbrella.sys", ["groebner", "-", "--order", "lex", "--json"]),
+    ("sphere.sys", ["strata", "-", "--k", "1"]),
+]
+
+
 def test_a_command_line_builds_only_its_own_subparser(monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
@@ -756,6 +765,11 @@ def test_a_command_line_builds_only_its_own_subparser(monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     assert invoke(["realdim", str(FIXTURES / "sphere.sys")])[0] == EXIT_OK
+    assert len(built) == 0
+    # each shape of line the benchmark runs, reading its fixture from stdin
+    for fixture, argv in BENCHMARK_LINES:
+        monkeypatch.setattr(sys, "stdin", io.StringIO((FIXTURES / fixture).read_text(encoding="utf-8")))
+        assert invoke(argv)[0] == EXIT_OK, argv
     assert len(built) == 0
     built.clear()
     assert _argparse_surface(["-h"])[0] == 0

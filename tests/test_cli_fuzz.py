@@ -166,6 +166,13 @@ def _parsed(parse, argv):
 @example(["hcdim", "x", "--", "--json"])
 @example(["hcdim", "-hhx", "x"])
 @example(["verify-dm", "x", "--point", "1, 0", "--po=-1, 0"])
+@example(["hcdim", "x", "y"])
+@example(["hcdim", "x", "--json", "--json"])
+@example(["groebner", "x", "--order=lex"])
+@example(["groebner", "x", "--order", "LEX"])
+@example(["strata", "x", "--k", "-1"])
+@example(["verify-dm", "x", "--point", "1, 0", "--point", "0, i"])
+@example(["probe-osgood", "--jets", "3,x", "--maxdeg", "0"])  # two bad values: the first is reported
 def test_command_lines_read_as_argparse_reads_them(argv):
     with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         ours = _parsed(cli._parse_args, argv)
@@ -180,6 +187,11 @@ def test_command_lines_read_as_argparse_reads_them(argv):
     (["crdim", "x", "--point=--"], {"point": "--"}),
     (["strata", "x", "--k=--"], "argument --k: invalid int value: '--'"),
     (["groebner", "x", "--order=--"], "argument --order: invalid choice: '--'"),
+    # a prefix sends the line to argparse, which must read the "--" too
+    (["ranks", "x", "--se=--"], "argument --seed: invalid int value: '--'"),
+    (["probe-osgood", "--jet=--", "--maxdeg", "2"], "argument --jets: invalid int value: '--'"),
+    (["crdim", "--poi=--", "--", "x"], {"point": "--"}),
+    (["verify-dm", "x", "--po=--", "--js"], {"point": ["--"]}),
 ])
 def test_an_explicit_double_dash_is_the_value(argv, outcome):
     # argparse 3.11 stores [] for it, which ended strata in a traceback

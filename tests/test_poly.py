@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import monomial_divides, monomial_mul, param_ctx, rand_nonzero_poly, rand_poly, reference_gq_text
+from holoclosure import arith, poly
 from holoclosure.arith import GaussianRational, gq
 from holoclosure.errors import ResourceLimitError
 from holoclosure.poly import (
@@ -239,6 +240,22 @@ def test_sorted_terms_reads_a_cached_view_as_the_sort_orders_the_terms(order_ref
     monic = f.monic(order)
     lead = expected[0][1]
     assert monic.sorted_terms(order) == [(m, c / lead) for m, c in expected]
+
+
+def test_rendering_a_term_built_polynomial_with_a_cached_view_reuses_its_terms(monkeypatch):
+    # a term-built polynomial holding a grevlex view, as each hc_ideal element
+    # does once GroebnerBasis.dimension has read it
+    ctx = param_context(["t1", "t2", "t3"])
+    f = P(ctx, {(1, 0, 0): Fraction(3, 7), (0, 1, 0): 2, (0, 0, 1): -1, (0, 0, 0): Fraction(1, 5)}) ** 6
+    expected = polynomial_to_text(f)
+    f.packed_terms(GREVLEX)
+    calls = []
+    original = arith._reduced
+    counting = lambda *args: calls.append(args) or original(*args)  # noqa: E731
+    monkeypatch.setattr(arith, "_reduced", counting)
+    monkeypatch.setattr(poly, "_reduced", counting)
+    assert polynomial_to_text(f) == expected
+    assert calls == []
 
 
 def test_sorted_terms_over_no_variables():
