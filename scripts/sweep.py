@@ -14,7 +14,9 @@ read from stdin (among them the wide cases ``stdin-wide-hcdim`` and
 ``stdin-wide-groebner-lex``: 200 declared variables, so 400 ring
 variables under grevlex, lex and a two-group block order; powers of
 Gaussian, binomial and dense bases; generators whose conjugate is and is
-not a scalar multiple of themselves), and the error
+not a scalar multiple of themselves; cyclic-6 under groebner and the c3b
+and q2 CR systems under hcdim, which take seconds at commits before the
+signature-based pair loop), and the error
 paths: unreadable and malformed input (each rule a document kind sets on
 its statements and on ``i``, ``conj`` and ``exp``), a refused command
 line (a bad flag value, an unknown flag, an unknown command or none), each
@@ -82,6 +84,13 @@ PROBE_CASES = {
 # one equation over 200 declared variables, so 400 ring variables
 WIDE = ("vars " + " ".join(f"z{j}" for j in range(1, 201)) + "\neq z1*conj(z1) - 1\n").encode()
 
+# the hard tier of ROADMAP item 1, whose pair trajectories a change to the pair loop moves most
+CYCLIC6 = ("vars x1 x2 x3 x4 x5 x6\n" + "".join(
+    "eq " + " + ".join("*".join(f"x{(j + t) % 6 + 1}" for t in range(d)) for j in range(6)) + "\n"
+    for d in range(1, 6)) + "eq x1*x2*x3*x4*x5*x6 - 1\n").encode()
+C3B = b"vars z1 z2 z3\neq z1*conj(z1)^2+z2^2*conj(z2)-z3*conj(z3)^2-1\neq z1^2+conj(z2)*z3-2*conj(z1)\n"
+Q2 = b"vars z1 z2\neq z1^2*conj(z1)^2+z2*conj(z2)^3-1\neq z1*conj(z2)+conj(z1)*z2^2-2\n"
+
 STDIN_CASES = {
     "stdin-sphere": (["hcdim", "-"], (ROOT / "fixtures" / "sphere.sys").read_bytes()),
     "stdin-groebner": (["groebner", "-"], b"vars z1 z2\neq z1^2+z2-1\neq z1*z2-1\n"),
@@ -98,6 +107,9 @@ STDIN_CASES = {
     # a generator whose conjugate is -i times itself, and one whose conjugate is new
     "stdin-conjugate-multiple": (["hcdim", "-"], b"vars z1\neq z1 + i*conj(z1)\n"),
     "stdin-conjugate-new": (["hcdim", "-"], b"vars z1 z2\neq z1 + conj(z2)\n"),
+    "stdin-cyclic6-groebner": (["groebner", "-"], CYCLIC6),
+    "stdin-c3b-hcdim": (["hcdim", "-"], C3B),
+    "stdin-q2-hcdim": (["hcdim", "-"], Q2),
 }
 
 ERROR_CASES = {

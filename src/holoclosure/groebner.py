@@ -1,13 +1,14 @@
 """Buchberger's algorithm, normal forms, elimination ideals, Krull dimension.
 
-The engine is deliberately plain: the sugar pair-selection strategy plus the
-coprime and chain criteria, inter-reduction at the end in one pass by
-ascending leading monomial, and two budgets:
-``max_pairs`` bounds the S-pairs popped, ``max_degree`` the total degree of
-an element added to the basis, every term and not the lead alone.  Neither
-bounds the time of one normal form, so an input can run for minutes without
-tripping either.  The engine reads each polynomial through its cached
-``PackedRows`` view, built once:
+The engine is a signature-based Buchberger loop (the RB family of Eder and
+Faugere's survey, JSC 80, 2017; Roune and Stillman, ISSAC 2012), which skips
+most S-pairs that would reduce to zero by a syzygy or rewrite criterion,
+inter-reduction at the end in one pass by ascending leading monomial, and
+two budgets: ``max_pairs`` bounds the queue entries popped, ``max_degree``
+the total degree of an element added to the basis, every term and not the
+lead alone.  Neither bounds the time of one normal form, so an input can
+run for minutes without tripping either.  The engine reads each polynomial
+through its cached ``PackedRows`` view, built once:
 Gaussian-integer numerators over one denominator, exponents packed beside the
 order's additive int key, so a divisibility test is one subtraction and one
 mask and a product is two additions (Monagan and Pearce, JSC 46, 2011).
@@ -19,8 +20,8 @@ monomial's first divisor, so a monomial that recurs in a later S-pair is not
 searched again (where Singular filters with short exponent vectors, Bachmann
 and Schoenemann, ISSAC 1998); inter-reduction shares one table the same way.
 S-polynomials and remainders are built from rows; their terms are
-canonicalized only if read.  Pair lcms, sugar, S-pair keys and the degree
-budget are read off packs too, so no element the run adds unpacks its terms.
+canonicalized only if read.  Pair lcms, signatures and the degree budget
+are read off packs too, so no element the run adds unpacks its terms.
 Dimension is the combinatorial one, read off the leading-term staircase of
 a basis in any term order: R/I and R/in(I) have the same Krull dimension
 (Kredel and Weispfenning, JSC 6, 1988), and it agrees with the dimension of
@@ -90,7 +91,8 @@ class GroebnerBasis(NamedTuple):
 
     @property
     def is_unit(self) -> bool:
-        return any(not f.is_zero and f.total_degree() == 0 for f in self.basis)
+        """A reduced basis is the unit ideal exactly when it is (1): read off its lead pack."""
+        return len(self.basis) == 1 and not self.basis[0].packed_terms(self.order).lead_pack
 
     def leading_monomials(self) -> list:
         return [f.leading(self.order)[0] for f in self.basis]
@@ -171,7 +173,8 @@ class GroebnerBasis(NamedTuple):
         return GroebnerBasis(target, GREVLEX if len(rest) == 1 else BlockElimination(rest), part)
 
 
-def normal_form(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder, table: tuple | None = None) -> Polynomial:
+def normal_form(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder, table: tuple | None = None,
+                bound: tuple | None = None) -> Polynomial:
     """Remainder of multivariate division of f by G.
 
     No term of the result is divisible by any leading monomial of G, and
@@ -195,12 +198,18 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder, ta
     times the reducer's tail is subtracted.  A product exponent that sets a
     guard bit raises ResourceLimitError.  Scaling changes neither the terms
     nor the reducer chosen, so the remainder, each term over the scale of
-    its step, is the Q(i) one.
+    its step, is the Q(i) one.  ``bound = (S, shift, ratios)``, as
+    ``buchberger`` passes it, makes the division regular: a reducer is
+    used at key k only if its multiple's signature ``(k << shift) +
+    ratios[i]`` lies below S, so the first such divisor after the memo's
+    is taken and a term that has none is left in the remainder.
     """
     if f.is_zero:
         return f
     guard = order.packing(f.context.size).guard
     rows, memo = table or ([r for g in G if (r := g.packed_terms(order))], {})
+    if bound is not None:
+        S, shift, ratios = bound
     view = f.packed_terms(order)
     scale = view.denominator
     live = {k: [p, a, b] for p, k, a, b in view.rows()}
@@ -223,6 +232,13 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder, ta
                 remainder.append((p, k, a, b, scale))
                 continue
             memo[p] = i
+        if bound is not None and ratios[i] >= (lim := S - (k << shift)):
+            for i in range(i + 1, len(rows)):
+                if ratios[i] < lim and not (p - rows[i][0]) & guard:
+                    break
+            else:
+                remainder.append((p, k, a, b, scale))
+                continue
         lp, lk, La, Lb, tail, _ = rows[i]
         q = p - lp
         if Lb or La < 0:
@@ -342,78 +358,95 @@ def _reduce_basis(G: list, order: MonomialOrder) -> tuple:
 def buchberger(I: Ideal, order: MonomialOrder, config: GroebnerConfig = DEFAULT_CONFIG) -> GroebnerBasis:
     """Reduced Groebner basis of I; deterministic for a fixed generator order.
 
-    Pairs are taken by the sugar strategy (Giovini, Mora, Niesi, Robbiano
-    and Traverso, ISSAC 1991): an input generator's sugar is its total
-    degree, the sugar of a pair (i, j) is
-    ``max(sugar_i + deg lcm - deg lm_i, sugar_j + deg lcm - deg lm_j)``,
-    its remainder inherits it, and the heap pops the least
-    ``(sugar, deg lcm, i, j)``.  Sugar is the degree the S-polynomial
-    would have were the input homogenized, so under lex and block orders,
-    where a leading monomial's degree can lie far below its polynomial's,
-    pairs still come in nearly ascending degree.  Leads are kept packed,
-    and sugar as ``excess``, so a pair's is ``deg lcm + max(excess_i, excess_j)``.
-    Bit k of ``done[i]`` is set once the pair {i, k} is popped, so the chain
-    criterion tests only the k set in ``done[i] & done[j]``.
+    Every element carries a signature t*e_i, the term of the syzygy module
+    it stands for, under the Schreyer order of the input leads: t*e_i
+    compares as ``(key(t * lm f_i), i)``, one int ``key << shift | i``.  An
+    element's ``ratio`` is its signature minus ``key(lm) << shift``, so a
+    multiple u*g has signature ``key(u * lm g) << shift`` plus g's ratio,
+    and an S-pair takes the larger multiple's, its generator's.  Input i
+    is queued at e_i and the queue pops the least signature S.  An entry is
+    skipped when a known syzygy signature divides S (the Koszul one of
+    every pair of elements, and that of each zero remainder), when S was
+    just taken, or when its generator is not S's canonical rewriter: of the
+    elements whose signature divides S, the one whose multiple has the
+    least lead, the largest ratio, the newest on a tie.  A kept pair's
+    S-polynomial is reduced regularly (``normal_form``'s ``bound``); an
+    input is reduced so only if its lead is regularly reducible, otherwise
+    it joins G as it is.  A zero remainder adds the syzygy S, and a lead
+    that some element's multiple of signature exactly S divides is dropped
+    as redundant.  ``max_pairs`` counts every entry popped, inputs too,
+    and ``max_degree`` reads every term of each remainder added, never an
+    input's.  Pairs with coprime leads or equal multiples' signatures are
+    never queued.
     """
-    gens = [g for g in I.generators if not g.is_zero]
-    if not gens:
+    F = [g.monic(order) for g in I.generators if not g.is_zero]
+    if not F:
         return GroebnerBasis(I.context, order, ())
-    G = [g.monic(order) for g in gens]
-    rows = [g.packed_terms(order) for g in G]
-    table = (rows, {})  # G's reducer table, which every normal form of the run shares
     packing = order.packing(I.context.size)
     guard, degree = packing.guard, packing.degree
-    packed = [r.lead_pack for r in rows]
-    # an element's sugar minus its lead's degree; an input generator's sugar is its degree
-    excess = [max([degree(t[0]) for t in r.rows()]) - degree(r.lead_pack) for r in rows]
-
-    heap = []
-    done = []  # bit k of done[i] is set once the pair {i, k} has been popped
-
-    def push_pairs(j):
-        lp, e = packed[j], excess[j]
-        for i in range(j):
-            lcm = packing.lcm(packed[i], lp)
-            d = degree(lcm)
-            heapq.heappush(heap, (d + max(excess[i], e), d, i, j, lcm))
-        done.append(0)
-
-    for j in range(len(G)):
-        push_pairs(j)
-
-    processed = 0
-    while heap:
-        s, _, i, j, lcm = heapq.heappop(heap)
-        done[i] |= 1 << j
-        done[j] |= 1 << i
-        processed += 1
-        if processed > config.max_pairs:
+    shift = len(F).bit_length()
+    mask = (1 << shift) - 1
+    G, rows, ratios, sigs = [], [], [], []
+    table = (rows, {})  # G's reducer table, which every normal form of the run shares
+    syzygies = [[] for _ in F]  # for input i, the packs t of known syzygy signatures t*e_i
+    members = [[] for _ in F]  # for input i, the elements whose signature has index i
+    queue = [(F[i].packed_terms(order).lead_key << shift | i, -1, i, 0) for i in range(len(F))]
+    heapq.heapify(queue)
+    popped, last = 0, -1
+    while queue:
+        S, a, b, s = heapq.heappop(queue)
+        popped += 1
+        if popped > config.max_pairs:
             raise ResourceLimitError(f"S-pair budget of {config.max_pairs} exceeded")
-        # coprime leading terms reduce to zero
-        if lcm == packed[i] + packed[j]:
+        i = S & mask
+        if S == last or any(not (s - t) & guard for t in syzygies[i]):
             continue
-        # chain criterion: a third element k dividing the lcm whose pairs with
-        # i and j have both been popped makes this pair redundant
-        both = done[i] & done[j]
-        while both:
-            k = both.bit_length() - 1
-            if not (lcm - packed[k]) & guard:
-                break
-            both ^= 1 << k
-        if both:
-            continue
-        h = normal_form(s_polynomial(G[i], G[j], order), G, order, table)
+        if a < 0:
+            # an input joins G as it is unless a multiple below e_i divides its lead
+            h = F[i]
+            lp = h.packed_terms(order).lead_pack
+            if any(ratios[k] < i and not (lp - rows[k].lead_pack) & guard for k in range(len(G))):
+                h = normal_form(h, G, order, table, (S, shift, ratios))
+        else:
+            # S's canonical rewriter: the largest ratio, the newest on a tie
+            if max((ratios[k], k) for k in members[i] if not (s - sigs[k]) & guard)[1] != a:
+                continue
+            h = normal_form(s_polynomial(G[a], G[b], order), G, order, table, (S, shift, ratios))
+        last = S
         if h.is_zero:
+            syzygies[i].append(s)
             continue
         h = h.monic(order)
         view = h.packed_terms(order)
-        if (d := max([degree(t[0]) for t in view.rows()])) > config.max_degree:
+        lp, lk = view.lead_pack, view.lead_key
+        r = S - (lk << shift)
+        # a lead that a multiple of signature exactly S divides is redundant
+        if a >= 0 and any(ratios[k] == r and not (lp - rows[k].lead_pack) & guard for k in members[i]):
+            continue
+        if h is not F[i] and (d := max([degree(t[0]) for t in view.rows()])) > config.max_degree:
             raise ResourceLimitError(f"intermediate degree {d} exceeds budget {config.max_degree}")
+        k = len(G)
+        for j in range(k):
+            lj, rj = rows[j].lead_pack, ratios[j]
+            if rj == r:
+                continue  # both multiples have one signature: a singular pair
+            m = packing.lcm(lj, lp)
+            # the generator is the element whose multiple has the larger signature, of pack t
+            g, rg, t = (j, rj, sigs[j] + m - lj) if rj > r else (k, r, s + m - lp)
+            syz = syzygies[rg & mask]
+            if any(not (t - y) & guard for y in syz):
+                continue
+            # the Koszul syzygy's signature is gcd(lm_j, lm_h) * t
+            z = t + lj + lp - m
+            if z == t or not any(not (z - y) & guard for y in syz):
+                syz.append(z)
+            if m != lj + lp:
+                heapq.heappush(queue, ((packing.pack_key(m) << shift) + rg, g, j + k - g, t))
         G.append(h)
         rows.append(view)
-        packed.append(view.lead_pack)
-        excess.append(s - degree(view.lead_pack))
-        push_pairs(len(G) - 1)
+        ratios.append(r)
+        sigs.append(s)
+        members[i].append(k)
 
     return GroebnerBasis(I.context, order, _reduce_basis(G, order))
 

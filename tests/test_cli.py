@@ -27,7 +27,7 @@ from holoclosure.cli import (
     EXIT_SEMANTIC,
     run,
 )
-from holoclosure.complexify import System
+from holoclosure.complexify import System, complexify_ideal
 from holoclosure.poly import GREVLEX, LEX, z_context
 from holoclosure.syntax import parse
 
@@ -476,6 +476,54 @@ def test_q2_hcdim_answers_in_a_child_and_matches_sympy():
     assert _bench_check().check_output(reference, code, out) == []
 
 
+# the hard tier of ROADMAP item 1 that answers in under a second
+CYCLIC6 = "vars x1 x2 x3 x4 x5 x6\n" + "".join(
+    "eq " + " + ".join("*".join(f"x{(j + t) % 6 + 1}" for t in range(d)) for j in range(6)) + "\n"
+    for d in range(1, 6)) + "eq x1*x2*x3*x4*x5*x6 - 1\n"
+C3B = "vars z1 z2 z3\neq z1*conj(z1)^2+z2^2*conj(z2)-z3*conj(z3)^2-1\neq z1^2+conj(z2)*z3-2*conj(z1)\n"
+
+
+def _assert_groebner_basis_of(basis, generators, order):
+    """Buchberger's criterion by unbounded normal forms, and every generator reducing to 0."""
+    packing = order.packing(basis[0].context.size)
+    leads = [g.packed_terms(order).lead_pack for g in basis]
+    for (f, a), (g, b) in combinations(zip(basis, leads), 2):
+        if packing.lcm(a, b) != a + b:
+            assert groebner.normal_form(groebner.s_polynomial(f, g, order), basis, order).is_zero
+    assert all(groebner.normal_form(f, basis, order).is_zero for f in generators)
+
+
+def test_cyclic6_answers_in_a_child_with_a_groebner_basis_of_its_ideal():
+    code, out, err = _run_bounded(["groebner", "-", "--json"], CYCLIC6, timeout=20)
+    assert code == EXIT_OK and "Traceback" not in err
+    system = System.from_document(parse(CYCLIC6))
+    basis = [parse_polynomial(g, system.context) for g in json.loads(out)["results"]["basis"]]
+    assert len(basis) == 45
+    _assert_groebner_basis_of(basis, system.ideal().generators, GREVLEX)
+
+
+def test_c3b_hcdim_answers_in_a_child_with_its_hc_ideal_inside_the_ideal():
+    # the block basis behind the answer has about 800 terms an element, and
+    # Buchberger's criterion on it takes over a minute; the grevlex basis of the
+    # same ideal is checked instead, and the hc ideal's generator must lie in it
+    code, out, err = _run_bounded(["hcdim", "-", "--json"], C3B, timeout=20)
+    assert code == EXIT_OK and "Traceback" not in err
+    results = json.loads(out)["results"]
+    assert (results["real_dimension"], results["hc_dimension"], len(results["hc_ideal"])) == (2, 2, 1)
+    ideal = complexify_ideal(System.from_document(parse(C3B)))
+    basis = groebner.buchberger(ideal, GREVLEX).basis
+    _assert_groebner_basis_of(basis, ideal.generators, GREVLEX)
+    generator = parse_polynomial(results["hc_ideal"][0], z_context(3)).embed(ideal.context)
+    assert groebner.normal_form(generator, basis, GREVLEX).is_zero
+
+
+def test_realdim_of_the_cubic_is_2():
+    # a signature-based loop that rewrote by add order ("newest wins") and dropped
+    # singular remainders reported 3 here
+    code, out = invoke(["realdim", str(BENCH / "inputs" / "cubic.sys")])
+    assert code == EXIT_OK and "real_dimension: 2\n" in out
+
+
 def _s_pairs_and_zero_remainders(monkeypatch, argv):
     """S-polynomials one command forms and normal forms that come out zero,
     counted through the module globals that buchberger calls."""
@@ -494,15 +542,15 @@ def _s_pairs_and_zero_remainders(monkeypatch, argv):
     return len(spairs), sum(zeros)
 
 
-def test_katsura3_lex_reduces_28_s_pairs(monkeypatch):
-    # the sugar strategy's count, in file order; the normal strategy reduced 34
+def test_katsura3_lex_reduces_17_s_pairs(monkeypatch):
+    # the signature-based loop's count in file order: no S-pair reduces to zero
     argv = ["groebner", str(BENCH / "inputs" / "katsura3.sys"), "--order", "lex", "--json"]
-    assert _s_pairs_and_zero_remainders(monkeypatch, argv) == (28, 16)
+    assert _s_pairs_and_zero_remainders(monkeypatch, argv) == (17, 0)
 
 
 @pytest.mark.parametrize("argv,counts", [
     (["groebner", str(BENCH / "inputs" / "katsura3.sys"), "--order", "lex", "--json"],
-     {"groebner.spairs_reduced": 28, "groebner.zero_reductions": 16, "groebner.nonzero_remainders": 12}),
+     {"groebner.spairs_reduced": 17, "groebner.zero_reductions": 0, "groebner.nonzero_remainders": 17}),
     # one jet product per column past the constant, up to the first relation
     (["probe-osgood", "--jets", "20", "--maxdeg", "6", "--json"], {"jets.jet_mul.calls": 53}),
 ], ids=["katsura3-lex", "probe-osgood-20"])
@@ -523,12 +571,12 @@ def test_the_benchmark_tracer_binds_the_engine_and_changes_no_report(argv, count
     assert {name: tracer.counts[name] for name in counts} == counts
 
 
-# the pair trajectory in file order, as before the reducer memo: a memo that
-# chose another reducer could change which remainders vanish
+# the pair trajectory in file order: a reducer search that chose another reducer
+# could change which remainders vanish
 @pytest.mark.parametrize("argv,counts", [
-    (["hcdim", "cubic.sys"], (103, 76)),
-    (["groebner", "cyclic5.sys"], (112, 75)),
-    (["groebner", "katsura4.sys"], (28, 18)),
+    (["hcdim", "cubic.sys"], (31, 2)),
+    (["groebner", "cyclic5.sys"], (44, 5)),
+    (["groebner", "katsura4.sys"], (10, 1)),
 ])
 def test_hard_tier_s_pairs_and_zero_remainders(monkeypatch, argv, counts):
     command, name = argv
@@ -536,7 +584,8 @@ def test_hard_tier_s_pairs_and_zero_remainders(monkeypatch, argv, counts):
 
 
 def test_katsura4_lex_answers_in_a_child_and_spans_the_grevlex_ideal():
-    # 31 s before division went fraction-free over Z[i]; about 1.5 s after
+    # 31 s before division went fraction-free over Z[i], about 1.5 s after, and
+    # about 0.3 s under the signature-based pair loop
     path = BENCH / "inputs" / "katsura4.sys"
     code, out, err = _run_bounded(["groebner", str(path), "--order", "lex", "--json"], timeout=20)
     assert code == EXIT_OK and "Traceback" not in err

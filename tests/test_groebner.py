@@ -3,7 +3,8 @@
 import copy
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -333,6 +334,19 @@ def test_buchberger_keeps_the_least_lead_of_its_basis_without_a_normal_form(monk
     assert len(basis) == 2 and len(calls) == 1
 
 
+def test_is_unit_reads_a_lead_pack_and_no_term_map(monkeypatch):
+    unit = buchberger(Ideal.from_polys(XY, [pp(XY, "x*y - 2"), pp(XY, "x*y - 1")]), LEX)
+    proper = buchberger(Ideal.from_polys(XY, [pp(XY, "x^2 - y"), pp(XY, "x*y - 1")]), LEX)
+    assert [type(g) for g in unit.basis] == [_RowsPolynomial]
+    assert _RowsPolynomial in {type(g) for g in proper.basis}
+    unpacked = []
+    original = _RowsPolynomial.__getattr__
+    monkeypatch.setattr(_RowsPolynomial, "__getattr__", lambda self, name: unpacked.append(self) or original(self, name))
+    assert unit.is_unit and not proper.is_unit
+    assert unpacked == []
+    assert not GroebnerBasis(XY, LEX, ()).is_unit
+
+
 def test_pair_budget_exhaustion():
     I = Ideal.from_polys(XYZ, [pp(XYZ, "x^2 - y*z"), pp(XYZ, "y^2 - x*z"), pp(XYZ, "z^2 - x*y")])
     with pytest.raises(ResourceLimitError):
@@ -450,16 +464,17 @@ X4 = param_ctx(("a", "b", "c", "d"))
 DIVISION_ORDERS = [LEX, GREVLEX, BlockElimination(((2, 3), (0,), (1,)))]
 
 
-def reference_normal_form(f, G, order):
+def reference_normal_form(f, G, order, allowed=lambda i, m: True):
     """Division as written in the textbook: re-read the leading term of the
-    whole dividend after every step, subtracting one whole reducer multiple."""
-    reducers = [(g.leading(order), g) for g in G if not g.is_zero]
+    whole dividend after every step, subtracting one whole reducer multiple;
+    reducer i is tried on monomial m only if ``allowed(i, m)``."""
+    reducers = [(i, g.leading(order), g) for i, g in enumerate(G) if not g.is_zero]
     remainder = {}
     p = f
     while not p.is_zero:
         m, c = p.leading(order)
-        for (lm, lc), g in reducers:
-            if monomial_divides(lm, m):
+        for i, (lm, lc), g in reducers:
+            if monomial_divides(lm, m) and allowed(i, m):
                 p = p.sub_scaled(g, monomial_div(m, lm), c / lc)
                 break
         else:
@@ -484,6 +499,32 @@ nonzero_polys4 = polys4(6).filter(lambda f: not f.is_zero)
 @given(st.sampled_from(DIVISION_ORDERS), polys4(8), st.lists(polys4(4), max_size=3))
 def test_normal_form_matches_textbook_division(order, f, G):
     assert normal_form(f, G, order) == reference_normal_form(f, G, order)
+
+
+small_monomials4 = st.tuples(*(st.integers(0, 1),) * 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(DIVISION_ORDERS), polys4(8), st.lists(nonzero_polys4, min_size=1, max_size=3), st.data())
+def test_a_signature_bound_passes_over_each_reducer_whose_multiple_is_not_below_it(order, f, G, data):
+    # as in a regular reduction: reducer i, of signature ratio (key(u_i) << 2) | index_i,
+    # reduces a term of key k only while (k << 2) + ratio_i lies below S = (key(top) << 2) | index;
+    # top is a term of f times a small monomial, so that some reducers pass and some do not
+    ratios = [order.key(data.draw(small_monomials4)) << 2 | data.draw(st.integers(0, 3)) for _ in G]
+    top = data.draw(st.sampled_from(sorted(f.terms) or [(0,) * 4]))
+    top = tuple(map(add, top, data.draw(small_monomials4)))
+    S = order.key(top) << 2 | data.draw(st.integers(0, 3))
+    expected = reference_normal_form(f, G, order, lambda i, m: (order.key(m) << 2) + ratios[i] < S)
+    assert normal_form(f, G, order, None, (S, 2, ratios)) == expected
+
+
+def test_a_signature_bound_takes_the_first_divisor_below_it_after_the_memos():
+    # a*b's first divisor is a - c, whose multiple ties S's key at a larger index;
+    # the next divisor, a - d, has a lower index, so a*b reduces to b*d
+    G = [pp(X4, "a - c"), pp(X4, "a - d")]
+    S = GREVLEX.key((1, 1, 0, 0)) << 2 | 1
+    assert normal_form(pp(X4, "a*b"), G, GREVLEX, None, (S, 2, [2, 0])) == pp(X4, "b*d")
+    assert normal_form(pp(X4, "a*b"), G, GREVLEX, None, (S, 2, [2, 1])) == pp(X4, "a*b")
 
 
 # leading coefficients the fraction-free step handles apart from a positive
@@ -653,10 +694,38 @@ def test_s_polynomial_exponent_past_the_packed_field_width_is_a_resource_limit()
         s_polynomial(f, g, LEX)
 
 
+def _bench_system(name):
+    return system_from_text((Path(__file__).resolve().parent.parent / "bench" / "inputs" / name).read_text(encoding="utf-8"))
+
+
 def _cubic_block_basis():
-    text = (Path(__file__).resolve().parent.parent / "bench" / "inputs" / "cubic.sys").read_text(encoding="utf-8")
-    ideal = complexify_ideal(system_from_text(text))
+    ideal = complexify_ideal(_bench_system("cubic.sys"))
     return buchberger(ideal, BlockElimination.of_blocks(ideal.context, Block.W))
+
+
+def _generator_orders(ideal, count, seed):
+    orders = list(permutations(ideal.generators))
+    if count < len(orders):
+        orders = random.Random(seed).sample(orders, count)
+    return [Ideal(ideal.context, gens) for gens in orders]
+
+
+# signatures tie by generator index, so each order of the generators is another
+# run; a loop that put the inputs into the basis without queueing them at e_i, or
+# that ordered signatures by degree first, gave wrong katsura-3 lex bases
+@pytest.mark.parametrize("name,count", [("cubic", 24), ("katsura3-lex", 24), ("cyclic5", 40)])
+def test_every_generator_order_gives_the_file_order_basis(name, count):
+    if name == "cubic":
+        ideal = complexify_ideal(_bench_system("cubic.sys"))
+        order = BlockElimination.of_blocks(ideal.context, Block.W)
+    else:
+        ideal = _bench_system(name.removesuffix("-lex") + ".sys").ideal()
+        order = LEX if name.endswith("-lex") else GREVLEX
+    expected = buchberger(ideal, order).basis
+    orders = _generator_orders(ideal, count, 28)
+    assert len(orders) == count and len(set(orders)) == count
+    for permuted in orders:
+        assert buchberger(permuted, order).basis == expected
 
 
 def test_elimination_builds_no_dropped_elements_term_map(monkeypatch):
@@ -697,7 +766,7 @@ def test_a_basis_run_and_its_rendering_unpack_no_term_map(monkeypatch):
     added = [g for g in gb.basis if type(g) is _RowsPolynomial]
     texts = [polynomial_to_text(g, GREVLEX) for g in gb.basis]
     monkeypatch.undo()
-    # the degree budget, pair sugar and rendering read packs: no element the
+    # the degree budget, signatures and rendering read packs: no element the
     # run adds and no rendered element builds its term map
     assert len(gb.basis) == 13 and len(added) == 12
     assert unpacked == []

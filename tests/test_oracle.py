@@ -49,18 +49,18 @@ def _from_sympy(p, ctx, dropped=0) -> Polynomial:
 
 @st.composite
 def small_ideals(draw):
-    """2-3 variables, 1-3 nonzero generators of degree <= 3 and <= 3 terms."""
-    n = draw(st.integers(2, 3))
+    """2-4 variables, 1-4 nonzero generators of degree <= 3 and <= 3 terms."""
+    n = draw(st.integers(2, 4))
     ctx = param_ctx([f"x{k}" for k in range(1, n + 1)])
     monomial = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(
         lambda e: sum(e) <= 3
     ).map(tuple)
     generator = st.dictionaries(monomial, GAUSSIAN_COEFFS, min_size=1, max_size=3)
-    gens = draw(st.lists(generator, min_size=1, max_size=3))
+    gens = draw(st.lists(generator, min_size=1, max_size=4))
     return ctx, [Polynomial(ctx, terms) for terms in gens]
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(small_ideals())
 def test_reduced_bases_and_dimension_match_sympy(ideal):
     ctx, gens = ideal
@@ -78,7 +78,7 @@ def test_reduced_bases_and_dimension_match_sympy(ideal):
         )
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(small_ideals(), st.data())
 def test_block_elimination_ideal_matches_sympy(ideal, data):
     # the first k variables form the eliminated group, as w does for hcdim
