@@ -16,7 +16,8 @@ variables under grevlex, lex and a two-group block order; powers of
 Gaussian, binomial and dense bases; generators whose conjugate is and is
 not a scalar multiple of themselves; cyclic-6 under groebner and the c3b
 and q2 CR systems under hcdim, which take seconds at commits before the
-signature-based pair loop), and the error
+signature-based pair loop; ``stdin-ranks-rational-roots``, whose sampler
+finds a point through the rational roots of a cubic), and the error
 paths: unreadable and malformed input (each rule a document kind sets on
 its statements and on ``i``, ``conj`` and ``exp``), a refused command
 line (a bad flag value, an unknown flag, an unknown command or none), each
@@ -110,6 +111,8 @@ STDIN_CASES = {
     "stdin-cyclic6-groebner": (["groebner", "-"], CYCLIC6),
     "stdin-c3b-hcdim": (["hcdim", "-"], C3B),
     "stdin-q2-hcdim": (["hcdim", "-"], Q2),
+    # the sampler's rational roots over Q: a cubic cleared to integer coefficients
+    "stdin-ranks-rational-roots": (["ranks", "-"], b"mapvars v t\nmap v*t\nmap t\neq 6*v^3 - 5*v^2 - 2*v + 1\n"),
 }
 
 ERROR_CASES = {

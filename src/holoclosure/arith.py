@@ -15,12 +15,14 @@ and negation and conjugation need no gcd at all.  ``real_part`` and
 only at the edges: the constructor accepts it, equality and hashing agree
 with it, and ``re`` and ``im`` are read-only ``Fraction`` views, but the
 module loads without ``fractions``: it looks the class up only once loaded.
+No other module reads the triple: ``numerators`` gives Gaussian-integer pairs
+over one denominator, and ``from_numerator``, the canonicalizer, goes back.
 """
 
 from __future__ import annotations
 
 import sys
-from math import gcd
+from math import gcd, lcm
 
 
 def _is_fraction(x) -> bool:
@@ -43,7 +45,7 @@ class GaussianRational:
 
     def __new__(cls, re=0, im=0):
         (p, q), (r, s) = _ratio(re), _ratio(im)
-        return _reduced(p * s, r * q, q * s)
+        return from_numerator(p * s, r * q, q * s)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -65,22 +67,22 @@ class GaussianRational:
             other = gq(other)
         d1, d2 = self._d, other._d
         if d1 == d2:
-            return _reduced(self._a + other._a, self._b + other._b, d1)
-        return _reduced(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
+            return from_numerator(self._a + other._a, self._b + other._b, d1)
+        return from_numerator(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
 
     def __sub__(self, other) -> "GaussianRational":
         if not isinstance(other, GaussianRational):
             other = gq(other)
         d1, d2 = self._d, other._d
         if d1 == d2:
-            return _reduced(self._a - other._a, self._b - other._b, d1)
-        return _reduced(self._a * d2 - other._a * d1, self._b * d2 - other._b * d1, d1 * d2)
+            return from_numerator(self._a - other._a, self._b - other._b, d1)
+        return from_numerator(self._a * d2 - other._a * d1, self._b * d2 - other._b * d1, d1 * d2)
 
     def __mul__(self, other) -> "GaussianRational":
         if not isinstance(other, GaussianRational):
             other = gq(other)
         a1, b1, a2, b2 = self._a, self._b, other._a, other._b
-        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
+        return from_numerator(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
 
     def __truediv__(self, other) -> "GaussianRational":
         if not isinstance(other, GaussianRational):
@@ -90,7 +92,7 @@ class GaussianRational:
         if not n:
             raise ZeroDivisionError("division by zero in Q(i)")
         # multiply through by the conjugate a2 - b2*i; the norm is positive
-        return _reduced(d2 * (a1 * a2 + b1 * b2), d2 * (b1 * a2 - a1 * b2), self._d * n)
+        return from_numerator(d2 * (a1 * a2 + b1 * b2), d2 * (b1 * a2 - a1 * b2), self._d * n)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -113,10 +115,10 @@ class GaussianRational:
         return _canonical(self._a, -self._b, self._d)
 
     def real_part(self) -> "GaussianRational":
-        return _reduced(self._a, 0, self._d)
+        return from_numerator(self._a, 0, self._d)
 
     def imag_part(self) -> "GaussianRational":
-        return _reduced(self._b, 0, self._d)
+        return from_numerator(self._b, 0, self._d)
 
     # -- predicates and protocol ------------------------------------------
 
@@ -168,7 +170,7 @@ def _canonical(a: int, b: int, d: int) -> GaussianRational:
     return x
 
 
-def _reduced(a: int, b: int, d: int) -> GaussianRational:
+def from_numerator(a: int, b: int, d: int) -> GaussianRational:
     """The element (a + b*i)/d for any d > 0, its common factor divided out."""
     if d != 1:
         g = gcd(a, b, d)
@@ -214,6 +216,19 @@ def gq(x) -> GaussianRational:
     return _canonical(n, 0, d)
 
 
+def numerators(values) -> tuple:
+    """Pairs (a, b) over the lcm D of the denominators, and D; an int x is (x * D, 0), building no element.
+
+    ``values``, a sequence or a dict view, is read again when not all are elements."""
+    try:
+        D = lcm(*[x._d for x in values])
+    except AttributeError:  # an int or a Fraction among them
+        values = [x if type(x) is int else gq(x) for x in values]
+        D = lcm(*[x._d for x in values if type(x) is not int])
+        return [(x * D, 0) if type(x) is int else (x._a * (D // x._d), x._b * (D // x._d)) for x in values], D
+    return [(x._a * (D // x._d), x._b * (D // x._d)) for x in values], D
+
+
 # -- textual form ----------------------------------------------------------
 #
 # Canonical scalar syntax, which ``syntax.parse_point`` reads back exactly:
@@ -230,6 +245,16 @@ def _ratio_to_text(n: int, d: int) -> str:
     if g != d:
         return f"{n // g}/{d // g}"
     return str(n // g)
+
+
+def gq_is_negative(x: GaussianRational) -> bool:
+    """Whether the text of x starts with a minus sign."""
+    return x._a < 0 or (not x._a and x._b < 0)
+
+
+def gq_to_factor_text(x: GaussianRational) -> str:
+    """x as a multiplicative prefix; a value with both parts gets parentheses."""
+    return f"({gq_to_text(x)})" if x._a and x._b else gq_to_text(x)
 
 
 def gq_to_text(x: GaussianRational) -> str:

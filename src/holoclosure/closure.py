@@ -18,10 +18,10 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import islice
-from math import isqrt, lcm
+from math import isqrt
 from typing import NamedTuple, Sequence
 
-from holoclosure.arith import GaussianRational, gq
+from holoclosure.arith import GaussianRational, gq, numerators
 from holoclosure.complexify import System, complexify_ideal
 from holoclosure.errors import EmptySetError, InvariantError, SamplingError
 from holoclosure.groebner import (
@@ -247,10 +247,10 @@ def _rational_roots(coeffs: list) -> list:
         return []
     if len(coeffs) == 2:
         return [-coeffs[0] / coeffs[1]]
-    if not all(c.is_real() for c in coeffs):
+    pairs, _ = numerators(coeffs)
+    if any(b for _, b in pairs):
         return []
-    denom = lcm(*(c._d for c in coeffs))
-    ints = [c._a * (denom // c._d) for c in coeffs]
+    ints = [a for a, _ in pairs]
     low = next(k for k, c in enumerate(ints) if c)
     ints = ints[low:]
     scale = abs(ints[-1])

@@ -40,8 +40,6 @@ from typing import Iterable, NamedTuple, Sequence
 from holoclosure.arith import inverse_numerator
 from holoclosure.errors import ResourceLimitError
 from holoclosure.poly import (
-    FIELD_BITS,
-    MAX_EXPONENT,
     Block,
     BlockElimination,
     GREVLEX,
@@ -166,7 +164,7 @@ class GroebnerBasis(NamedTuple):
         new_index = {old: new for new, old in enumerate(kept)}
         index_map = [new_index.get(k, 0) for k in range(self.context.size)]
         # the dropped variables' fields of a pack: read off rows, only kept elements build term maps
-        mask = sum(((1 << FIELD_BITS) - 1) << FIELD_BITS * k for k in dropped)
+        mask = self.order.packing(self.context.size).fields_mask(dropped)
         part = tuple(g.rename(target, index_map) for g in self.basis
                      if not any(r[0] & mask for r in g.packed_terms(self.order).rows()))
         rest = tuple(tuple(new_index[k] for k in g) for g in groups[count:])
@@ -267,7 +265,7 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder, ta
                 # a live key's exponents already fit, so only a new one is checked
                 e = q + p2
                 if e & guard:
-                    _exponent_overflow("normal form")
+                    order.packing(f.context.size).raise_overflow("normal form: a product exponent")
                 live[t] = [e, -da, -db]
                 push(heap, -t)
             else:
@@ -275,12 +273,6 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder, ta
                 old[2] -= db
     rows = [(p, k, a * (scale // s), b * (scale // s)) for p, k, a, b, s in remainder]
     return Polynomial.from_rows(f.context, order, rows, scale)
-
-
-def _exponent_overflow(phase: str):
-    raise ResourceLimitError(
-        f"{phase}: a product exponent exceeds the packed exponent limit of {MAX_EXPONENT}"
-    )
 
 
 def _shifted_tail(view, dp: int, dk: int, wa: int, wb: int) -> list:
@@ -329,7 +321,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     for p, _, _, _ in merged:
         seen |= p
     if seen & packing.guard:
-        _exponent_overflow("S-polynomial")
+        packing.raise_overflow("S-polynomial: a product exponent")
     return Polynomial.from_rows(f.context, order, merged, n)
 
 

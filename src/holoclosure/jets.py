@@ -2,9 +2,10 @@
 
 A jet is a power series truncated at a fixed total degree K: its terms of
 degree <= K as rows (pack, integer numerator) over one positive denominator
-with no common factor.  A pack holds the exponents in fields wide enough for
-K, the first variable's most significant, under a top field holding the
-degree, so the rows ascend by degree and a product's pack is a sum.  Sums,
+with no common factor.  A pack is ``poly``'s Kronecker layout for exponents
+up to K, the first variable's most significant, under one more field, on
+top, holding the degree: every variable's weight adds the degree field's.
+So the rows ascend by degree and a product's pack is a sum.  Sums,
 products and powers work on the rows: a product's inner loop stops at the
 first partner whose degree would pass K.  ``coeffs`` and ``poly`` are views,
 and composition F(components) is the loop ``poly.compose`` that
@@ -29,12 +30,11 @@ coefficients does (take real or imaginary parts).
 
 from __future__ import annotations
 
-from math import comb, factorial, gcd, lcm
-from operator import lshift
+from math import comb, factorial, gcd
 from typing import Mapping, NamedTuple, Sequence
 
 from holoclosure import linalg
-from holoclosure.arith import ONE, GaussianRational, _reduced, gq, power
+from holoclosure.arith import ONE, GaussianRational, power
 from holoclosure.errors import InvariantError, ResourceLimitError
 from holoclosure.poly import (
     Block,
@@ -43,17 +43,14 @@ from holoclosure.poly import (
     Polynomial,
     VariableContext,
     compose,
+    kronecker_shifts,
+    pack_terms,
     param_context,
+    unpack_terms,
     z_context,
 )
 
 MAX_PROBE_ENTRIES = 2_000_000  # rows x cols bound for the relation system
-
-
-def _layout(size: int, order: int) -> tuple:
-    """(field width, the exponent fields' shifts, the degree field's shift) of a pack."""
-    width = order.bit_length() or 1
-    return width, range(width * (size - 1), -1, -width), width * size
 
 
 class Jet:
@@ -67,15 +64,14 @@ class Jet:
     __slots__ = ("context", "order", "rows", "denominator")
 
     def __init__(self, context: VariableContext, order: int, coeffs: Mapping[Monomial, GaussianRational]):
-        terms = {m: gq(c) for m, c in coeffs.items()}
-        if not all(c.is_real() for c in terms.values()):
+        top, *shifts = kronecker_shifts(context.size + 1, order)  # the degree field, then the exponents'
+        rows, d = pack_terms(coeffs, [(1 << top) + (1 << s) for s in shifts])
+        if any(b for _, _, b in rows):
             raise ValueError("jet coefficients must be rational (real)")
         if order < 0:
             raise ValueError("jet order must be non-negative")
-        _, shifts, top = _layout(context.size, order)
-        d = lcm(*[c._d for c in terms.values()])
-        _fill(self, context, order, {sum(map(lshift, m, shifts)) + (sum(m) << top): c._a * (d // c._d)
-                                     for m, c in terms.items() if sum(m) <= order}, d)
+        limit = (order + 1) << top  # a pack at or above it is of degree above the order
+        _fill(self, context, order, {p: a for p, a, _ in rows if p < limit}, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Jet is immutable")
@@ -91,9 +87,8 @@ class Jet:
     @property
     def coeffs(self) -> dict:
         """The term map monomial -> nonzero coefficient, in row order."""
-        width, shifts, _ = _layout(self.context.size, self.order)
-        mask, d = (1 << width) - 1, self.denominator
-        return {tuple([(p >> s) & mask for s in shifts]): _reduced(n, 0, d) for p, n in self.rows}
+        shifts = kronecker_shifts(self.context.size + 1, self.order)[1:]  # the exponents', not the degree's
+        return unpack_terms(((p, n, 0) for p, n in self.rows), shifts, self.denominator)
 
     @property
     def poly(self) -> Polynomial:
@@ -113,7 +108,7 @@ class Jet:
 
     def __mul__(self, other: "Jet") -> "Jet":
         self._require_compatible(other)
-        limit = (self.order + 1) << _layout(self.context.size, self.order)[2]
+        limit = (self.order + 1) << kronecker_shifts(self.context.size + 1, self.order)[0]
         acc = {}
         get, ys = acc.get, other.rows
         for p1, n1 in self.rows:

@@ -7,17 +7,18 @@ feed columns lazily and stop at the first relation, as the jet relation
 probe does.  It is fraction-free over Z[i]: a column and its combination of
 input columns are maps to ``[a, b]`` numerators of a + b*i, and each kept
 column has a positive integer pivot.  ``GaussianRational`` appears only at
-entry and exit.  A relation is the reduced row echelon kernel vector of its
-column, so the answers are those of Gauss-Jordan without building the
-echelon form.  ``nullspace`` and ``rank`` adapt it to dense row lists.
+entry and exit, through ``arith``'s two conversions, and an int entry, as
+every jet column's is, builds none.  A relation is the reduced row echelon
+kernel vector of its column, so the answers are those of Gauss-Jordan
+without building the echelon form.  ``nullspace`` and ``rank`` adapt it to dense row lists.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Iterator, Mapping
 
-from holoclosure.arith import ZERO, _reduced, gq, inverse_numerator
+from holoclosure.arith import ZERO, from_numerator, inverse_numerator, numerators
 
 
 def _combine(target: dict, m: int, fa: int, fb: int, other: dict):
@@ -49,23 +50,23 @@ def relations(columns: Iterable[Mapping]) -> Iterator[tuple]:
     coordinates, supported on column j and earlier independent columns, with
     sum(relation[i] * column i) = 0 and its first (lowest index) coordinate
     equal to 1: the reduced row echelon kernel vector of the free column j.
-    Entries may be ints, Fractions or GaussianRationals; each is coerced
-    once, and column j enters as its numerators over the lcm D of its
-    denominators, with combination {j: D}.  Against each kept column (pivot
-    row p, pivot N, reduced column R, combination C), with f = v[p] and
-    g = gcd(f, N), v becomes (N/g)*v - (f/g)*R and its combination likewise
-    with C.  A column kept at its pivot row, its lowest row label, is
-    multiplied with its combination by the conjugate (or the sign) of the
-    pivot, making N a positive integer, and both are divided by their joint
-    integer content.  A dependent column yields its combination divided by
-    its first coordinate, which scaling does not change, so the answers are
-    the Q(i) ones.  The input maps are left unchanged.
+    Entries may be ints, Fractions or GaussianRationals; column j enters as
+    its numerators over the lcm D of its denominators, with combination
+    {j: D}.  Against each kept column (pivot row p, pivot N, reduced column
+    R, combination C), with f = v[p] and g = gcd(f, N), v becomes
+    (N/g)*v - (f/g)*R and its combination likewise with C.  A column kept
+    at its pivot row, its lowest row label, is multiplied with its
+    combination by the conjugate (or the sign) of the pivot, making N a
+    positive integer, and both are divided by their joint integer content.
+    A dependent column yields its combination divided by its first
+    coordinate, which scaling does not change, so the answers are the Q(i)
+    ones.  The input maps are left unchanged.
     """
     kept = []  # (pivot row, pivot N > 0, reduced column, its combination of input columns)
     for j, column in enumerate(columns):
-        entries = [(r, gq(x)) for r, x in column.items() if x]
-        D = lcm(*[x._d for _, x in entries])
-        v = {r: [x._a * (D // x._d), x._b * (D // x._d)] for r, x in entries}
+        entries = {r: x for r, x in column.items() if x}
+        pairs, D = numerators(entries.values())
+        v = {r: [a, b] for r, (a, b) in zip(entries, pairs)}
         combination = {j: [D, 0]}
         for p, N, reduced, combo in kept:
             f = v.get(p)
@@ -88,7 +89,7 @@ def relations(columns: Iterable[Mapping]) -> Iterator[tuple]:
         else:
             ua, ub, n = inverse_numerator(*combination[min(combination)])
             yield j, {
-                i: _reduced(a * ua - b * ub, a * ub + b * ua, n)
+                i: from_numerator(a * ua - b * ub, a * ub + b * ua, n)
                 for i, (a, b) in combination.items()
             }
 

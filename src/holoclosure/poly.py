@@ -17,11 +17,12 @@ inside each: lex is one group per variable, grevlex one group of all, and a
 block elimination order its blocks.  So it is one additive int key: each
 group's grevlex exponent sums, packed side by side, first most significant.
 Division works on that key, on the exponents packed into guarded int fields
-(``Packing``) and on Gaussian-integer numerators (``PackedRows``).
-Multiplication packs each product's exponents afresh, into unguarded fields
-just wide enough for it, over Gaussian-integer numerators.  Only the term
-maps keep exponent tuples, which the parser and the jets' views share; the
-renderer unpacks the rows of a polynomial built from them instead.
+(``Packing``) and on Gaussian-integer numerators (``PackedRows``).  No other
+module knows a layout: ``pack_terms`` packs by per-variable weights, and one
+Kronecker layout of unguarded fields (``kronecker_shifts``, ``unpack_terms``)
+serves products, powers and jets.  Only the term maps keep exponent tuples,
+which the parser and the jets' views share; the renderer unpacks the rows
+of a polynomial built from them instead.
 """
 
 from __future__ import annotations
@@ -30,11 +31,12 @@ import sys
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate, chain
-from math import comb, gcd, lcm
-from operator import add, itemgetter, lshift, mul
+from math import comb, gcd
+from operator import add, itemgetter, mul
 from typing import Mapping, NamedTuple, Sequence
 
-from holoclosure.arith import ONE, GaussianRational, _reduced, gq, gq_to_text, inverse_numerator
+from holoclosure.arith import (ONE, GaussianRational, from_numerator, gq, gq_is_negative, gq_to_factor_text,
+                               inverse_numerator, numerators)
 from holoclosure.errors import ResourceLimitError
 
 Monomial = tuple  # dense exponent tuple, one entry per context variable
@@ -174,12 +176,13 @@ class Packing:
     ``degree`` and ``pack_key`` read a pack's fields in C, unpacking nothing.
     """
 
-    __slots__ = ("shifts", "guard", "key_weights", "_word_weights")
+    __slots__ = ("shifts", "weights", "guard", "key_weights", "_word_weights")
 
     def __init__(self, groups: tuple, size: int):
         if sorted(chain.from_iterable(groups)) != list(range(size)):
             raise ValueError(f"the ranked groups do not partition the {size} variables")
         self.shifts = tuple(range(0, FIELD_BITS * size, FIELD_BITS))
+        self.weights = tuple([1 << s for s in self.shifts])
         self.guard = sum(1 << (s + FIELD_BITS - 1) for s in self.shifts)
         # ``top`` counts the rows from a group's first one to the last row.
         # The variable at position j of a group g is in its first len(g) - j
@@ -198,10 +201,16 @@ class Packing:
 
     def key(self, m: Monomial) -> int:
         if max(m, default=0) > MAX_EXPONENT:
-            raise ResourceLimitError(
-                f"exponent {max(m)} exceeds the packed exponent limit of {MAX_EXPONENT}"
-            )
+            self.raise_overflow(f"exponent {max(m)}")
         return sum(map(mul, m, self.key_weights))
+
+    def raise_overflow(self, what: str):
+        """Refuse ``what``, an exponent past MAX_EXPONENT, with a ResourceLimitError."""
+        raise ResourceLimitError(f"{what} exceeds the packed exponent limit of {MAX_EXPONENT}")
+
+    def fields_mask(self, indices) -> int:
+        """The bits of the fields of the variables at ``indices``."""
+        return sum(((1 << FIELD_BITS) - 1) << self.shifts[k] for k in indices)
 
     def unpack(self, p: int) -> Monomial:
         mask = (1 << FIELD_BITS) - 1
@@ -331,17 +340,22 @@ LEX = Lex()
 # -- polynomials ------------------------------------------------------------
 
 
-def _packed_numerators(terms: Mapping, shifts: Sequence) -> tuple:
-    """The terms as (packed exponents, a, b) over one denominator D, and D.
+def pack_terms(terms: Mapping, weights: Sequence) -> tuple:
+    """Rows (pack, a, b), (a + b*i)/D times the monomial m packed as sum(m[k] * weights[k]), and D."""
+    pairs, D = numerators(terms.values())
+    return [(sum(map(mul, m, weights)), a, b) for m, (a, b) in zip(terms, pairs)], D
 
-    D is the lcm of the coefficients' denominators, a term's coefficient is
-    (a + b*i)/D, and exponent k goes into the field at ``shifts[k]``.
-    """
-    D = lcm(*[c._d for c in terms.values()])
-    return [
-        (sum(map(lshift, m, shifts)), c._a * (D // c._d), c._b * (D // c._d))
-        for m, c in terms.items()
-    ], D
+
+def kronecker_shifts(size: int, top: int) -> range:
+    """Shifts of ``size`` fields wide enough for exponents up to ``top``, stepping down from the first."""
+    width = top.bit_length() or 1
+    return range(width * (size - 1), -1, -width)
+
+
+def unpack_terms(rows, shifts: range, d: int) -> dict:
+    """The term map of rows (pack, a, b): (a + b*i)/d times the exponents in the fields at ``shifts``."""
+    mask = (1 << -shifts.step) - 1
+    return {tuple([(p >> s) & mask for s in shifts]): from_numerator(a, b, d) for p, a, b in rows}
 
 
 class PackedRows(NamedTuple):
@@ -466,7 +480,7 @@ class Polynomial:
             if self.is_zero:
                 return None
             packing = order.packing(self.context.size)
-            xs, d = _packed_numerators(self.terms, packing.shifts)
+            xs, d = pack_terms(self.terms, packing.weights)
             rows = [(p, packing.key(m), a, b) for m, (p, a, b) in zip(self.terms, xs)]
             rows.sort(key=itemgetter(1), reverse=True)
             cached = PackedRows(*rows[0], rows[1:], d)
@@ -478,7 +492,7 @@ class Polynomial:
         if view is None:
             raise ValueError("zero polynomial has no leading term")
         monomial = order.packing(self.context.size).unpack(view.lead_pack)
-        return monomial, _reduced(view.lead_a, view.lead_b, view.denominator)
+        return monomial, from_numerator(view.lead_a, view.lead_b, view.denominator)
 
     # -- ring operations ----------------------------------------------------
 
@@ -518,18 +532,19 @@ class Polynomial:
         self._require_same_context(other)
         if not self.terms or not other.terms:
             return Polynomial.zero(self.context)
-        shifts = _fields(self.context, max(chain.from_iterable(self.terms), default=0)
-                         + max(chain.from_iterable(other.terms), default=0))
-        xs, d1 = _packed_numerators(self.terms, shifts)
-        ys, d2 = _packed_numerators(other.terms, shifts)
-        re, im = {}, {}
+        shifts = kronecker_shifts(self.context.size, max(chain.from_iterable(self.terms), default=0)
+                                  + max(chain.from_iterable(other.terms), default=0))
+        weights = [1 << s for s in shifts]
+        xs, d1 = pack_terms(self.terms, weights)
+        ys, d2 = pack_terms(other.terms, weights)
+        re, im = {}, {}  # keys taken in one order, so zip pairs them
         re_get, im_get = re.get, im.get
         for p1, a1, b1 in xs:
             for p2, a2, b2 in ys:
                 p = p1 + p2
                 re[p] = re_get(p, 0) + a1 * a2 - b1 * b2
                 im[p] = im_get(p, 0) + a1 * b2 + b1 * a2
-        return _from_packed(self.context, shifts, re, im, d1 * d2)
+        return Polynomial(self.context, unpack_terms(zip(re, re.values(), im.values()), shifts, d1 * d2))
 
     def __pow__(self, e: int) -> "Polynomial":
         """``self ** e`` by the multinomial theorem, accumulated as in ``__mul__``.
@@ -549,8 +564,8 @@ class Polynomial:
         if len(self.terms) == 1:
             (m, c), = self.terms.items()
             return Polynomial(self.context, {tuple([e * k for k in m]): c ** e})
-        shifts = _fields(self.context, e * max(chain.from_iterable(self.terms), default=0))
-        xs, d = _packed_numerators(self.terms, shifts)
+        shifts = kronecker_shifts(self.context.size, e * max(chain.from_iterable(self.terms), default=0))
+        xs, d = pack_terms(self.terms, [1 << s for s in shifts])
         powers = []  # per term, its pack and the numerator pairs of its powers 0, ..., e
         for p, a, b in xs:
             row = [(1, 0)]
@@ -573,7 +588,7 @@ class Polynomial:
                     im[np] = im.get(np, 0) + nb
                 else:
                     stack.append((j + 1, r - k, na, nb, np))
-        return _from_packed(self.context, shifts, re, im, d ** e)
+        return Polynomial(self.context, unpack_terms(zip(re, re.values(), im.values()), shifts, d ** e))
 
     def scale(self, c) -> "Polynomial":
         c = gq(c)
@@ -672,24 +687,6 @@ class Polynomial:
         return f"<Polynomial {polynomial_to_text(self)}>"
 
 
-def _fields(context: VariableContext, top: int) -> range:
-    """Shifts of unguarded fields, one per variable, wide enough for exponents up to ``top``,
-    so no carry crosses a field; even a product of constants needs one field per variable."""
-    width = top.bit_length() or 1
-    return range(0, width * context.size, width)
-
-
-def _from_packed(context: VariableContext, shifts: range, re: dict, im: dict, d: int) -> Polynomial:
-    """The sum of (re[p] + im[p]*i)/d times the monomial packed as p; each term canonicalized once."""
-    mask = (1 << shifts.step) - 1
-    terms = {}
-    for p, a in re.items():
-        b = im[p]
-        if a or b:
-            terms[tuple([(p >> s) & mask for s in shifts])] = _reduced(a, b, d)
-    return Polynomial(context, terms)
-
-
 def compose(f: Polynomial, images: Sequence, constant):
     """The sum over the terms c*x^m of ``f`` of constant(c) * images[0]^m[0] * ...
 
@@ -732,7 +729,7 @@ class _RowsPolynomial(Polynomial):
         if view is None:
             return super().sorted_terms(order)
         unpack, d = order.packing(self.context.size).unpack, view.denominator
-        return [(unpack(p), _reduced(a, b, d)) for p, _, a, b in view.rows()]
+        return [(unpack(p), from_numerator(a, b, d)) for p, _, a, b in view.rows()]
 
 
 def _pow_text(name: str, e: int) -> str:
@@ -744,32 +741,21 @@ def _monomial_to_text(context: VariableContext, m: Monomial) -> str:
     return "*".join(parts)
 
 
-def _coeff_is_negative(c: GaussianRational) -> bool:
-    return c._a < 0 or (not c._a and c._b < 0)
-
-
-def _coeff_to_factor_text(c: GaussianRational) -> str:
-    """Coefficient as a multiplicative prefix; mixed values get parentheses."""
-    if c._a and c._b:
-        return f"({gq_to_text(c)})"
-    return gq_to_text(c)
-
-
 def polynomial_to_text(f: Polynomial, order: MonomialOrder = GREVLEX) -> str:
     """Canonical text: terms descending in ``order``, reparseable exactly."""
     if f.is_zero:
         return "0"
     chunks = []
     for m, c in f.sorted_terms(order):
-        neg = _coeff_is_negative(c)
+        neg = gq_is_negative(c)
         mag = -c if neg else c
         mono = _monomial_to_text(f.context, m)
         if not mono:
-            body = _coeff_to_factor_text(mag)
+            body = gq_to_factor_text(mag)
         elif mag == ONE:
             body = mono
         else:
-            body = f"{_coeff_to_factor_text(mag)}*{mono}"
+            body = f"{gq_to_factor_text(mag)}*{mono}"
         if not chunks:
             chunks.append(f"-{body}" if neg else body)
         else:

@@ -13,8 +13,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import holoclosure
+from holoclosure import arith
 from conftest import reference_gq_text
-from holoclosure.arith import GaussianRational, gq, gq_to_text, power
+from holoclosure.arith import GaussianRational, from_numerator, gq, gq_to_text, numerators, power
 from holoclosure.syntax import parse_point
 
 fractions = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
@@ -335,3 +336,29 @@ def test_arith_loads_without_fractions_and_takes_a_fraction_imported_later():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True", "True", "1/3+i", "1/3"]
+
+
+scalars = st.one_of(st.integers(-BIG, BIG), fractions, gaussians)
+
+
+@given(st.lists(scalars, max_size=8))
+@example([])
+@example([3, Fraction(1, 2), GaussianRational(Fraction(1, 3), 2)])
+def test_numerators_put_mixed_values_over_the_lcm_of_their_denominators(values):
+    pairs, D = numerators(values)
+    assert D == lcm(*[lcm(gq(x).re.denominator, gq(x).im.denominator) for x in values])
+    assert len(pairs) == len(values)
+    for (a, b), x in zip(pairs, values):
+        assert type(a) is int and type(b) is int
+        assert from_numerator(a, b, D) == gq(x)
+    if all(type(x) is int for x in values):
+        assert D == 1 and pairs == [(x, 0) for x in values]
+
+
+def test_numerators_of_ints_build_no_gaussian_rational(monkeypatch):
+    built = []
+    original = arith._canonical
+    monkeypatch.setattr(arith, "_canonical", lambda *args: built.append(args) or original(*args))
+    assert numerators([4, -7, 0]) == ([(4, 0), (-7, 0), (0, 0)], 1)
+    assert numerators([2, Fraction(1, 3)]) == ([(6, 0), (1, 0)], 3)
+    assert built == [(1, 0, 3)]  # the Fraction's element alone

@@ -5,9 +5,15 @@ its name is read (an ``ast.Name`` or ``ast.Attribute``) somewhere in
 ``src`` outside its own body, ``__init__.py`` aside; when it is named in
 ``holoclosure.__all__``; or when it is a dunder.  Code that only tests
 call lives in the tests, written on the public API.
+
+Each number format has one owner: only ``arith`` reads a Q(i) value's
+triple and only ``poly`` names the packed field layout, no module imports
+another's private name, and README's source line count is the one ``src``
+has.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import holoclosure
@@ -119,3 +125,43 @@ def test_public_names_are_pinned():
         "zeta_to_real",
         "__version__",
     ]
+
+
+def test_only_arith_reads_the_triple_and_no_module_imports_a_private_name():
+    """``arith`` alone knows a Q(i) value is ``(a, b, d)``, ``poly`` alone a monomial's
+    field layout; no private name crosses modules."""
+    triple, layout, private = [], [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = set()  # names bound to holoclosure modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "holoclosure":
+                private += [(path.name, a.name) for a in node.names if a.name.startswith("_")]
+                if node.module == "holoclosure":
+                    modules.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, ast.Import):
+                modules.update(a.asname or a.name for a in node.names if a.name.startswith("holoclosure"))
+        for node in ast.walk(tree):
+            # a name read, an attribute read or an imported name (an ast.alias)
+            named = {getattr(node, field, None) for field in ("id", "attr", "name")}
+            if path.name != "poly.py" and named & {"FIELD_BITS", "MAX_EXPONENT"}:
+                layout.append((path.name, node.lineno))
+            if not isinstance(node, ast.Attribute):
+                continue
+            if node.attr in ("_a", "_b", "_d") and path.name != "arith.py":
+                triple.append((path.name, node.lineno))
+            if (isinstance(node.value, ast.Name) and node.value.id in modules
+                    and node.attr.startswith("_") and not node.attr.endswith("__")):
+                private.append((path.name, node.attr))
+    assert triple == []
+    assert layout == []
+    assert private == []
+
+
+def test_the_readme_states_the_source_line_count():
+    """README's cold-start figure is ``wc -l src/holoclosure/*.py``; a change of size updates it."""
+    readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    stated = re.search(r"compiling the package's ([\d,]+) source lines", readme)
+    assert stated, "README no longer states the source line count"
+    lines = sum(path.read_bytes().count(b"\n") for path in PACKAGE.glob("*.py"))
+    assert int(stated.group(1).replace(",", "")) == lines

@@ -167,6 +167,19 @@ def test_int_fraction_and_gaussian_entries_give_the_same_answers(matrix, kinds):
     assert all(type(x) is GaussianRational for _, r in found for x in r.values())
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda ncols: st.lists(
+    st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols), max_size=6)))
+def test_an_integer_matrix_gives_the_same_relations_as_ints_fractions_and_gaussians(rows):
+    # the int path puts no GaussianRational under the entries; the answers must not see it
+    ncols = len(rows[0]) if rows else 0
+    as_ints = list(linalg.relations(columns_of(rows, ncols)))
+    for kind in (Fraction, GaussianRational):
+        typed = [[kind(x) for x in row] for row in rows]
+        assert list(linalg.relations(columns_of(typed, ncols))) == as_ints
+    assert all(type(x) is GaussianRational for _, r in as_ints for x in r.values())
+
+
 PIVOT_CASES = {
     # the first column's pivot, at row 0, is negative, purely imaginary or of norm 25
     "negative real pivot": [[-3, 1, 2], [1, 2, -1]],

@@ -250,10 +250,10 @@ def test_rendering_a_term_built_polynomial_with_a_cached_view_reuses_its_terms(m
     expected = polynomial_to_text(f)
     f.packed_terms(GREVLEX)
     calls = []
-    original = arith._reduced
+    original = arith.from_numerator
     counting = lambda *args: calls.append(args) or original(*args)  # noqa: E731
-    monkeypatch.setattr(arith, "_reduced", counting)
-    monkeypatch.setattr(poly, "_reduced", counting)
+    monkeypatch.setattr(arith, "from_numerator", counting)
+    monkeypatch.setattr(poly, "from_numerator", counting)
     assert polynomial_to_text(f) == expected
     assert calls == []
 
