@@ -31,9 +31,7 @@ def _is_fraction(x) -> bool:
 
 def _ratio(x) -> tuple:
     """(numerator, denominator) of an int or a ``Fraction``."""
-    if isinstance(x, int):
-        return x, 1
-    if _is_fraction(x):
+    if isinstance(x, int) or _is_fraction(x):
         return x.numerator, x.denominator
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
@@ -217,16 +215,17 @@ def gq(x) -> GaussianRational:
 
 
 def numerators(values) -> tuple:
-    """Pairs (a, b) over the lcm D of the denominators, and D; an int x is (x * D, 0), building no element.
-
-    ``values``, a sequence or a dict view, is read again when not all are elements."""
-    try:
-        D = lcm(*[x._d for x in values])
-    except AttributeError:  # an int or a Fraction among them
-        values = [x if type(x) is int else gq(x) for x in values]
-        D = lcm(*[x._d for x in values if type(x) is not int])
-        return [(x * D, 0) if type(x) is int else (x._a * (D // x._d), x._b * (D // x._d)) for x in values], D
-    return [(x._a * (D // x._d), x._b * (D // x._d)) for x in values], D
+    """Pairs (a, b) over the lcm D of the denominators, and D; an int x is (x * D, 0), building no element."""
+    xs, D = [], 1
+    for x in values:
+        if type(x) is not int:
+            x = x if type(x) is GaussianRational else gq(x)
+            D = lcm(D, x._d)
+        xs.append(x)
+    pairs = []  # plain loops: a comprehension costs more than the one to three values most calls pass
+    for x in xs:
+        pairs.append((x * D, 0) if type(x) is int else (x._a * (D // x._d), x._b * (D // x._d)))
+    return pairs, D
 
 
 # -- textual form ----------------------------------------------------------

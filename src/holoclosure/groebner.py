@@ -46,6 +46,7 @@ from holoclosure.poly import (
     MonomialOrder,
     Polynomial,
     VariableContext,
+    raise_exponent_overflow,
 )
 
 
@@ -265,7 +266,7 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder, ta
                 # a live key's exponents already fit, so only a new one is checked
                 e = q + p2
                 if e & guard:
-                    order.packing(f.context.size).raise_overflow("normal form: a product exponent")
+                    raise_exponent_overflow("normal form: a product exponent")
                 live[t] = [e, -da, -db]
                 push(heap, -t)
             else:
@@ -321,7 +322,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     for p, _, _, _ in merged:
         seen |= p
     if seen & packing.guard:
-        packing.raise_overflow("S-polynomial: a product exponent")
+        raise_exponent_overflow("S-polynomial: a product exponent")
     return Polynomial.from_rows(f.context, order, merged, n)
 
 

@@ -43,10 +43,10 @@ from holoclosure.poly import (
     Polynomial,
     VariableContext,
     compose,
-    kronecker_shifts,
+    kronecker_layout,
     pack_terms,
     param_context,
-    unpack_terms,
+    unpack_polynomial,
     z_context,
 )
 
@@ -64,13 +64,13 @@ class Jet:
     __slots__ = ("context", "order", "rows", "denominator")
 
     def __init__(self, context: VariableContext, order: int, coeffs: Mapping[Monomial, GaussianRational]):
-        top, *shifts = kronecker_shifts(context.size + 1, order)  # the degree field, then the exponents'
-        rows, d = pack_terms(coeffs, [(1 << top) + (1 << s) for s in shifts])
+        shifts, weights = kronecker_layout(context.size + 1, order)  # the degree field, then the exponents'
+        rows, d = pack_terms(coeffs, [weights[0] + w for w in weights[1:]])
         if any(b for _, _, b in rows):
             raise ValueError("jet coefficients must be rational (real)")
         if order < 0:
             raise ValueError("jet order must be non-negative")
-        limit = (order + 1) << top  # a pack at or above it is of degree above the order
+        limit = (order + 1) << shifts[0]  # a pack at or above it is of degree above the order
         _fill(self, context, order, {p: a for p, a, _ in rows if p < limit}, d)
 
     def __setattr__(self, name, value):
@@ -87,12 +87,12 @@ class Jet:
     @property
     def coeffs(self) -> dict:
         """The term map monomial -> nonzero coefficient, in row order."""
-        shifts = kronecker_shifts(self.context.size + 1, self.order)[1:]  # the exponents', not the degree's
-        return unpack_terms(((p, n, 0) for p, n in self.rows), shifts, self.denominator)
+        return self.poly.terms
 
     @property
     def poly(self) -> Polynomial:
-        return Polynomial(self.context, self.coeffs)
+        shifts = kronecker_layout(self.context.size + 1, self.order)[0][1:]  # the exponents', not the degree's
+        return unpack_polynomial(self.context, ((p, n, 0) for p, n in self.rows), shifts, self.denominator)
 
     def _require_compatible(self, other: "Jet"):
         if self.context != other.context or self.order != other.order:
@@ -108,7 +108,7 @@ class Jet:
 
     def __mul__(self, other: "Jet") -> "Jet":
         self._require_compatible(other)
-        limit = (self.order + 1) << kronecker_shifts(self.context.size + 1, self.order)[0]
+        limit = (self.order + 1) << kronecker_layout(self.context.size + 1, self.order)[0][0]
         acc = {}
         get, ys = acc.get, other.rows
         for p1, n1 in self.rows:

@@ -10,7 +10,8 @@ column has a positive integer pivot.  ``GaussianRational`` appears only at
 entry and exit, through ``arith``'s two conversions, and an int entry, as
 every jet column's is, builds none.  A relation is the reduced row echelon
 kernel vector of its column, so the answers are those of Gauss-Jordan
-without building the echelon form.  ``nullspace`` and ``rank`` adapt it to dense row lists.
+without building the echelon form.  ``nullspace`` and ``rank`` adapt it to
+dense row lists.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ group's grevlex exponent sums, packed side by side, first most significant.
 Division works on that key, on the exponents packed into guarded int fields
 (``Packing``) and on Gaussian-integer numerators (``PackedRows``).  No other
 module knows a layout: ``pack_terms`` packs by per-variable weights, and one
-Kronecker layout of unguarded fields (``kronecker_shifts``, ``unpack_terms``)
+unguarded Kronecker layout (``kronecker_layout``, ``unpack_polynomial``)
 serves products, powers and jets.  Only the term maps keep exponent tuples,
 which the parser and the jets' views share; the renderer unpacks the rows
 of a polynomial built from them instead.
@@ -158,11 +158,16 @@ FIELD_BITS = 16
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
 
 
+def raise_exponent_overflow(what: str):
+    """Refuse ``what``, an exponent past MAX_EXPONENT, with a ResourceLimitError."""
+    raise ResourceLimitError(f"{what} exceeds the packed exponent limit of {MAX_EXPONENT}")
+
+
 class Packing:
     """Monomials in ``size`` variables as ints, under one monomial order.
 
     A monomial's pack is its exponent vector with one guarded field per
-    variable, exponent k shifted by ``shifts[k]``, so a product is the sum
+    variable, exponent k times ``weights[k]``, so a product is the sum
     of the packs and a divides b exactly when ``(pack(b) - pack(a)) & guard
     == 0`` (Monagan and Pearce, JSC 46, 2011).
     ``key`` gives the order in one int, built from its ranked groups, which
@@ -173,17 +178,17 @@ class Packing:
     key(b).  A key field is FIELD_BITS + size.bit_length() bits wide, so even
     the product of two packable monomials cannot overflow one.  A monomial
     with an exponent above MAX_EXPONENT is refused with a ResourceLimitError.
-    ``degree`` and ``pack_key`` read a pack's fields in C, unpacking nothing.
+    ``unpack``, ``degree`` and ``pack_key`` read the fields in C, as the
+    16-bit words of the pack's bytes.
     """
 
-    __slots__ = ("shifts", "weights", "guard", "key_weights", "_word_weights")
+    __slots__ = ("weights", "guard", "key_weights", "_word_weights")
 
     def __init__(self, groups: tuple, size: int):
         if sorted(chain.from_iterable(groups)) != list(range(size)):
             raise ValueError(f"the ranked groups do not partition the {size} variables")
-        self.shifts = tuple(range(0, FIELD_BITS * size, FIELD_BITS))
-        self.weights = tuple([1 << s for s in self.shifts])
-        self.guard = sum(1 << (s + FIELD_BITS - 1) for s in self.shifts)
+        self.weights = tuple([1 << FIELD_BITS * k for k in range(size)])
+        self.guard = sum(self.weights) << (FIELD_BITS - 1)
         # ``top`` counts the rows from a group's first one to the last row.
         # The variable at position j of a group g is in its first len(g) - j
         # rows, so its weight, the sum of 2^(width*(size-1-row)) over them,
@@ -200,29 +205,26 @@ class Packing:
         self._word_weights = self.key_weights[::1 if sys.byteorder == "little" else -1]
 
     def key(self, m: Monomial) -> int:
-        if max(m, default=0) > MAX_EXPONENT:
-            self.raise_overflow(f"exponent {max(m)}")
+        if m and max(m) > MAX_EXPONENT:  # no ``default`` keyword: it costs more than the sum
+            raise_exponent_overflow(f"exponent {max(m)}")
         return sum(map(mul, m, self.key_weights))
-
-    def raise_overflow(self, what: str):
-        """Refuse ``what``, an exponent past MAX_EXPONENT, with a ResourceLimitError."""
-        raise ResourceLimitError(f"{what} exceeds the packed exponent limit of {MAX_EXPONENT}")
 
     def fields_mask(self, indices) -> int:
         """The bits of the fields of the variables at ``indices``."""
-        return sum(((1 << FIELD_BITS) - 1) << self.shifts[k] for k in indices)
+        return sum(((1 << FIELD_BITS) - 1) * self.weights[k] for k in indices)
 
     def unpack(self, p: int) -> Monomial:
-        mask = (1 << FIELD_BITS) - 1
-        return tuple([(p >> s) & mask for s in self.shifts])
+        """The exponents of pack p, off its words: variable 0 last on a big-endian host."""
+        words = memoryview(p.to_bytes(2 * len(self.weights), sys.byteorder)).cast("H")
+        return tuple(words) if sys.byteorder == "little" else tuple(words[::-1])
 
     def degree(self, p: int) -> int:
-        """``sum(unpack(p))``: the 16-bit words of p's bytes are its fields, as no guard bit is set."""
-        return sum(memoryview(p.to_bytes(2 * len(self.shifts), sys.byteorder)).cast("H"))
+        """``sum(unpack(p))``, unpacking nothing."""
+        return sum(memoryview(p.to_bytes(2 * len(self.weights), sys.byteorder)).cast("H"))
 
     def pack_key(self, p: int) -> int:
-        """``key(unpack(p))``, off the words ``degree`` sums: variable 0 last on a big-endian host."""
-        words = memoryview(p.to_bytes(2 * len(self.shifts), sys.byteorder)).cast("H")
+        """``key(unpack(p))``, off the same words."""
+        words = memoryview(p.to_bytes(2 * len(self.weights), sys.byteorder)).cast("H")
         return sum(map(mul, words, self._word_weights))
 
     def lcm(self, a: int, b: int) -> int:
@@ -343,19 +345,29 @@ LEX = Lex()
 def pack_terms(terms: Mapping, weights: Sequence) -> tuple:
     """Rows (pack, a, b), (a + b*i)/D times the monomial m packed as sum(m[k] * weights[k]), and D."""
     pairs, D = numerators(terms.values())
-    return [(sum(map(mul, m, weights)), a, b) for m, (a, b) in zip(terms, pairs)], D
+    rows = []
+    for m, (a, b) in zip(terms, pairs):
+        rows.append((sum(map(mul, m, weights)), a, b))
+    return rows, D
 
 
-def kronecker_shifts(size: int, top: int) -> range:
-    """Shifts of ``size`` fields wide enough for exponents up to ``top``, stepping down from the first."""
+@lru_cache(maxsize=256)
+def kronecker_layout(size: int, top: int) -> tuple:
+    """(shifts, weights) of ``size`` fields for exponents up to ``top``, stepping down from the first."""
     width = top.bit_length() or 1
-    return range(width * (size - 1), -1, -width)
+    shifts = range(width * (size - 1), -1, -width)
+    return shifts, tuple([1 << s for s in shifts])
 
 
-def unpack_terms(rows, shifts: range, d: int) -> dict:
-    """The term map of rows (pack, a, b): (a + b*i)/d times the exponents in the fields at ``shifts``."""
+def unpack_polynomial(context: VariableContext, rows, shifts: range, d: int) -> Polynomial:
+    """The sum of rows (pack, a, b), (a + b*i)/d times the exponents at ``shifts``, each canonicalized once."""
     mask = (1 << -shifts.step) - 1
-    return {tuple([(p >> s) & mask for s in shifts]): from_numerator(a, b, d) for p, a, b in rows}
+    f = object.__new__(Polynomial)
+    object.__setattr__(f, "context", context)
+    object.__setattr__(f, "terms", {tuple([(p >> s) & mask for s in shifts]): from_numerator(a, b, d)
+                                    for p, a, b in rows if a or b})
+    object.__setattr__(f, "_packed", {})
+    return f
 
 
 class PackedRows(NamedTuple):
@@ -448,9 +460,7 @@ class Polynomial:
 
     def total_degree(self) -> int:
         """Max term degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
+        return max(map(sum, self.terms), default=-1)
 
     def used_indices(self) -> set:
         return {k for m in self.terms for k, e in enumerate(m) if e}
@@ -505,11 +515,7 @@ class Polynomial:
         res = dict(self.terms)
         for m, c in other.terms.items():
             s = res.get(m)
-            s = c if s is None else s + c
-            if s:
-                res[m] = s
-            else:
-                res.pop(m, None)
+            res[m] = c if s is None else s + c  # a zero sum is pruned by the constructor
         return Polynomial(self.context, res)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
@@ -532,9 +538,8 @@ class Polynomial:
         self._require_same_context(other)
         if not self.terms or not other.terms:
             return Polynomial.zero(self.context)
-        shifts = kronecker_shifts(self.context.size, max(chain.from_iterable(self.terms), default=0)
-                                  + max(chain.from_iterable(other.terms), default=0))
-        weights = [1 << s for s in shifts]
+        shifts, weights = kronecker_layout(self.context.size, max(chain.from_iterable(self.terms), default=0)
+                                           + max(chain.from_iterable(other.terms), default=0))
         xs, d1 = pack_terms(self.terms, weights)
         ys, d2 = pack_terms(other.terms, weights)
         re, im = {}, {}  # keys taken in one order, so zip pairs them
@@ -544,7 +549,7 @@ class Polynomial:
                 p = p1 + p2
                 re[p] = re_get(p, 0) + a1 * a2 - b1 * b2
                 im[p] = im_get(p, 0) + a1 * b2 + b1 * a2
-        return Polynomial(self.context, unpack_terms(zip(re, re.values(), im.values()), shifts, d1 * d2))
+        return unpack_polynomial(self.context, zip(re, re.values(), im.values()), shifts, d1 * d2)
 
     def __pow__(self, e: int) -> "Polynomial":
         """``self ** e`` by the multinomial theorem, accumulated as in ``__mul__``.
@@ -564,8 +569,8 @@ class Polynomial:
         if len(self.terms) == 1:
             (m, c), = self.terms.items()
             return Polynomial(self.context, {tuple([e * k for k in m]): c ** e})
-        shifts = kronecker_shifts(self.context.size, e * max(chain.from_iterable(self.terms), default=0))
-        xs, d = pack_terms(self.terms, [1 << s for s in shifts])
+        shifts, weights = kronecker_layout(self.context.size, e * max(map(max, self.terms)))  # two terms, so a variable
+        xs, d = pack_terms(self.terms, weights)
         powers = []  # per term, its pack and the numerator pairs of its powers 0, ..., e
         for p, a, b in xs:
             row = [(1, 0)]
@@ -588,13 +593,11 @@ class Polynomial:
                     im[np] = im.get(np, 0) + nb
                 else:
                     stack.append((j + 1, r - k, na, nb, np))
-        return Polynomial(self.context, unpack_terms(zip(re, re.values(), im.values()), shifts, d ** e))
+        return unpack_polynomial(self.context, zip(re, re.values(), im.values()), shifts, d ** e)
 
     def scale(self, c) -> "Polynomial":
         c = gq(c)
-        if not c:
-            return Polynomial.zero(self.context)
-        return Polynomial(self.context, {m: k * c for m, k in self.terms.items()})
+        return Polynomial(self.context, {m: k * c for m, k in self.terms.items()})  # c = 0: pruned to zero
 
     def monic(self, order: MonomialOrder) -> "Polynomial":
         """Scaled to leading coefficient 1 row by row under ``order``; itself if monic or zero."""
@@ -612,11 +615,7 @@ class Polynomial:
             key = tuple(map(add, m, m2))
             delta = c * c2
             s = res.get(key)
-            s = -delta if s is None else s - delta
-            if s:
-                res[key] = s
-            else:
-                res.pop(key, None)
+            res[key] = -delta if s is None else s - delta  # a zero is pruned by the constructor
         return Polynomial(self.context, res)
 
     # -- substitution, conjugation, calculus ---------------------------------

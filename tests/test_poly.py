@@ -3,7 +3,6 @@
 import random
 from fractions import Fraction
 from math import factorial
-from operator import lshift
 
 import pytest
 from hypothesis import example, given, settings
@@ -142,7 +141,7 @@ def test_key_sums_order_products_past_the_field_width(order_ref, a, b, c, d):
 
 def pack(packing, m):
     """The packed exponents of m, the fields ``PackedRows`` holds."""
-    return sum(map(lshift, m, packing.shifts))
+    return sum(e << poly.FIELD_BITS * k for k, e in enumerate(m))
 
 
 @given(packed_orders, exponents5)
